@@ -12,11 +12,14 @@ pipeline at 100/500/1000 hosts, four ways:
   vectorized summarize -> one batch scatter per poll
   (``GmetadConfig.columnar``);
 
-each crossed with the PR 2 summarization mode: ``eager`` (full additive
-reduction every poll) and ``incremental`` (delta tracker re-folds only
-changed hosts; 10% of hosts mutate between polls).  Every mode consumes
-the *same* pre-generated XML poll sequence and the same real
-``Archiver``/``RrdStore`` machinery the daemon uses.
+each crossed with the summarization mode: ``eager`` (full additive
+reduction every poll) and ``incremental`` (the delta tracker re-folds
+only changed hosts; 10% of hosts mutate between polls).  Both
+incremental arms run the one ``ColumnarSummaryTracker``; the tree arm
+feeds it through ``columns_from_cluster``, the daemon's route for a
+tree-parsed poll.  Every mode consumes the *same* pre-generated XML poll
+sequence and the same real ``Archiver``/``RrdStore`` machinery the
+daemon uses.
 
 Acceptance (asserted below): at 1000 hosts the columnar pipeline is
 >= 3x faster than the tree pipeline in the eager pairing, produces
@@ -37,9 +40,13 @@ from typing import Dict, List
 
 import pytest
 
-from repro.columnar import ColumnarSummaryTracker, summarize_columns
+from repro.columnar import (
+    ColumnarSummaryTracker,
+    InternPool,
+    columns_from_cluster,
+    summarize_columns,
+)
 from repro.core.archiver import Archiver
-from repro.core.delta_summary import ClusterSummaryTracker
 from repro.core.summarize import summarize_cluster
 from repro.gmond.pseudo import PseudoGmond
 from repro.net.fabric import Fabric
@@ -100,15 +107,8 @@ def run_pipeline(xmls: List[str], columnar: bool, incremental: bool) -> Run:
         store, charge=lambda cost, cat: 0.0, costs=CostModel(),
         heartbeat_window=HEARTBEAT,
     )
-    pool = None
-    tracker = None
-    if columnar:
-        from repro.columnar import InternPool
-
-        tracker = ColumnarSummaryTracker(HEARTBEAT) if incremental else None
-        pool = InternPool()
-    elif incremental:
-        tracker = ClusterSummaryTracker(HEARTBEAT)
+    pool = InternPool()
+    tracker = ColumnarSummaryTracker(HEARTBEAT) if incremental else None
 
     summary = None
     elapsed = 0.0
@@ -129,7 +129,9 @@ def run_pipeline(xmls: List[str], columnar: bool, incremental: bool) -> Run:
             GangliaParser(validate=False).parse(xml, builder)
             cluster = next(iter(builder.document.clusters.values()))
             if tracker is not None:
-                summary, _ = tracker.update(cluster)
+                summary, _ = tracker.update(
+                    columns_from_cluster(cluster, pool)
+                )
             else:
                 summary, _ = summarize_cluster(cluster, HEARTBEAT)
             archiver.archive_cluster_detail("src", cluster, t)
@@ -250,8 +252,8 @@ def test_columnar_agrees_with_tree_at_every_size(sweep):
     incremental are compared within, not across, pairings -- the
     tracker's Neumaier-compensated totals and the eager in-order fold
     legitimately differ below wire precision at small N and above it at
-    1000 hosts x 1e12-scale SUMs; each columnar kernel is bit-identical
-    to *its* scalar reference.)"""
+    1000 hosts x 1e12-scale SUMs; the eager kernel is bit-identical to
+    the scalar fold, and the tracker to itself on either parse route.)"""
     for hosts, runs in sweep.items():
         for mode in ("eager", "incremental"):
             tree, cols = runs[f"tree_{mode}"], runs[f"columnar_{mode}"]

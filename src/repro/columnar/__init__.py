@@ -10,14 +10,15 @@ instead, so the per-metric work collapses into vectorized kernels:
   structure-of-arrays and the :class:`InternPool` that maps the tiny
   closed vocabularies (metric names, units, TYPE/SLOPE enums) to dense
   integer ids;
-- :mod:`repro.columnar.summarize` -- vectorized eager summarization and
-  the columnar delta-summary tracker, both bit-identical to the scalar
-  reference paths in :mod:`repro.core.summarize` /
-  :mod:`repro.core.delta_summary`.
+- :mod:`repro.columnar.summarize` -- vectorized eager summarization,
+  bit-identical to the scalar fold in :mod:`repro.core.summarize`, and
+  :class:`ColumnarSummaryTracker`, the daemon's only incremental
+  summarizer.
 
-Everything is gated by ``GmetadConfig.columnar`` (default off) and the
-on-wire output is byte-identical either way -- same discipline as the
-incremental-ingest, resilience and observability layers before it.
+The parse fast path is gated by ``GmetadConfig.columnar`` (default off)
+and the on-wire output is byte-identical either way.  The tracker is
+not gated by it: with ``incremental`` on, a tree-parsed cluster reaches
+the same tracker through :func:`columns_from_cluster`.
 """
 
 from repro.columnar.layout import (

@@ -223,7 +223,7 @@ class ColumnarCluster:
         except the values themselves and host liveness: host identity and
         order, metric identity and order, TYPE/UNITS/SLOPE metadata, and
         which rows carry a parseable numeric value.  SOURCE is excluded
-        on purpose -- the scalar tracker ignores it too.
+        on purpose -- it never enters a summary.
         """
         return (
             other.pool is self.pool
@@ -325,9 +325,11 @@ def columns_from_cluster(
 ) -> ColumnarCluster:
     """Convert an already-built full-form DOM cluster to columns.
 
-    Used on the rare tree-parse paths (salvaged ingest, columnar
-    fallback) so a columnar-mode daemon keeps a single summary-tracker
-    and archive-plan state machine regardless of which parser ran.
+    Feeds every tree-parsed cluster to the one incremental summarizer
+    (:class:`~repro.columnar.summarize.ColumnarSummaryTracker`), and on
+    a columnar-mode daemon to the archive-plan state machine too, so
+    each source keeps a single state machine regardless of which parser
+    ran.
     """
     if cluster.is_summary:
         raise ValueError(

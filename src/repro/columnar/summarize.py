@@ -1,28 +1,40 @@
-"""Vectorized summarization kernels over :class:`ColumnarCluster`.
-
-Two kernels, each a drop-in replacement for its scalar reference path:
+"""Summarization kernels over :class:`ColumnarCluster`.
 
 - :func:`summarize_columns` mirrors
   :func:`repro.core.summarize.summarize_cluster` -- one eager additive
   reduction per poll, computed with masked scatter-adds over the metric
   row axis instead of per-host Python loops.  ``np.add.at`` is an
   unbuffered in-order scatter, so each metric's SUM accumulates in
-  document order exactly like the scalar left-to-right fold.
-- :class:`ColumnarSummaryTracker` mirrors
-  :class:`repro.core.delta_summary.ClusterSummaryTracker` -- the
-  incremental tracker that re-reduces only changed hosts, with the
-  Neumaier-compensated accumulators held as parallel slot arrays and
-  each host's add/subtract applied as one vectorized update (a host's
-  metrics touch distinct slots, so the within-host order the scalar
-  loop uses is immaterial and the vector form is bit-identical).
+  document order exactly like the scalar left-to-right fold.  Totals,
+  NUM counts, metric order, units backfill, metadata provenance (first
+  occurrence) and the op count match the scalar fold bit for bit --
+  including the sign of zero, patched up explicitly (a scalar fold of
+  only ``-0.0`` contributions yields ``-0.0`` while a scatter-add seeded
+  from ``0.0`` yields ``+0.0``).  The drift auditor re-folds held
+  columns with it, so auditing never builds an element tree.
+- :class:`ColumnarSummaryTracker` is the daemon's one incremental
+  summarizer: it remembers each host's last contribution and, per poll,
+  subtracts the stale contribution of changed/removed hosts and adds
+  the new one, so work scales with the k hosts that changed, not the H
+  hosts in the cluster.  Tree-parsed polls reach it through
+  :func:`repro.columnar.columns_from_cluster`.
 
-Bit-identity discipline: totals, NUM counts, metric dict order, units
-backfill, metadata provenance (first occurrence), the drain-to-zero
-accumulator drop/rebuild, and the returned op counts (what the CPU
-model charges) all match the scalar paths exactly -- including the sign
-of zero, which the eager kernel patches up explicitly (a scalar fold of
-only ``-0.0`` contributions yields ``-0.0`` while a scatter-add seeded
-from ``0.0`` yields ``+0.0``).
+The additive (SUM, NUM) reduction of §2.2 makes the tracker sound: NUM
+is exact integer arithmetic, but naive ``total += / -=`` on SUM
+accumulates rounding error across churn, and a sequence that drains a
+metric back toward zero can leave a residue like ``-7.1e-15`` that the
+4-decimal wire formatting renders as ``"-0"`` while an eager re-fold
+serves ``"0"``.  Two mechanisms keep incremental totals wire-identical
+to an eager re-fold:
+
+- every accumulator uses **Neumaier-compensated** addition (a running
+  compensation term recovers the low-order bits each naive add drops),
+  held as parallel slot arrays; each host's add/subtract is one
+  vectorized update, since a host's metrics touch distinct slots;
+- when a metric's reporter count drains to zero its slot is freed (an
+  eager re-fold would not produce the metric at all), and when the
+  source's host count drains to zero every accumulator is rebuilt from
+  nothing -- exact zeros, no residue.
 """
 
 from __future__ import annotations
@@ -144,22 +156,21 @@ def _empty_host_state(up: bool) -> _HostState:
 
 
 class ColumnarSummaryTracker:
-    """Running summary over columnar polls; mirrors the scalar tracker.
+    """Running summary for one cluster source, updated host-by-host.
 
     Accumulator state is a set of parallel *slot* arrays (Neumaier sum
     and compensation, exposed total, NUM, metadata ids); a slot is
     allocated when a metric gains its first reporter and freed when its
-    reporter count drains to zero, exactly like the scalar tracker drops
-    a drained accumulator.  ``_order`` mirrors the scalar running dict's
-    insertion order so the serialized METRICS sequence is identical --
-    including the reorder when a sole-reporter metric drains and is
-    immediately re-added at the end.
+    reporter count drains to zero.  ``_order`` is the running summary's
+    metric insertion order, so the serialized METRICS sequence is
+    stable -- a sole-reporter metric that drains and is immediately
+    re-added moves to the end.
 
     When consecutive polls share a layout (same hosts, same metric rows,
     same liveness -- the overwhelmingly common case), changed hosts are
     found with one vectorized value comparison; otherwise a per-host
-    slow path reproduces the scalar comparison, down to its key-*set*
-    (order-insensitive) semantics.
+    slow path compares each host's contribution as a key *set*
+    (order-insensitive).
     """
 
     def __init__(self, heartbeat_window: float = 80.0) -> None:
@@ -233,7 +244,7 @@ class ColumnarSummaryTracker:
             table[: len(self._slot_of_nid)] = self._slot_of_nid
             self._slot_of_nid = table
 
-    # -- per-host add/subtract (each mirrors one scalar loop) --------------
+    # -- per-host add/subtract ----------------------------------------------
 
     def _subtract_host(self, st: _HostState) -> int:
         if st.up:
@@ -284,13 +295,13 @@ class ColumnarSummaryTracker:
             v = st.values[missing]
             self._sum[new_slots] = v
             self._comp[new_slots] = 0.0
-            self._tot[new_slots] = v  # first value verbatim, like ms.copy()
+            self._tot[new_slots] = v  # first value verbatim
             self._num[new_slots] = 1
             self._tid[new_slots] = st.type_ids[missing]
             self._uid[new_slots] = st.units_ids[missing]
             self._sid[new_slots] = st.slope_ids[missing]
             order = self._order
-            for nid in new_nids:  # document order == scalar insert order
+            for nid in new_nids:  # document order == insertion order
                 order[int(nid)] = None
         existing = ~missing
         if existing.any():
@@ -334,7 +345,7 @@ class ColumnarSummaryTracker:
 
     @staticmethod
     def _states_equal(a: _HostState, b: _HostState) -> bool:
-        """Mirror of ``_contributions_equal`` (key sets, then tuples)."""
+        """Whether two contributions match (key sets, then tuples)."""
         if a.up != b.up:
             return False
         if a.count() != b.count():
@@ -347,7 +358,7 @@ class ColumnarSummaryTracker:
                 and np.array_equal(a.units_ids, b.units_ids)
                 and np.array_equal(a.slope_ids, b.slope_ids)
             )
-        # permuted order: the scalar comparison is key-SET based
+        # permuted order: the comparison is key-SET based
         index = {int(n): i for i, n in enumerate(a.name_ids)}
         for j, nid in enumerate(b.name_ids):
             i = index.pop(int(nid), None)
@@ -367,10 +378,11 @@ class ColumnarSummaryTracker:
     def update(self, cols: ColumnarCluster) -> Tuple[SummaryInfo, int]:
         """Fold a fresh columnar poll into the running summary.
 
-        Same contract as the scalar tracker: returns ``(summary, ops)``
-        where ``ops`` counts only the samples of hosts that actually
-        changed (the CPU charge), and the summary is an independent
-        clone.
+        Returns ``(summary, ops)`` mirroring the signature of
+        ``summarize_cluster`` -- ``ops`` counts only the samples of
+        hosts that actually changed (the CPU charge), and the summary
+        is an independent clone (the datastore may hold it across
+        later updates).
         """
         self._sync_pool(cols.pool)
         up = cols.up_mask(self.heartbeat_window)

@@ -22,8 +22,12 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.columnar import (
+    ColumnarSummaryTracker,
+    columns_from_cluster,
+    summarize_columns,
+)
 from repro.core.datastore import SourceSnapshot
-from repro.core.delta_summary import ClusterSummaryTracker
 from repro.core.gmetad_base import GmetadBase
 from repro.core.query import (
     SUMMARY_POLL_QUERY,
@@ -59,10 +63,9 @@ class Gmetad(GmetadBase):
             memoize=self.config.incremental,
             columnar_serve=self.config.columnar_serve,
         )
-        #: per-source delta summarizers (cluster sources only)
-        self._summary_trackers: Dict[str, ClusterSummaryTracker] = {}
-        #: per-source columnar delta summarizers (config.columnar)
-        self._columnar_trackers: Dict[str, object] = {}
+        #: per-source delta summarizers (cluster sources, incremental);
+        #: tree-parsed polls reach them through ``columns_from_cluster``
+        self._summary_trackers: Dict[str, ColumnarSummaryTracker] = {}
         #: per-source fragment arenas (config.columnar_serve); they live
         #: on the daemon, not the snapshot, so fragments survive snapshot
         #: replacement and only changed hosts re-render
@@ -82,34 +85,34 @@ class Gmetad(GmetadBase):
         already in summary form.
         """
         for cluster in doc.clusters.values():
-            if self.config.columnar and not cluster.is_summary:
+            # a summary-form CLUSTER (a ``/<cluster>?filter=summary``
+            # answer) was already reduced by its authority: it passes
+            # through summarize_cluster at zero cost and has no detail
+            summary_form = cluster.is_summary
+            if self.config.columnar and not summary_form:
                 # tree-parsed cluster under a columnar config (salvage,
                 # or a shape the fast parser fell back on): convert so
-                # one columnar tracker and one scatter-plan state
-                # machine exist per source no matter which parser ran
-                from repro.columnar import columns_from_cluster
-
+                # one tracker and one scatter-plan state machine exist
+                # per source no matter which parser ran
                 self._ingest_columns(
                     source,
                     columns_from_cluster(cluster, self._intern_pool),
                     now,
                 )
                 continue
-            if self.config.incremental:
-                tracker = self._summary_trackers.get(source)
-                if tracker is None:
-                    tracker = ClusterSummaryTracker(self.config.heartbeat_window)
-                    self._summary_trackers[source] = tracker
+            if self.config.incremental and not summary_form:
                 # subtract-old/add-new: work scales with the k hosts
                 # that changed, not the H hosts in the cluster
-                summary, samples = tracker.update(cluster)
+                summary, samples = self._summary_tracker(source).update(
+                    columns_from_cluster(cluster, self._intern_pool)
+                )
             else:
                 summary, samples = summarize_cluster(
                     cluster, self.config.heartbeat_window
                 )
             cluster.summary = summary  # element carries both resolutions
             self.charge(self.costs.summarize_metric * samples, "summarize")
-            if self.config.archive_local_detail:
+            if self.config.archive_local_detail and not summary_form:
                 self.archiver.archive_cluster_detail(source, cluster, now)
             self.archiver.archive_summary(source, cluster.name, summary, now)
             self.datastore.install(
@@ -166,6 +169,14 @@ class Gmetad(GmetadBase):
         for cols in cdoc.clusters:
             self._ingest_columns(source, cols, now)
 
+    def _summary_tracker(self, source: str) -> ColumnarSummaryTracker:
+        """The source's delta summarizer, created on first use."""
+        tracker = self._summary_trackers.get(source)
+        if tracker is None:
+            tracker = ColumnarSummaryTracker(self.config.heartbeat_window)
+            self._summary_trackers[source] = tracker
+        return tracker
+
     def _ingest_columns(self, source: str, cols, now: float) -> None:
         """Columnar twin of the cluster branch of :meth:`ingest`.
 
@@ -176,14 +187,8 @@ class Gmetad(GmetadBase):
         DOM lazily via :meth:`SourceSnapshot.ensure_hosts`, so polls that
         are never queried at full resolution never pay for a DOM.
         """
-        from repro.columnar import ColumnarSummaryTracker, summarize_columns
-
         if self.config.incremental:
-            tracker = self._columnar_trackers.get(source)
-            if tracker is None:
-                tracker = ColumnarSummaryTracker(self.config.heartbeat_window)
-                self._columnar_trackers[source] = tracker
-            summary, samples = tracker.update(cols)
+            summary, samples = self._summary_tracker(source).update(cols)
         else:
             summary, samples = summarize_columns(
                 cols, self.config.heartbeat_window
@@ -339,7 +344,6 @@ class Gmetad(GmetadBase):
     def remove_data_source(self, name: str) -> None:
         super().remove_data_source(name)
         self._summary_trackers.pop(name, None)
-        self._columnar_trackers.pop(name, None)
         self._serve_arenas.pop(name, None)
 
     # -- convenience for tools/alarms -----------------------------------------

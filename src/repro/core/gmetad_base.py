@@ -119,17 +119,18 @@ class GmetadBase:
         self.cpu = CpuAccount(config.name, capacity)
         self.datastore = Datastore()
         self.validate_xml = validate_xml
-        #: shared string-interning pool for the columnar parse fast path;
-        #: metric names repeat across every host and every poll, so ids
-        #: stabilize after the first poll and stay comparable across polls
+        #: shared string-interning pool for the columnar parse fast path
+        #: and the delta summarizers; metric names repeat across every
+        #: host and every poll, so ids stabilize after the first poll and
+        #: stay comparable across polls
         self._intern_pool = None
-        if config.columnar and self.supports_columnar:
+        if self.supports_columnar:
             from repro.columnar import InternPool
 
             self._intern_pool = InternPool()
-        #: pool binary frames decode into: the columnar pool when the
-        #: columnar path is on (ids stay stable across polls, so the
-        #: delta trackers keep working), a dedicated one otherwise
+        #: pool binary frames decode into: the columnar pool where the
+        #: design has one (ids stay stable across polls, so the delta
+        #: trackers keep working), a dedicated one otherwise
         self._decode_pool = self._intern_pool
         if config.binary_wire and self._decode_pool is None:
             from repro.columnar import InternPool

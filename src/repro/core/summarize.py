@@ -110,8 +110,3 @@ def merge_summaries(
         operations += len(summary.metrics)
         result.merge_in_place(summary)
     return result, operations
-
-
-# Columnar twin: identical reductions over structure-of-arrays input.
-# Re-exported here so call sites can treat the two paths as one module.
-from repro.columnar.summarize import summarize_columns  # noqa: E402,F401

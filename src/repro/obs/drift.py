@@ -8,6 +8,13 @@ have caught it in production: on a sampling cadence it re-folds each
 cluster source eagerly, serializes both summaries, and records any
 byte-level divergence to the registry (and a ``drift_audit`` span).
 
+The re-fold reads whatever the snapshot holds: a columnar snapshot is
+reduced straight off its columns with :func:`summarize_columns`, a DOM
+snapshot with :func:`summarize_cluster`.  Both kernels are bit-identical
+eager folds, and neither builds an element tree -- the audit never
+materializes a host, so the serve path's zero-materialization invariant
+holds with the auditor on.
+
 The audit is an *observer* diagnostic: the eager re-fold is not charged
 to the daemon's CPU account, so enabling it never perturbs the numbers
 it is checking.
@@ -18,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.core.delta_summary import eager_summary
+from repro.columnar import summarize_columns
+from repro.core.summarize import summarize_cluster
 from repro.obs.config import SELF_SOURCE
-from repro.serve.views import has_live_columns, transient_full_cluster
 from repro.wire.model import SummaryInfo
 from repro.wire.writer import XmlWriter
 
@@ -54,29 +61,26 @@ def audit_gmetad(gmetad: "GmetadBase") -> DriftReport:
     """Compare every cluster source's installed summary to an eager fold.
 
     Works on any gmetad: with the incremental pipeline on, the installed
-    summary came from a :class:`ClusterSummaryTracker` and this is the
+    summary came from a :class:`ColumnarSummaryTracker` and this is the
     incremental-vs-eager equivalence check; with it off the comparison
-    is trivially clean (same code produced both sides).
+    is trivially clean (same code produced both sides).  Empty and
+    summary-form clusters have no full form to re-fold and are skipped.
     """
     report = DriftReport()
+    window = gmetad.config.heartbeat_window
     for name, snapshot in gmetad.datastore.sources.items():
         if name == SELF_SOURCE or snapshot.cluster is None:
             continue
-        if has_live_columns(snapshot):
-            # audit off a throwaway materialization: the snapshot's
-            # lazy shell (and the serve path's zero-materialization
-            # invariant) stays untouched, while the eager re-fold still
-            # runs over an independently rebuilt element tree
-            full_cluster = transient_full_cluster(snapshot.columns)
+        cols = snapshot.columns
+        if cols is not None:
+            if cols.host_count == 0:
+                continue
+            eager, _ = summarize_columns(cols, window)
+        elif snapshot.cluster.is_summary:
+            continue
         else:
-            snapshot.ensure_hosts()  # a columnar shell *has* a full form
-            if snapshot.cluster.is_summary:
-                continue  # no full form to re-fold
-            full_cluster = snapshot.cluster
+            eager, _ = summarize_cluster(snapshot.cluster, window)
         report.checked += 1
-        eager = eager_summary(
-            full_cluster, gmetad.config.heartbeat_window
-        )
         incremental = snapshot.summary
         incremental_wire = summary_wire_form(incremental)
         eager_wire = summary_wire_form(eager)

@@ -1,9 +1,10 @@
 """Columnar read views: ``ensure_hosts``-free accessors for consumers.
 
 Several read-side consumers (the static frontend, the ``gstat`` tools,
-the VO directory, the drift auditor) used to force a whole-cluster DOM
-materialization just to look at a handful of per-host values.  On a
-columnar daemon those reads can be answered by row-slice:
+the VO directory) used to force a whole-cluster DOM materialization
+just to look at a handful of per-host values.  On a columnar daemon
+those reads can be answered by row-slice (the drift auditor needs no
+view at all: it re-folds the held columns with ``summarize_columns``):
 
 - :func:`has_live_columns` is the dispatch test -- columns held, DOM
   not yet built, at least one host (empty clusters keep the DOM path,
@@ -16,11 +17,7 @@ columnar daemon those reads can be answered by row-slice:
   metric dict iterates;
 - :func:`busiest_from_columns` is the columnar twin of
   :func:`repro.analysis.loadstats.busiest_hosts` (same liveness gate,
-  same stable-sort tie-breaking by host order);
-- :func:`transient_full_cluster` builds a throwaway full-form element
-  tree for consumers that genuinely need one (the drift auditor's
-  eager re-fold) *without* mutating the snapshot -- the serve path's
-  zero-materialization invariant stays intact.
+  same stable-sort tie-breaking by host order).
 """
 
 from __future__ import annotations
@@ -118,14 +115,3 @@ def busiest_from_columns(
     ]
     loads.sort(key=lambda pair: -pair[1])
     return loads[:count]
-
-
-def transient_full_cluster(cols):
-    """A throwaway full-form ClusterElement materialized off-snapshot.
-
-    For consumers that need the complete element tree (e.g. the drift
-    auditor's independent eager re-fold) without flipping the
-    snapshot's lazy shell -- ``Datastore.materializations`` does not
-    move, so the serve path's zero-materialization invariant holds.
-    """
-    return cols.materialize_into(cols.shell_cluster())

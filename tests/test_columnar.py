@@ -1,10 +1,17 @@
 """Differential/property suite for the columnar ingest fast path.
 
-Every test pits the columnar pipeline against its scalar twin on the
-same serialized wire bytes and requires *bit-for-bit* agreement -- not
-wire-format agreement, raw float identity (``struct.pack``), because the
-scalar path is the reference oracle and any drift, however small, will
-eventually surface as a byte diff under 4-decimal formatting.
+Every test feeds the same serialized wire bytes down two routes and
+requires *bit-for-bit* agreement -- not wire-format agreement, raw float
+identity (``struct.pack``), because any drift, however small, will
+eventually surface as a byte diff under 4-decimal formatting:
+
+- eager kernels: ``summarize_columns`` on the fast-lane parse against
+  the scalar ``summarize_cluster`` reference on the tree parse;
+- the delta tracker: one ``ColumnarSummaryTracker`` fed the fast lane
+  (``parse_columnar``) and another fed the tree route (``parse_document``
+  then ``columns_from_cluster``, what ``Gmetad.ingest`` does for a
+  tree-parsed poll) must agree in summaries and op counts, and both
+  must match the eager fold of the same bytes on the wire.
 """
 
 import math
@@ -21,9 +28,9 @@ from repro.columnar import (
     columns_from_cluster,
     summarize_columns,
 )
-from repro.core.delta_summary import ClusterSummaryTracker
 from repro.core.summarize import summarize_cluster
 from repro.metrics.types import MetricType
+from repro.obs.drift import summary_wire_form
 from repro.wire.model import (
     ClusterElement,
     GangliaDocument,
@@ -31,7 +38,7 @@ from repro.wire.model import (
     MetricElement,
 )
 from repro.wire.parser import ColumnarFallback, ParseError, parse_columnar, parse_document
-from repro.wire.writer import XmlWriter, write_document
+from repro.wire.writer import write_document
 
 WINDOW = 80.0
 
@@ -277,21 +284,35 @@ def mutate(values, step):
     return out
 
 
+def track_both_routes(fast, tree, pool, xml):
+    """One poll through both ingest routes into their own trackers.
+
+    The fast lane parses straight to columns; the tree route parses a
+    DOM and converts it, as ``Gmetad.ingest`` does for a tree-parsed
+    poll.  Both must agree to the bit -- summaries and op counts -- and
+    match the eager fold of the same bytes on the wire.
+    """
+    f_summary, f_ops = fast.update(parse_columnar(xml, pool=pool).clusters[0])
+    parsed = next(iter(parse_document(xml).clusters.values()))
+    t_summary, t_ops = tree.update(columns_from_cluster(parsed, pool))
+    assert f_ops == t_ops
+    assert_summaries_bit_identical(f_summary, t_summary)
+    eager, _ = summarize_cluster(parsed, WINDOW)
+    assert summary_wire_form(f_summary) == summary_wire_form(eager)
+    return f_summary
+
+
 class TestTrackerDifferential:
     def run_sequence(self, snapshots):
-        """Feed both trackers the same wire bytes; assert lockstep."""
+        """Feed both routes the same wire bytes; assert lockstep."""
         pool = InternPool()
-        columnar = ColumnarSummaryTracker(WINDOW)
-        scalar = ClusterSummaryTracker(WINDOW)
-        for cluster in snapshots:
-            xml = wire(cluster)
-            cols = parse_columnar(xml, pool=pool).clusters[0]
-            tree = next(iter(parse_document(xml).clusters.values()))
-            c_summary, c_ops = columnar.update(cols)
-            s_summary, s_ops = scalar.update(tree)
-            assert c_ops == s_ops
-            assert_summaries_bit_identical(c_summary, s_summary)
-        return columnar, scalar
+        fast = ColumnarSummaryTracker(WINDOW)
+        tree = ColumnarSummaryTracker(WINDOW)
+        summaries = [
+            track_both_routes(fast, tree, pool, wire(cluster))
+            for cluster in snapshots
+        ]
+        return fast, tree, summaries
 
     def test_churning_cluster(self):
         values = {f"h{i}": 0.25 * i for i in range(12)}
@@ -316,21 +337,26 @@ class TestTrackerDifferential:
         self.run_sequence(snapshots)
 
     def test_sole_reporter_metric_drains_and_returns(self):
-        # the scalar tracker deletes + re-inserts the reduction at the
-        # END of the metric dict; the columnar order book must follow
+        # a drained reduction is dropped, and when its metric returns it
+        # is re-inserted at the END of the metric dict
         with_extra = make_cluster({
-            "h0": (1.0, [("load_one", "1.0", MetricType.FLOAT),
-                         ("procs", "80", MetricType.UINT32)]),
+            "h0": (1.0, [("cpu_num", "4", MetricType.UINT16),
+                         ("load_one", "1.0", MetricType.FLOAT)]),
             "h1": (1.0, [("load_one", "2.0", MetricType.FLOAT)]),
         })
         without = make_cluster({
             "h0": (1.0, [("load_one", "1.0", MetricType.FLOAT)]),
             "h1": (1.0, [("load_one", "2.0", MetricType.FLOAT)]),
         })
-        self.run_sequence([with_extra, without, with_extra])
+        _, _, summaries = self.run_sequence([with_extra, without, with_extra])
+        assert [list(s.metrics) for s in summaries] == [
+            ["cpu_num", "load_one"],
+            ["load_one"],
+            ["load_one", "cpu_num"],
+        ]
 
     def test_drain_to_zero_rebuilds_like_scalar(self):
-        # the PR-4 pinned -0 case, replayed through both trackers
+        # the pinned -0 case, replayed through both routes
         six = make_cluster({
             f"h{i}": (1.0, [("load_one", "0.0", MetricType.FLOAT)])
             for i in range(6)
@@ -342,32 +368,20 @@ class TestTrackerDifferential:
         refill = make_cluster({
             "h0": (1.0, [("load_one", "0.3", MetricType.FLOAT)])
         })
-        columnar, scalar = self.run_sequence([six, one, empty, refill])
-        assert columnar.rebuilds == scalar.rebuilds == 1
+        fast, tree, summaries = self.run_sequence([six, one, empty, refill])
+        assert fast.rebuilds == tree.rebuilds == 1
+        assert summary_wire_form(summaries[1]).count('SUM="0"') == 1
 
     def test_wire_bytes_match_exactly(self):
-        columnar, scalar = (None, None)
-        pool = InternPool()
-        columnar = ColumnarSummaryTracker(WINDOW)
-        scalar = ClusterSummaryTracker(WINDOW)
         values = {f"h{i}": 0.1 * i for i in range(8)}
+        snapshots = []
         for step in range(6):
             values = mutate(values, step)
-            cluster = make_cluster({
+            snapshots.append(make_cluster({
                 name: (1.0, [("load_one", str(v), MetricType.FLOAT)])
                 for name, v in values.items()
-            })
-            xml = wire(cluster)
-            c_summary, _ = columnar.update(
-                parse_columnar(xml, pool=pool).clusters[0]
-            )
-            s_summary, _ = scalar.update(
-                next(iter(parse_document(xml).clusters.values()))
-            )
-            wa, wb = XmlWriter(), XmlWriter()
-            wa.summary_info(c_summary)
-            wb.summary_info(s_summary)
-            assert wa.result() == wb.result()
+            }))
+        self.run_sequence(snapshots)  # wire-checked against eager per poll
 
 
 # -- hypothesis: random snapshot streams -------------------------------------
@@ -385,36 +399,20 @@ host_values = st.lists(
 @given(st.lists(host_values, min_size=1, max_size=5))
 def test_random_snapshot_stream_stays_bit_identical(stream):
     pool = InternPool()
-    columnar = ColumnarSummaryTracker(WINDOW)
-    scalar = ClusterSummaryTracker(WINDOW)
+    fast = ColumnarSummaryTracker(WINDOW)
+    tree = ColumnarSummaryTracker(WINDOW)
     for loads in stream:
         cluster = make_cluster({
             f"h{i}": (1.0, [("load_one", repr(v), MetricType.FLOAT)])
             for i, v in enumerate(loads)
         })
         xml = wire(cluster)
-        c_summary, c_ops = columnar.update(
-            parse_columnar(xml, pool=pool).clusters[0]
-        )
-        s_summary, s_ops = scalar.update(
-            next(iter(parse_document(xml).clusters.values()))
-        )
-        assert c_ops == s_ops
-        # tracker vs tracker must agree to the bit (both Neumaier)
-        assert_summaries_bit_identical(c_summary, s_summary)
+        # fast lane vs tree route agree to the bit (one tracker, two
+        # inputs); tracker vs eager only promises *wire* agreement
+        track_both_routes(fast, tree, pool, xml)
         # eager vs eager must agree to the bit (both plain in-order adds)
-        eager_c, _ = summarize_columns(
-            parse_columnar(xml, pool=pool).clusters[0], WINDOW
-        )
-        eager_s, _ = summarize_cluster(
-            next(iter(parse_document(xml).clusters.values())), WINDOW
-        )
-        assert_summaries_bit_identical(eager_c, eager_s)
-        # tracker vs eager only promises *wire-format* agreement
-        wa, wb = XmlWriter(), XmlWriter()
-        wa.summary_info(c_summary)
-        wb.summary_info(eager_c)
-        assert wa.result() == wb.result()
+        c, s = both_summaries(cluster)
+        assert_summaries_bit_identical(c, s)
 
 
 class TestColumnsFromCluster:

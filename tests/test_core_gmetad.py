@@ -85,6 +85,39 @@ class TestNLevelIngest:
         for category in ("parse", "summarize", "archive", "network"):
             assert breakdown[category] > 0, category
 
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            {"incremental": False},
+            {"incremental": True},
+            {"incremental": True, "columnar": True},
+        ],
+        ids=["eager", "incremental", "columnar"],
+    )
+    def test_summary_form_cluster_ingests_as_summary(
+        self, world, engine, gates
+    ):
+        """A ``/<cluster>?filter=summary`` answer on a cluster source is
+        summary data: passed through unsummarized, archived as summary
+        series only, and installed -- not a crash in the detail archiver."""
+        child = world.gmetad(sources={"meteor": [world.pseudo.address]})
+        child.start()
+        engine.run_for(40.0)
+        xml, _ = child.serve_query("/meteor?filter=summary")
+        daemon = world.gmetad(
+            name="root", sources={"meteor": [child.address]}, **gates
+        )
+        daemon._on_data("meteor", xml, 0.0)
+        snapshot = daemon.datastore.source("meteor")
+        assert snapshot.kind == "cluster" and snapshot.cluster.is_summary
+        expected = child.datastore.source("meteor").summary
+        assert snapshot.summary.hosts_total == expected.hosts_total == 6
+        assert list(snapshot.summary.metrics) == list(expected.metrics)
+        keys = daemon.rrd_store.keys()
+        assert keys and all(k.host == SUMMARY_HOST for k in keys)
+        breakdown = daemon.cpu.category_breakdown(engine.now)
+        assert breakdown["summarize"] == 0.0
+
     def test_source_down_marked_after_timeouts(self, world, engine, fabric):
         daemon = world.gmetad(sources={"meteor": [world.pseudo.address]})
         daemon.start()

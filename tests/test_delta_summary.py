@@ -1,9 +1,10 @@
-"""Unit + property tests for delta summarization (repro.core.delta_summary).
+"""Unit + property tests for delta summarization on DOM-built snapshots.
 
-The acceptance bar: a :class:`ClusterSummaryTracker` fed any sequence of
-snapshots must agree with an eager re-fold of the latest snapshot -- not
-just approximately, but at the 4-decimal wire formatting the serialized
-output pins (``_fmt_num``).
+The acceptance bar: a :class:`ColumnarSummaryTracker` fed any sequence of
+tree-built snapshots -- converted with :func:`columns_from_cluster`, the
+route ``Gmetad.ingest`` takes for a tree-parsed poll -- must agree with
+an eager re-fold of the latest snapshot, not just approximately but at
+the 4-decimal wire formatting the serialized output pins (``_fmt_num``).
 """
 
 import random
@@ -11,16 +12,29 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.delta_summary import (
-    ClusterSummaryTracker,
-    NeumaierSum,
-    eager_summary,
-)
+from repro.columnar import ColumnarSummaryTracker, InternPool, columns_from_cluster
+from repro.core.summarize import summarize_cluster
 from repro.metrics.types import MetricType
 from repro.wire.model import ClusterElement, HostElement, MetricElement
 from repro.wire.writer import XmlWriter, _fmt_num
 
 WINDOW = 80.0
+
+
+class TreeFedTracker:
+    """The daemon's delta summarizer, fed full-form DOM clusters."""
+
+    def __init__(self):
+        self.pool = InternPool()
+        self.columnar = ColumnarSummaryTracker(WINDOW)
+
+    def update(self, cluster):
+        return self.columnar.update(columns_from_cluster(cluster, self.pool))
+
+
+def eager_fold(cluster):
+    summary, _ = summarize_cluster(cluster, WINDOW)
+    return summary
 
 
 def make_cluster(loads, stale=(), extra_metric=None):
@@ -60,21 +74,21 @@ def assert_summaries_agree(incremental, eager):
 
 class TestTracker:
     def test_first_fold_matches_eager(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         cluster = make_cluster({"h0": 1.0, "h1": 2.5})
         summary, ops = tracker.update(cluster)
-        assert_summaries_agree(summary, eager_summary(cluster, WINDOW))
+        assert_summaries_agree(summary, eager_fold(cluster))
         assert ops > 0
 
     def test_unchanged_snapshot_costs_nothing(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         cluster = make_cluster({"h0": 1.0, "h1": 2.5})
         tracker.update(cluster)
         _, ops = tracker.update(make_cluster({"h0": 1.0, "h1": 2.5}))
         assert ops == 0
 
     def test_single_host_change_touches_only_that_host(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         tracker.update(make_cluster({f"h{i}": 1.0 for i in range(50)}))
         changed = {f"h{i}": 1.0 for i in range(50)}
         changed["h7"] = 9.0
@@ -84,42 +98,42 @@ class TestTracker:
         assert _fmt_num(summary.metrics["load_one"].total) == _fmt_num(58.0)
 
     def test_removed_host_subtracted(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         tracker.update(make_cluster({"h0": 1.0, "h1": 2.0}))
         latest = make_cluster({"h1": 2.0})
         summary, _ = tracker.update(latest)
-        assert_summaries_agree(summary, eager_summary(latest, WINDOW))
+        assert_summaries_agree(summary, eager_fold(latest))
         assert summary.hosts_up == 1
 
     def test_host_going_stale_flips_to_down_and_drops_values(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         tracker.update(make_cluster({"h0": 1.0, "h1": 2.0}))
         latest = make_cluster({"h0": 1.0, "h1": 2.0}, stale={"h1"})
         summary, _ = tracker.update(latest)
         assert (summary.hosts_up, summary.hosts_down) == (1, 1)
-        assert_summaries_agree(summary, eager_summary(latest, WINDOW))
+        assert_summaries_agree(summary, eager_fold(latest))
 
     def test_last_reporter_of_a_metric_removes_the_reduction(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         tracker.update(
             make_cluster({"h0": 1.0, "h1": 2.0}, extra_metric="procs")
         )
         latest = make_cluster({"h0": 1.0, "h1": 2.0})  # procs gone
         summary, _ = tracker.update(latest)
         assert "procs" not in summary.metrics
-        assert_summaries_agree(summary, eager_summary(latest, WINDOW))
+        assert_summaries_agree(summary, eager_fold(latest))
 
     def test_returned_summary_is_an_independent_clone(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         first, _ = tracker.update(make_cluster({"h0": 1.0}))
         second, _ = tracker.update(make_cluster({"h0": 4.0}))
         assert _fmt_num(first.metrics["load_one"].total) == _fmt_num(1.0)
         assert _fmt_num(second.metrics["load_one"].total) == _fmt_num(4.0)
 
     def test_reset_forgets_everything(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         tracker.update(make_cluster({"h0": 1.0}))
-        tracker.reset()
+        tracker.columnar.reset()
         summary, ops = tracker.update(make_cluster({"h0": 1.0}))
         assert ops > 0  # re-folded from scratch
         assert summary.hosts_up == 1
@@ -145,29 +159,29 @@ class TestNegativeZeroDrift:
     """
 
     def test_six_hosts_to_one_all_zero_loads(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         tracker.update(make_cluster({f"h{i}": 0.0 for i in range(6)}))
         latest = make_cluster({"h0": 0.0})
         summary, _ = tracker.update(latest)
         assert _fmt_num(summary.metrics["load_one"].total) == "0"
-        assert_summaries_agree(summary, eager_summary(latest, WINDOW))
+        assert_summaries_agree(summary, eager_fold(latest))
         # the bytes on the wire, not just the parsed fields
         assert summary_wire_bytes(summary) == summary_wire_bytes(
-            eager_summary(latest, WINDOW)
+            eager_fold(latest)
         )
 
     def test_drain_to_empty_rebuilds_exactly(self):
-        tracker = ClusterSummaryTracker(WINDOW)
+        tracker = TreeFedTracker()
         tracker.update(make_cluster({f"h{i}": 0.1 * i for i in range(6)}))
         summary, _ = tracker.update(make_cluster({}))
-        assert tracker.rebuilds == 1
+        assert tracker.columnar.rebuilds == 1
         assert summary.hosts_total == 0
         assert not summary.metrics
         # refilling after the rebuild starts from exact zeros
         latest = make_cluster({"h0": 0.3})
         summary, _ = tracker.update(latest)
         assert summary_wire_bytes(summary) == summary_wire_bytes(
-            eager_summary(latest, WINDOW)
+            eager_fold(latest)
         )
 
     def test_fmt_num_never_emits_minus_zero(self):
@@ -177,13 +191,29 @@ class TestNegativeZeroDrift:
         assert _fmt_num(-0.0001) == "-0.0001"  # real negatives survive
 
     def test_neumaier_recovers_telescoped_residue(self):
-        acc = NeumaierSum()
+        # hosts join one poll at a time, then leave last-in-first-out
+        # while a 0.0 reporter keeps the accumulator alive (no drain
+        # rebuild to hide behind): the naive running sum ends off zero
         values = [0.1, 0.2, 0.3, 0.7, 1e-9, 2.5]
+        naive = 0.0
         for v in values:
-            acc.add(v)
-        for v in values:
-            acc.subtract(v)
-        assert acc.value == 0.0
+            naive += v
+        for v in reversed(values):
+            naive -= v
+        assert naive != 0.0
+
+        tracker = TreeFedTracker()
+        loads = {"keep": 0.0}
+        tracker.update(make_cluster(loads))
+        for i, v in enumerate(values):
+            loads[f"h{i}"] = v
+            tracker.update(make_cluster(loads))
+        for i in reversed(range(len(values))):
+            del loads[f"h{i}"]
+            summary, _ = tracker.update(make_cluster(loads))
+        assert tracker.columnar.rebuilds == 0
+        assert summary.metrics["load_one"].num == 1
+        assert summary.metrics["load_one"].total == 0.0
 
 
 def test_long_churn_stays_wire_identical():
@@ -195,7 +225,7 @@ def test_long_churn_stays_wire_identical():
     exactly the bytes of an eager re-fold of the same snapshot.
     """
     rng = random.Random(0xD81F7)
-    tracker = ClusterSummaryTracker(WINDOW)
+    tracker = TreeFedTracker()
     loads = {}
     stale = set()
     for step in range(1000):
@@ -215,7 +245,7 @@ def test_long_churn_stays_wire_identical():
                 stale.discard(name)
         latest = make_cluster(dict(loads), stale=stale & set(loads))
         summary, _ = tracker.update(latest)
-        eager = eager_summary(latest, WINDOW)
+        eager = eager_fold(latest)
         assert summary_wire_bytes(summary) == summary_wire_bytes(eager), (
             f"wire divergence at step {step}"
         )
@@ -247,7 +277,7 @@ churn_step = st.fixed_dictionaries(
 @given(steps=st.lists(churn_step, min_size=1, max_size=8))
 def test_incremental_matches_eager_after_random_churn(steps):
     """Subtract-then-add accumulation never drifts past wire formatting."""
-    tracker = ClusterSummaryTracker(WINDOW)
+    tracker = TreeFedTracker()
     summary = None
     latest = None
     for step in steps:
@@ -258,4 +288,4 @@ def test_incremental_matches_eager_after_random_churn(steps):
         }
         latest = make_cluster(loads, stale=step["stale"] & step["present"])
         summary, _ = tracker.update(latest)
-    assert_summaries_agree(summary, eager_summary(latest, WINDOW))
+    assert_summaries_agree(summary, eager_fold(latest))

@@ -328,7 +328,12 @@ class TestInBandSelfCluster:
 
 
 class TestDriftAuditorCatchesInjectedDrift:
-    def test_mutated_summary_is_flagged(self):
+    @pytest.mark.parametrize(
+        "gates",
+        [{}, {"columnar": True, "columnar_serve": True}],
+        ids=["dom", "columnar"],
+    )
+    def test_mutated_summary_is_flagged(self, gates, monkeypatch):
         federation = build_paper_tree(
             "nlevel",
             hosts_per_cluster=4,
@@ -337,14 +342,28 @@ class TestDriftAuditorCatchesInjectedDrift:
             observability=ObservabilityConfig(
                 self_cluster_interval=0.0, drift_check_interval=0.0
             ),
+            **gates,
         ).start()
         try:
             federation.engine.run_for(60.0)
             gmetad = federation.gmetad("sdsc")
+            snapshot = gmetad.datastore.sources["sdsc-c0"]
+            assert (snapshot.columns is not None) == bool(gates)
+            # the audit re-folds held columns: it never builds a host tree
+            from repro.columnar import ColumnarCluster
+
+            builds = []
+            materialize_into = ColumnarCluster.materialize_into
+
+            def counting(cols, cluster):
+                builds.append(cols.name)
+                return materialize_into(cols, cluster)
+
+            monkeypatch.setattr(ColumnarCluster, "materialize_into", counting)
+            materializations = gmetad.datastore.materializations
             report = gmetad.obs.auditor.sweep()
             assert report.checked > 0 and report.clean
             # corrupt one installed incremental summary in place
-            snapshot = gmetad.datastore.sources["sdsc-c0"]
             metric = next(iter(snapshot.summary.metrics.values()))
             metric.total += 1.0
             report = gmetad.obs.auditor.sweep()
@@ -353,6 +372,8 @@ class TestDriftAuditorCatchesInjectedDrift:
             snap = gmetad.obs.registry.snapshot()
             assert snap["drift_divergences"] == 1.0
             assert gmetad.obs.trace.spans("drift_audit")
+            assert builds == []
+            assert gmetad.datastore.materializations == materializations
         finally:
             federation.stop()
 
