@@ -1,24 +1,29 @@
-"""Ablation: RRD archiving cost and the §4 batching optimization.
+"""Ablation: RRD archiving cost and the §4 write-path optimization.
 
 "Our archiving technique makes too many updates to the file-based
 databases ... We believe in future designs gmeta can manipulate its RRD
 databases in a more efficient manner."
 
-Measured here with real wall-clock:
+Measured here with real wall-clock, over one poll of a 100-host cluster
+(100 hosts x 30 metrics, compact RRA ladder) repeated for ten cycles:
 
-- per-update cost of the straight store (what gmetad pays per metric
-  per poll cycle);
-- the batched store's amortization (one lookup + one bookkeeping pass
-  per key per flush);
+- ``RrdDatabase.update``: one standalone database per metric, one call
+  per metric per poll -- the per-file update the paper describes;
+- ``RrdStore.update``: one call per metric per poll into the store's
+  series bank -- the path summary and self-cluster series take;
+- ``ColumnPlan`` scatter: one vectorized call per poll -- the path every
+  cluster's detail metrics take;
 - the long-downtime fill path (hours of zero records must be cheap).
+
+All three write paths archive value-identical rows.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.bench.reporting import format_table
-from repro.rrd.batch import BatchedRrdStore
 from repro.rrd.database import RrdDatabase, compact_rra_specs
 from repro.rrd.store import MetricKey, RrdStore
 
@@ -31,119 +36,99 @@ KEYS = [
 CYCLES = 10
 
 
-def run_direct():
+def sample(cycle: int) -> float:
+    return float(cycle % 7)
+
+
+def run_database():
+    databases = {
+        key: RrdDatabase(step=15.0, rra_specs=compact_rra_specs()) for key in KEYS
+    }
+    for cycle in range(CYCLES):
+        t, value = cycle * 15.0, sample(cycle)
+        for key in KEYS:
+            databases[key].update(t, value)
+    return databases
+
+
+def run_store():
     store = RrdStore(mode="full", rra_specs=compact_rra_specs())
     for cycle in range(CYCLES):
-        t = cycle * 15.0
+        t, value = cycle * 15.0, sample(cycle)
         for key in KEYS:
-            store.update(key, t, 1.0)
+            store.update(key, t, value)
     return store
 
 
-#: the batched store defers this many polling cycles before flushing --
-#: the freshness-for-throughput knob of the paper's future-work section
-FLUSH_EVERY = 5
-
-
-def run_batched():
-    store = BatchedRrdStore(
-        RrdStore(mode="full", rra_specs=compact_rra_specs()),
-        max_pending=10**9,
-    )
+def run_scatter():
+    store = RrdStore(mode="full", rra_specs=compact_rra_specs())
+    plan = store.column_plan(KEYS)
     for cycle in range(CYCLES):
-        t = cycle * 15.0
-        for key in KEYS:
-            store.update(key, t, 1.0)
-        if (cycle + 1) % FLUSH_EVERY == 0:
-            store.flush()
-    store.flush()
-    return store.store
+        store.update_columns(plan, cycle * 15.0, np.full(len(KEYS), sample(cycle)))
+    return store
+
+
+RUNNERS = (
+    ("RrdDatabase.update", run_database),
+    ("RrdStore.update", run_store),
+    ("ColumnPlan scatter", run_scatter),
+)
 
 
 @pytest.fixture(scope="module")
 def measured():
     results = {}
-    for name, runner in (("direct", run_direct), ("batched", run_batched)):
+    for name, runner in RUNNERS:
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            store = runner()
+            archive = runner()
             times.append(time.perf_counter() - start)
-        results[name] = {
-            "seconds": sorted(times)[1],  # median of 3
-            "updates": store.update_count,
-        }
+        results[name] = {"seconds": sorted(times)[1], "archive": archive}  # median of 3
     return results
 
 
 def test_archiving_report(measured, save_report, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     total = CYCLES * len(KEYS)
-    assert measured["batched"]["seconds"] < 2.0 * measured["direct"]["seconds"]
     rows = [
-        (
-            name,
-            data["seconds"],
-            total / data["seconds"],
-            1e6 * data["seconds"] / total,
-        )
+        (name, data["seconds"], total / data["seconds"], 1e6 * data["seconds"] / total)
         for name, data in measured.items()
     ]
     save_report(
         "rrd_archiving",
         format_table(
-            ["store", "seconds", "updates/s", "us/update"],
+            ["write path", "seconds", "updates/s", "us/update"],
             rows,
             title=(
                 f"RRD archiving: {total} updates "
-                f"({len(KEYS)} series x {CYCLES} cycles)"
+                f"({len(KEYS)} series x {CYCLES} cycles, compact ladder)"
             ),
         ),
     )
 
 
-def test_both_apply_every_update(measured):
-    assert measured["direct"]["updates"] == CYCLES * len(KEYS)
-    assert measured["batched"]["updates"] == CYCLES * len(KEYS)
+def test_scatter_beats_per_update_writes(measured):
+    """The §4 answer: one vectorized write per poll, not one per metric."""
+    scatter = measured["ColumnPlan scatter"]["seconds"]
+    assert scatter < measured["RrdDatabase.update"]["seconds"]
+    assert scatter < measured["RrdStore.update"]["seconds"]
 
 
-def test_batching_amortizes_per_update_overhead(measured):
-    """Ablation finding (documented in EXPERIMENTS.md): with archives in
-    memory, write-behind batching is roughly cost-neutral -- queueing
-    overhead eats the lookup amortization.  The paper's bottleneck was
-    per-update *file* I/O ("causing unnecessary disk I/O"), which their
-    own tmpfs setup (and our in-memory store) removes; batching's win
-    therefore lives in the update primitive (next test), not in the
-    queue.  Guard: batching must never blow up to a multiple of the
-    direct cost (2x bound absorbs wall-clock noise when this runs right
-    after the heavy federation sweeps).
-    """
-    assert measured["batched"]["seconds"] < 2.0 * measured["direct"]["seconds"]
+def test_every_path_archives_identical_rows(measured):
+    databases = measured["RrdDatabase.update"]["archive"]
+    end = CYCLES * 15.0
+    for name in ("RrdStore.update", "ColumnPlan scatter"):
+        store = measured[name]["archive"]
+        assert store.update_count == CYCLES * len(KEYS)
+        for key in KEYS[::97]:
+            series = store.database(key)
+            assert series.updates == databases[key].updates == CYCLES
+            for got, want in zip(series.fetch(0.0, end), databases[key].fetch(0.0, end)):
+                np.testing.assert_array_equal(got, want)
 
 
-def test_update_many_primitive_faster_than_update_loop():
-    """The flush primitive itself amortizes per-call bookkeeping."""
-    samples = [(i * 7.0, float(i % 11)) for i in range(30_000)]
-
-    def run_loop():
-        db = RrdDatabase(step=15.0, rra_specs=compact_rra_specs())
-        start = time.perf_counter()
-        for t, v in samples:
-            db.update(t, v)
-        return time.perf_counter() - start
-
-    def run_batch():
-        db = RrdDatabase(step=15.0, rra_specs=compact_rra_specs())
-        start = time.perf_counter()
-        db.update_many(samples)
-        return time.perf_counter() - start
-
-    loop_s = sorted(run_loop() for _ in range(3))[1]
-    batch_s = sorted(run_batch() for _ in range(3))[1]
-    assert batch_s < loop_s
-
-
-def test_benchmark_direct_updates(benchmark):
+def test_benchmark_store_updates(benchmark):
     store = RrdStore(mode="full", rra_specs=compact_rra_specs())
     clock = {"t": 0.0}
 
@@ -155,22 +140,17 @@ def test_benchmark_direct_updates(benchmark):
     benchmark(one_cycle)
 
 
-def test_benchmark_batched_updates(benchmark):
-    store = BatchedRrdStore(
-        RrdStore(mode="full", rra_specs=compact_rra_specs()),
-        max_pending=10**9,
-    )
-    clock = {"t": 0.0, "cycle": 0}
+def test_benchmark_column_scatter(benchmark):
+    store = RrdStore(mode="full", rra_specs=compact_rra_specs())
+    plan = store.column_plan(KEYS[:600])
+    values = np.ones(len(plan))
+    clock = {"t": 0.0}
 
-    def deferred_cycles():
-        # one flush covering FLUSH_EVERY polling cycles of 600 series
-        for _ in range(FLUSH_EVERY):
-            clock["t"] += 15.0
-            for key in KEYS[:600]:
-                store.update(key, clock["t"], 1.0)
-        store.flush()
+    def one_cycle():
+        clock["t"] += 15.0
+        store.update_columns(plan, clock["t"], values)
 
-    benchmark(deferred_cycles)
+    benchmark(one_cycle)
 
 
 def test_benchmark_downtime_fill(benchmark):

@@ -6,10 +6,10 @@ optional cadence), recomputes trend and anomaly signals for *every*
 archived series in one vectorized pass:
 
 - the window readout is :meth:`SeriesBank.window_matrix` -- a single
-  fancy-indexed gather over the bank's 2-D ring arrays when the
-  columnar path owns the series, with a scalar per-series fallback for
-  stores that keep classic databases (or the storage tier's failover
-  fetch surface);
+  fancy-indexed gather over the store bank's 2-D ring arrays, which
+  hold every archived series, with a scalar per-series fallback for
+  the storage tier's failover fetch surface; either way the stage's
+  own ``__analytics__`` series are left out;
 - the kernels (:mod:`repro.analytics.kernels`) are whole-matrix column
   ops: least-squares slope, EWMA mean/variance, anomaly z-score.
 
@@ -103,18 +103,19 @@ class AnalyticsEngine:
         store = self.gmetad.archiver.store
         if getattr(store, "mode", "full") == "account":
             return  # accounting stores keep no history to analyze
-        values = counts = None
-        keys: List[MetricKey] = []
         bank_series = getattr(store, "bank_series", None)
-        if bank_series is not None:
-            bank, keys = bank_series()
-            if bank is not None and bank.size:
-                values, counts, row_seconds, last_end = bank.window_matrix(
-                    self.config.window_rows
-                )
-                end_times = last_end.astype(float) * bank.step
-        if values is None:
+        if bank_series is None:
             values, keys, row_seconds, end_times = self._scalar_window(store, t)
+        else:
+            bank, keys = bank_series()
+            values, _, row_seconds, last_end = bank.window_matrix(
+                self.config.window_rows
+            )
+            end_times = last_end.astype(float) * bank.step
+            keep = [i for i, key in enumerate(keys) if key.source != ANALYTICS_SOURCE]
+            if len(keep) < len(keys):
+                values, end_times = values[:, keep], end_times[keep]
+                keys = [keys[i] for i in keep]
         if not keys:
             return
         cfg = self.config
@@ -141,8 +142,9 @@ class AnalyticsEngine:
     def _scalar_window(self, store, t: float):
         """Window matrix for stores without a bank (per-series fetch).
 
-        The slow path -- classic scalar databases and the storage tier's
-        failover fetch surface.  Each series' last ``window_rows`` rows
+        The slow path -- the storage tier's failover fetch surface,
+        whose series are spread over many node banks.  Each series'
+        last ``window_rows`` rows
         are right-aligned into the matrix, so the kernels are identical
         either way.
         """
@@ -246,7 +248,7 @@ class AnalyticsEngine:
 
         Archiving the signal series re-enters the flush hook; the
         ``_installing`` guard keeps the stage from analyzing itself
-        mid-pass (its series are also excluded from scalar readouts).
+        mid-pass (its series are also excluded from every readout).
         """
         from repro.obs.selfcluster import install_inband_cluster
 

@@ -18,9 +18,8 @@ Archiving policy differences between the designs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.rrd.batch import BatchedRrdStore
 from repro.rrd.store import ColumnPlan, MetricKey, RrdStore
 from repro.sim.resources import CostModel
 from repro.wire.model import ClusterElement, SummaryInfo
@@ -59,7 +58,7 @@ class Archiver:
 
     def __init__(
         self,
-        store: Union[RrdStore, BatchedRrdStore],
+        store: RrdStore,
         charge: ChargeFn,
         costs: CostModel,
         heartbeat_window: float = 80.0,
@@ -234,8 +233,3 @@ class Archiver:
         self._held_columns.pop(source, None)
         for cache_key in [k for k in self._column_plans if k[0] == source]:
             del self._column_plans[cache_key]
-
-    def flush(self) -> None:
-        """Flush write-behind batching, if the store batches."""
-        if isinstance(self.store, BatchedRrdStore):
-            self.store.flush()

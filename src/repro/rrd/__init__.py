@@ -12,19 +12,20 @@ This package provides:
 
 - :class:`~repro.rrd.database.RrdDatabase` -- one metric's history:
   fixed-size, multi-resolution, consolidated archives.
+- :class:`~repro.rrd.bank.SeriesBank` -- many such histories in shared
+  arrays, written one scalar sample or one vectorized poll scatter at
+  a time (the paper's §4 "more efficient manner"), each series
+  value-identical to an ``RrdDatabase``.
 - :class:`~repro.rrd.store.RrdStore` -- the per-gmetad collection of
-  databases keyed by (source, cluster, host, metric), with an
-  *accounting* mode used by the large scaling experiments (CPU cost is
-  charged but no arrays are allocated).
-- :class:`~repro.rrd.batch.BatchedRrdStore` -- the paper's §4 future-work
-  optimization: coalesce updates to amortize per-update overhead.
+  series keyed by (source, cluster, host, metric), every one a column
+  of the store's bank, with an *accounting* mode used by the large
+  scaling experiments (CPU cost is charged but no arrays are allocated).
 """
 
 from repro.rrd.consolidate import ConsolidationFunction
 from repro.rrd.database import RrdDatabase, RraSpec, default_rra_specs
 from repro.rrd.rra import RoundRobinArchive
 from repro.rrd.store import MetricKey, RrdStore
-from repro.rrd.batch import BatchedRrdStore
 
 __all__ = [
     "ConsolidationFunction",
@@ -34,5 +35,4 @@ __all__ = [
     "default_rra_specs",
     "RrdStore",
     "MetricKey",
-    "BatchedRrdStore",
 ]

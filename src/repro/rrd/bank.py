@@ -2,7 +2,8 @@
 
 One :class:`SeriesBank` holds the per-series step clocks, PDP
 accumulators and ring buffers for *many* metric series that share a step
-and RRA ladder -- the detail archives of one cluster poll.  Where
+and RRA ladder -- every series one :class:`~repro.rrd.store.RrdStore`
+archives.  Where
 :class:`~repro.rrd.database.RrdDatabase` pays Python call dispatch and
 step bookkeeping per metric per poll, the bank applies a whole poll as a
 handful of array operations (§4: "gmetad can manipulate its RRD
@@ -16,8 +17,10 @@ absolute grid, identically for every series) are uniform vector ops over
 the whole cohort.  Series that are further behind (a host rejoining
 after downtime) drop to a per-series scalar path that mirrors
 ``RrdDatabase.update`` -- including ``push_fill``'s partial/bulk/partial
-row structure -- so the archived rows are value-identical to what the
-scalar store would hold.
+row structure -- so the archived rows are value-identical to what a
+standalone ``RrdDatabase`` would hold.  Scalar writes (summary series,
+self-clusters, replay) take that same per-series path via
+:meth:`SeriesBank.update_one`.
 
 Ring positions are derived from the absolute step grid
 (``(end_step // pdp_per_row - 1) % rows``), so no per-series head
@@ -29,12 +32,15 @@ from ``last_row_end``/``rows_written``, making the layout unobservable.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.rrd.consolidate import ConsolidationFunction
 from repro.rrd.database import RraSpec, default_rra_specs
+
+#: per-series step clock and PDP accumulator (``SeriesBank._<name>``)
+_CLOCK_FIELDS = ("started", "cur_step", "pdp_sum", "pdp_count", "last_t", "updates")
 
 
 class _BankRra:
@@ -234,6 +240,10 @@ class _BankRra:
         ]
 
 
+#: per-series row cursor and row accumulator of one rung
+_RUNG_FIELDS = _BankRra.__slots__[5:]
+
+
 class SeriesBank:
     """Many RRD series sharing one step and RRA ladder.
 
@@ -272,15 +282,21 @@ class SeriesBank:
         self._last_t = np.full(0, np.nan)
         self._updates = np.zeros(0, dtype=np.int64)
         self.rras: List[_BankRra] = [_BankRra(s, 0) for s in self.specs]
+        self._ladder = [(r.cf.value, r.pdp_per_row, r.rows, r.xff) for r in self.rras]
 
     # -- series management ---------------------------------------------------
 
     def _grow(self, needed: int) -> None:
-        cap = max(64, self._cap)
-        while cap < needed:
-            cap *= 2
-        if cap == self._cap:
+        """Make room for ``needed`` series, growing by about a quarter.
+
+        Capacity rounds up to a multiple of 64 slots.  A quarter rather
+        than a doubling keeps capacity within ``1.25 * size + 64``: a
+        store allocates a slot per series on first write, so doubling
+        would leave up to half of every ring array as slack.
+        """
+        if needed <= self._cap:
             return
+        cap = -(-max(needed, self._cap + self._cap // 4) // 64) * 64
         n = self.size
         started = np.zeros(cap, dtype=bool)
         started[:n] = self._started[:n]
@@ -306,33 +322,53 @@ class SeriesBank:
         self.size += count
         return first
 
-    def copy_series_from(self, src: "SeriesBank", src_i: int, dst_i: int) -> None:
-        """Overwrite series ``dst_i`` with the full state of ``src[src_i]``.
+    def export_series(self, i: int) -> Dict[str, Any]:
+        """Series ``i``'s complete state, detached from the bank.
 
-        The replication primitive of the storage tier: step clock, PDP
-        accumulators and every RRA rung are copied column-wise, so the
-        destination series answers ``fetch``/``latest`` identically to
-        the source.  Banks must share step and RRA ladder.
+        Plain JSON-able values -- step, downtime fill, step clock, PDP
+        accumulator and, per RRA rung, its spec, row cursor and row
+        accumulator -- plus ``"rings"``, a copy of each rung's ring
+        column.  :meth:`import_series` restores it into any bank with
+        the same step, ladder and fill; storage-tier replica copies and
+        on-disk persistence both go through this pair.
         """
-        if src.step != self.step or len(src.rras) != len(self.rras):
-            raise ValueError("banks must share step and RRA ladder")
-        for mine, theirs in zip(self.rras, src.rras):
-            if (
-                mine.cf is not theirs.cf
-                or mine.pdp_per_row != theirs.pdp_per_row
-                or mine.rows != theirs.rows
-            ):
-                raise ValueError("banks must share step and RRA ladder")
-        self._started[dst_i] = src._started[src_i]
-        self._cur_step[dst_i] = src._cur_step[src_i]
-        self._pdp_sum[dst_i] = src._pdp_sum[src_i]
-        self._pdp_count[dst_i] = src._pdp_count[src_i]
-        self._last_t[dst_i] = src._last_t[src_i]
-        self._updates[dst_i] = src._updates[src_i]
-        for mine, theirs in zip(self.rras, src.rras):
-            mine.values[:, dst_i] = theirs.values[:, src_i]
-            for name in _BankRra.__slots__[5:]:
-                getattr(mine, name)[dst_i] = getattr(theirs, name)[src_i]
+        state: Dict[str, Any] = {
+            "step": self.step, "downtime_fill": self.downtime_fill,
+        }
+        for name in _CLOCK_FIELDS:
+            state[name] = getattr(self, "_" + name)[i].item()
+        state["rras"] = [
+            {
+                "cf": rra.cf.value, "pdp_per_row": rra.pdp_per_row,
+                "rows": rra.rows, "xff": rra.xff,
+                **{name: getattr(rra, name)[i].item() for name in _RUNG_FIELDS},
+            }
+            for rra in self.rras
+        ]
+        state["rings"] = [rra.values[:, i].copy() for rra in self.rras]
+        return state
+
+    def import_series(self, i: int, state: Dict[str, Any]) -> None:
+        """Overwrite series ``i`` with a state from :meth:`export_series`."""
+        ladder = [
+            (r["cf"], r["pdp_per_row"], r["rows"], r["xff"]) for r in state["rras"]
+        ]
+        if (state["step"], state["downtime_fill"], ladder) != (
+            self.step, self.downtime_fill, self._ladder
+        ):
+            raise ValueError("banks must share step, RRA ladder and downtime fill")
+        for name in _CLOCK_FIELDS:
+            getattr(self, "_" + name)[i] = state[name]
+        for rra, rung, ring in zip(self.rras, state["rras"], state["rings"]):
+            if ring.shape != (rra.rows,):
+                raise ValueError("ring size does not match the RRA ladder")
+            rra.values[:, i] = ring
+            for name in _RUNG_FIELDS:
+                getattr(rra, name)[i] = rung[name]
+
+    def copy_series_from(self, src: "SeriesBank", src_i: int, dst_i: int) -> None:
+        """Overwrite series ``dst_i`` with the full state of ``src[src_i]``."""
+        self.import_series(dst_i, src.export_series(src_i))
 
     # -- writing -------------------------------------------------------------
 
@@ -406,7 +442,7 @@ class SeriesBank:
         self._pdp_count[i] = 0
 
     def update_one(self, i: int, t: float, value: Optional[float]) -> None:
-        """Scalar update for one series (mixed-path routing)."""
+        """Scalar update for one series (mirror of ``RrdDatabase.update``)."""
         last = self._last_t[i]
         if not math.isnan(last) and t < last:
             raise ValueError(f"out-of-order update: {t} < last {float(last)}")

@@ -32,6 +32,10 @@ class RraSpec:
     rows: int
     xff: float = 0.5
 
+    def __post_init__(self) -> None:
+        # accept the function's name ("AVERAGE") as well as the member
+        object.__setattr__(self, "cf", ConsolidationFunction(self.cf))
+
     def build(self) -> RoundRobinArchive:
         """Instantiate the archive this spec describes."""
         return RoundRobinArchive(self.cf, self.pdp_per_row, self.rows, self.xff)
@@ -132,50 +136,6 @@ class RrdDatabase:
             rra.push_pdp(pdp, self._current_step)
         self._step_sum = 0.0
         self._step_count = 0
-
-    def update_many(self, samples: "Sequence[Tuple[float, Optional[float]]]") -> None:
-        """Apply a time-sorted batch of ``(t, value)`` samples.
-
-        Semantically identical to calling :meth:`update` per sample, but
-        amortizes the per-call bookkeeping -- this is the primitive the
-        batched store (§4 archiving optimization) flushes through, and
-        what the ``test_rrd_archiving`` ablation measures.
-        """
-        if not samples:
-            return
-        step_width = self.step
-        last = self.last_update_time
-        current = self._current_step
-        step_sum = self._step_sum
-        step_count = self._step_count
-        fill = self._fill_value
-        rras = self.rras
-        for t, value in samples:
-            if last is not None and t < last:
-                raise ValueError(f"out-of-order update: {t} < last {last}")
-            last = t
-            step = int(t // step_width)
-            if current is None:
-                current = step
-            elif step > current:
-                pdp = step_sum / step_count if step_count else math.nan
-                for rra in rras:
-                    rra.push_pdp(pdp, current)
-                missing = step - current - 1
-                if missing > 0:
-                    for rra in rras:
-                        rra.push_fill(fill, missing, current + 1)
-                current = step
-                step_sum = 0.0
-                step_count = 0
-            if value is not None and value == value:  # not None, not NaN
-                step_sum += value
-                step_count += 1
-        self.last_update_time = last
-        self._current_step = current
-        self._step_sum = step_sum
-        self._step_count = step_count
-        self.updates += len(samples)
 
     def flush(self, now: float) -> None:
         """Close out steps up to ``now`` (e.g. before a fetch at end of run)."""

@@ -7,8 +7,11 @@ saved here survives a daemon restart with every archive row, the
 partial accumulator and the step clock intact.
 
 Format: each ``.npz`` holds one JSON metadata blob plus the row array
-of every RRA.  Loading reconstructs a database observationally
-identical to the saved one (pinned by round-trip tests).
+of every RRA.  A standalone :class:`RrdDatabase` saves as format 1; a
+store saves each series as format 2, the
+:meth:`~repro.rrd.bank.SeriesBank.export_series` state of its bank
+column.  Loading reconstructs series observationally identical to the
+saved ones (pinned by round-trip tests).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from typing import Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -25,16 +28,41 @@ from repro.rrd.database import RraSpec, RrdDatabase
 from repro.rrd.store import MetricKey, RrdStore
 
 FORMAT_VERSION = 1
+#: one store series: a bank column's exported state
+SERIES_FORMAT_VERSION = 2
 
 
 class PersistError(RuntimeError):
     """Corrupt or incompatible saved database."""
 
 
+def _write(path: pathlib.Path, meta: Dict, rows: List[np.ndarray]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    arrays = {f"rra_{i}": values for i, values in enumerate(rows)}
+    arrays["meta"] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    )
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+
+
+def _read(path: pathlib.Path, version: int) -> Tuple[Dict, List[np.ndarray]]:
+    """The metadata blob and per-RRA row arrays of one saved file."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            if meta.get("version") != version:
+                raise PersistError(
+                    f"{path}: format version {meta.get('version')} not supported"
+                )
+            rows = [data[f"rra_{i}"] for i in range(len(meta["rras"]))]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise PersistError(f"cannot load {path}: {exc}") from None
+    return meta, rows
+
+
 def save_database(database: RrdDatabase, path: Union[str, pathlib.Path]) -> None:
     """Write one database to ``path`` (parent directories created)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta = {
         "version": FORMAT_VERSION,
         "step": database.step,
@@ -46,8 +74,7 @@ def save_database(database: RrdDatabase, path: Union[str, pathlib.Path]) -> None
         "updates": database.updates,
         "rras": [],
     }
-    arrays = {}
-    for i, rra in enumerate(database.rras):
+    for rra in database.rras:
         meta["rras"].append(
             {
                 "cf": rra.cf.value,
@@ -65,12 +92,7 @@ def save_database(database: RrdDatabase, path: Union[str, pathlib.Path]) -> None
                 "acc_last": rra._acc._last,
             }
         )
-        arrays[f"rra_{i}"] = rra._values
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    _write(pathlib.Path(path), meta, [rra._values for rra in database.rras])
 
 
 def _json_float(value: float):
@@ -97,18 +119,7 @@ def _from_json_float(value):
 def load_database(path: Union[str, pathlib.Path]) -> RrdDatabase:
     """Reconstruct a database saved by :func:`save_database`."""
     path = pathlib.Path(path)
-    try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            row_arrays = [
-                data[f"rra_{i}"].copy() for i in range(len(meta["rras"]))
-            ]
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise PersistError(f"cannot load {path}: {exc}") from None
-    if meta.get("version") != FORMAT_VERSION:
-        raise PersistError(
-            f"{path}: format version {meta.get('version')} not supported"
-        )
+    meta, row_arrays = _read(path, FORMAT_VERSION)
     specs = [
         RraSpec(
             ConsolidationFunction(entry["cf"]),
@@ -153,26 +164,33 @@ def _key_path(root: pathlib.Path, key: MetricKey) -> pathlib.Path:
 
 
 def save_store(store: RrdStore, root: Union[str, pathlib.Path]) -> int:
-    """Persist every database of a full-mode store; returns file count."""
+    """Persist every series of a full-mode store; returns file count."""
     if store.mode != "full":
         raise PersistError("only full-mode stores hold databases to save")
     root = pathlib.Path(root)
-    count = 0
-    for key in store.keys():
-        save_database(store.database(key), _key_path(root, key))
-        count += 1
-    return count
+    keys = store.keys()
+    for key in keys:
+        view = store.database(key)
+        state = view.bank.export_series(view.index)
+        rows = state.pop("rings")
+        _write(_key_path(root, key), {"version": SERIES_FORMAT_VERSION, **state}, rows)
+    return len(keys)
 
 
 def load_store(
     root: Union[str, pathlib.Path],
     step: float = 15.0,
 ) -> RrdStore:
-    """Rebuild a store from a directory written by :func:`save_store`."""
+    """Rebuild a store from a directory written by :func:`save_store`.
+
+    The step, RRA ladder and downtime fill come from the files (``step``
+    only sets the step of an empty directory's store); a directory
+    whose files disagree on them is rejected.
+    """
     root = pathlib.Path(root)
     if not root.is_dir():
         raise PersistError(f"no such archive directory: {root}")
-    store = RrdStore(mode="full", step=step)
+    store = None
     for path in sorted(root.rglob("*.npz")):
         relative = path.relative_to(root)
         parts = relative.parts
@@ -180,6 +198,19 @@ def load_store(
             raise PersistError(f"unexpected archive layout at {relative}")
         source, cluster, host, filename = parts
         key = MetricKey(source, cluster, host, filename[: -len(".npz")])
-        store._databases[key] = load_database(path)
-        store.create_count += 1
-    return store
+        meta, rows = _read(path, SERIES_FORMAT_VERSION)
+        try:
+            if store is None:
+                store = RrdStore(
+                    mode="full",
+                    step=meta["step"],
+                    rra_specs=[
+                        RraSpec(r["cf"], r["pdp_per_row"], r["rows"], r["xff"])
+                        for r in meta["rras"]
+                    ],
+                    downtime_fill=meta["downtime_fill"],
+                )
+            store._bank.import_series(store._slot(key), {**meta, "rings": rows})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PersistError(f"{path}: {exc}") from None
+    return store if store is not None else RrdStore(mode="full", step=step)

@@ -2,8 +2,10 @@
 
 Two modes:
 
-- ``mode="full"`` keeps real :class:`~repro.rrd.database.RrdDatabase`
-  objects -- used by tests, examples and the forensics workflows.
+- ``mode="full"`` keeps every series as a column of one
+  :class:`~repro.rrd.bank.SeriesBank`, each value-identical to a
+  standalone :class:`~repro.rrd.database.RrdDatabase` fed the same
+  samples -- used by tests, examples and the forensics workflows.
 - ``mode="account"`` counts updates without allocating arrays -- used by
   the Figure 5/6 scaling experiments, where only the *CPU cost* of
   archiving matters (the paper puts archives on tmpfs for the same
@@ -18,14 +20,12 @@ summary archives of descendants rather than full duplicates".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.rrd.database import RraSpec, RrdDatabase
+import numpy as np
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from repro.rrd.bank import SeriesBank
+from repro.rrd.bank import SeriesBank
+from repro.rrd.database import RraSpec
 
 #: Pseudo-host name under which cluster/grid summaries are archived.
 SUMMARY_HOST = "__summary__"
@@ -78,16 +78,15 @@ class ColumnPlan:
 
 
 class RrdStore:
-    """Creates databases on demand and routes updates to them.
+    """Creates series on demand and routes updates to them.
 
-    Series live in one of two homes: classic per-key
-    :class:`RrdDatabase` objects (the scalar path), or a shared
-    :class:`~repro.rrd.bank.SeriesBank` for keys bound into a
-    :class:`ColumnPlan` (the columnar scatter path).  A key belongs to
-    exactly one home -- scalar :meth:`update` calls on a bank-owned key
-    route into the bank, and :meth:`database` returns a
-    :class:`BankSeriesView` for them, so readers can't tell the
-    difference.
+    Every series lives in one shared :class:`~repro.rrd.bank.SeriesBank`.
+    A key's first write -- a scalar :meth:`update`, an
+    :meth:`update_summary` or a :meth:`column_plan` bind -- allocates
+    its bank slot, and every later write, scalar or scatter, lands in
+    that slot.  :meth:`database` returns a :class:`BankSeriesView` with
+    the read surface of a standalone
+    :class:`~repro.rrd.database.RrdDatabase`.
     """
 
     def __init__(
@@ -105,8 +104,14 @@ class RrdStore:
         self.rra_specs = list(rra_specs) if rra_specs is not None else None
         self.downtime_fill = downtime_fill
         self.on_update = on_update
-        self._databases: Dict[MetricKey, RrdDatabase] = {}
-        self._bank: Optional["SeriesBank"] = None
+        self._bank: Optional[SeriesBank] = (
+            SeriesBank(
+                step=step, rra_specs=self.rra_specs, downtime_fill=downtime_fill
+            )
+            if mode == "full"
+            else None
+        )
+        #: key -> bank index; insertion order is index order
         self._bank_index: Dict[MetricKey, int] = {}
         self._bank_keys_cache: List[MetricKey] = []
         self.update_count = 0
@@ -114,74 +119,41 @@ class RrdStore:
 
     # -- writing -----------------------------------------------------------
 
+    def _slot(self, key: MetricKey) -> int:
+        """The bank index of ``key``, allocated on first touch."""
+        i = self._bank_index.get(key)
+        if i is None:
+            i = self._bank.add_series(1)
+            self._bank_index[key] = i
+            self.create_count += 1
+        return i
+
     def update(self, key: MetricKey, t: float, value: Optional[float]) -> None:
-        """Route one sample to its database (creating it on first touch)."""
+        """Route one sample to its series (creating it on first touch)."""
         self.update_count += 1
         if self.on_update is not None:
             self.on_update(1)
         if self.mode == "account":
             return
-        i = self._bank_index.get(key)
-        if i is not None:
-            self._bank.update_one(i, t, value)
-            return
-        self.ensure(key).update(t, value)
+        self._bank.update_one(self._slot(key), t, value)
 
     def column_plan(self, keys: Sequence[MetricKey]) -> ColumnPlan:
         """Bind ``keys`` to bank series for vectorized scatter updates.
 
-        In full mode each key gets (or keeps) a slot in the shared
-        series bank; a key already archived as a scalar database cannot
-        be re-bound (the histories would fork).  In accounting mode the
-        plan only counts.
+        In full mode each key gets (or keeps) its bank slot, so a series
+        first written by scalar updates continues under the plan with
+        one history.  In accounting mode the plan only counts.
         """
         if self.mode == "account":
             return ColumnPlan(self, keys, None)
-        import numpy as np
-
-        if self._bank is None:
-            from repro.rrd.bank import SeriesBank
-
-            self._bank = SeriesBank(
-                step=self.step,
-                rra_specs=self.rra_specs,
-                downtime_fill=self.downtime_fill,
-            )
-        index = self._bank_index
-        indices = np.empty(len(keys), dtype=np.int64)
-        for j, key in enumerate(keys):
-            i = index.get(key)
-            if i is None:
-                if key in self._databases:
-                    raise ValueError(
-                        f"{key} already archived as a scalar database"
-                    )
-                i = self._bank.add_series(1)
-                index[key] = i
-                self.create_count += 1
-            indices[j] = i
+        indices = np.fromiter(
+            (self._slot(key) for key in keys), dtype=np.int64, count=len(keys)
+        )
         return ColumnPlan(self, keys, indices)
 
     def update_columns(self, plan: ColumnPlan, t: float, values: "np.ndarray") -> None:
         """Apply one poll through a previously bound :class:`ColumnPlan`."""
         plan.update(t, values)
-
-    def ensure(self, key: MetricKey) -> RrdDatabase:
-        """The database for ``key``, created on first touch (full mode)."""
-        if self.mode == "account":
-            raise RuntimeError("accounting-mode store keeps no databases")
-        if key in self._bank_index:
-            raise RuntimeError(f"{key} is bank-owned; use database() to read")
-        db = self._databases.get(key)
-        if db is None:
-            db = RrdDatabase(
-                step=self.step,
-                rra_specs=self.rra_specs,
-                downtime_fill=self.downtime_fill,
-            )
-            self._databases[key] = db
-            self.create_count += 1
-        return db
 
     def update_summary(
         self, source: str, cluster: str, metric: str, t: float,
@@ -201,108 +173,67 @@ class RrdStore:
 
         The storage tier's repair/re-replication primitive: after the
         copy, this store answers ``fetch``/``latest``/``updates`` for
-        ``key`` identically to ``src``.  The series lands in the same
-        home it has in the source (bank slot or scalar database); a key
-        that already lives in the *other* home here is an error -- the
-        histories would fork.  Returns False when there is nothing to
-        copy (unknown key, or either store only accounts).
+        ``key`` identically to ``src``.  Returns False when there is
+        nothing to copy (unknown key, or either store only accounts).
         """
         if self.mode == "account" or src.mode == "account":
             return False
         src_i = src._bank_index.get(key)
-        if src_i is not None:
-            if key in self._databases:
-                raise ValueError(
-                    f"{key} is a scalar database here but bank-owned in src"
-                )
-            if self._bank is None:
-                from repro.rrd.bank import SeriesBank
-
-                self._bank = SeriesBank(
-                    step=self.step,
-                    rra_specs=self.rra_specs,
-                    downtime_fill=self.downtime_fill,
-                )
-            dst_i = self._bank_index.get(key)
-            if dst_i is None:
-                dst_i = self._bank.add_series(1)
-                self._bank_index[key] = dst_i
-                self.create_count += 1
-            self._bank.copy_series_from(src._bank, src_i, dst_i)
-            return True
-        db = src._databases.get(key)
-        if db is None:
+        if src_i is None:
             return False
-        if key in self._bank_index:
-            raise ValueError(
-                f"{key} is bank-owned here but a scalar database in src"
-            )
-        import copy
-
-        if key not in self._databases:
-            self.create_count += 1
-        self._databases[key] = copy.deepcopy(db)
+        self._bank.copy_series_from(src._bank, src_i, self._slot(key))
         return True
 
     # -- reading -----------------------------------------------------------
 
-    def database(self, key: MetricKey):
+    def database(self, key: MetricKey) -> Optional["BankSeriesView"]:
         """The series for a key, or None if never written (full mode).
 
-        Returns an :class:`RrdDatabase` for scalar keys and a
-        :class:`BankSeriesView` (same read surface: ``fetch``,
-        ``latest``, ``flush``, ``updates``, ``last_update_time``) for
-        bank-owned keys.
+        A :class:`BankSeriesView`: ``fetch``, ``latest``, ``flush``,
+        ``updates`` and ``last_update_time``, as on a standalone database.
         """
         if self.mode == "account":
             raise RuntimeError("accounting-mode store keeps no databases")
         i = self._bank_index.get(key)
-        if i is not None:
-            return BankSeriesView(self._bank, i)
-        return self._databases.get(key)
+        return None if i is None else BankSeriesView(self._bank, i)
 
-    def bank_series(self) -> Tuple[Optional["SeriesBank"], List[MetricKey]]:
+    def bank_series(self) -> Tuple[Optional[SeriesBank], List[MetricKey]]:
         """The shared bank and its index-ordered key list.
 
         ``keys[i]`` names bank column ``i`` -- the inverse of the
         key-to-index map, which the analytics stage needs to label the
         columns of :meth:`SeriesBank.window_matrix`.  Returns
-        ``(None, [])`` when no columnar plan ever ran.  Indices are
-        allocated densely and never reused, so the inverse is rebuilt
-        only when series were added since the last call.
+        ``(None, [])`` in accounting mode.  Indices are allocated densely
+        in insertion order and never reused, so the list is rebuilt only
+        when series were added since the last call.
         """
-        if self._bank is None:
-            return None, []
         if len(self._bank_keys_cache) != len(self._bank_index):
-            ordered: List[Optional[MetricKey]] = [None] * self._bank.size
-            for key, i in self._bank_index.items():
-                ordered[i] = key
-            self._bank_keys_cache = ordered  # type: ignore[assignment]
+            self._bank_keys_cache = list(self._bank_index)
         return self._bank, self._bank_keys_cache
 
     def keys(self) -> List[MetricKey]:
         """Every archived series key, sorted."""
-        return sorted([*self._databases, *self._bank_index])
+        return sorted(self._bank_index)
 
     def keys_for_host(self, source: str, cluster: str, host: str) -> List[MetricKey]:
         """All series keys for one (source, cluster, host)."""
         return sorted(
             k
-            for k in (*self._databases, *self._bank_index)
+            for k in self._bank_index
             if k.source == source and k.cluster == cluster and k.host == host
         )
 
     def fetch_series(
         self, key: MetricKey, start: float, end: float
     ) -> Tuple["np.ndarray", "np.ndarray", float]:
-        """Fetch one series' history regardless of which home holds it."""
+        """Fetch one series' history."""
         series = self.database(key)
         if series is None:
             raise KeyError(f"no archive for {key}")
         return series.fetch(start, end)
 
     def __len__(self) -> int:
-        return len(self._databases) + len(self._bank_index)
+        return len(self._bank_index)
 
 
 class BankSeriesView:

@@ -401,12 +401,6 @@ class StorageTier:
                 f"storage_flush.s{shard:02d}", units="s"
             ).observe(batch_seconds)
 
-    def ensure(self, key: MetricKey):
-        if self.mode == "account":
-            raise RuntimeError("accounting-mode store keeps no databases")
-        s = self._shard_of(key)
-        return self._read_node(key, s).store.ensure(key)
-
     # -- reading (RrdStore surface, with failover) -------------------------
 
     def _read_node(self, key: MetricKey, shard: int) -> StorageNode:

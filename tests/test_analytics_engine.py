@@ -201,8 +201,8 @@ class TestReadings:
         assert daemon.analytics.reading("solo-c0", "nope", "load_one") is None
 
     def test_scalar_fallback_matches_surface(self, engine, fabric, tcp, rngs):
-        """Non-columnar store: no bank, readings still come (per-series
-        fetch fallback)."""
+        """Non-columnar store: every series is scalar-written, readings
+        still come."""
         daemon, pseudo = make_daemon(
             engine, fabric, tcp, rngs, columnar=False,
             analytics=AnalyticsConfig(window_rows=6),
@@ -212,6 +212,23 @@ class TestReadings:
         assert stage.passes > 0
         reading = stage.reading("solo-c0", f"{pseudo.name}-0-0", "load_one")
         assert reading is not None and not math.isnan(reading.latest)
+
+    def test_plain_columnar_store_analyses_every_series(self):
+        """Detail, summary and self-cluster series alike, as on the
+        storage tier -- only the stage's own series are left out."""
+        fed = build_paper_tree(
+            "nlevel", hosts_per_cluster=4, columnar=True, archive_mode="full",
+            analytics=AnalyticsConfig(),
+        ).start()
+        fed.engine.run_for(95.0)
+        daemon = fed.gmetad("physics")
+        store = daemon.rrd_store
+        assert any(k.source == ANALYTICS_SOURCE for k in store.keys())
+        assert any(k.host == "__summary__" for k in store.keys())
+        daemon.analytics.recompute(fed.engine.now)
+        expected = [k for k in store.keys() if k.source != ANALYTICS_SOURCE]
+        assert sorted(daemon.analytics._keys) == expected
+        assert daemon.analytics.series_analyzed == len(expected)
 
     def test_account_mode_keeps_quiet(self, engine, fabric, tcp, rngs):
         daemon, _ = make_daemon(

@@ -7,8 +7,9 @@ randomized datastores:
    walk-and-filter over the same snapshot;
 2. the regex engine's matches equal a brute-force scan with the same
    patterns;
-3. ``RrdDatabase.update_many`` produces archives identical to a loop of
-   ``update`` calls for arbitrary sample streams.
+3. a store's scalar write path (``SeriesBank.update_one``) produces
+   archives identical to a standalone ``RrdDatabase`` for arbitrary
+   sample streams.
 """
 
 import math
@@ -23,6 +24,7 @@ from repro.core.query import GmetadQuery, QueryEngine
 from repro.core.query_regex import RegexQueryEngine
 from repro.core.summarize import summarize_cluster
 from repro.metrics.types import MetricType, format_value
+from repro.rrd.bank import SeriesBank
 from repro.rrd.consolidate import ConsolidationFunction
 from repro.rrd.database import RraSpec, RrdDatabase
 from repro.wire.model import ClusterElement, HostElement, MetricElement
@@ -121,31 +123,30 @@ def test_regex_engine_matches_brute_force(store, host_pat, metric_pat):
         max_size=120,
     )
 )
-def test_update_many_equals_update_loop(samples):
-    """Batch ingestion is observationally identical to per-call updates."""
+def test_bank_update_one_equals_database_update(samples):
+    """Scalar writes into a bank slot are observationally identical to a
+    standalone database fed the same stream."""
     specs = [
         RraSpec(ConsolidationFunction.AVERAGE, 1, 16),
         RraSpec(ConsolidationFunction.AVERAGE, 4, 16),
         RraSpec(ConsolidationFunction.AVERAGE, 16, 8),
     ]
-    loop_db = RrdDatabase(step=15.0, rra_specs=specs)
-    batch_db = RrdDatabase(step=15.0, rra_specs=specs)
+    db = RrdDatabase(step=15.0, rra_specs=specs)
+    bank = SeriesBank(step=15.0, rra_specs=specs)
+    i = bank.add_series(3) + 1  # a slot between neighbours
     t = 0.0
-    stream = []
     for gap, value in samples:
         t += gap
-        stream.append((t, value))
-    for when, value in stream:
-        loop_db.update(when, value)
-    batch_db.update_many(stream)
-    assert loop_db.last_update_time == batch_db.last_update_time
-    assert loop_db.updates == batch_db.updates
-    for rra_a, rra_b in zip(loop_db.rras, batch_db.rras):
-        assert rra_a.rows_written == rra_b.rows_written
-        assert rra_a.last_row_end_step == rra_b.last_row_end_step
-        np.testing.assert_array_equal(
-            rra_a.recent_rows(), rra_b.recent_rows()
-        )
+        db.update(t, value)
+        bank.update_one(i, t, value)
+    assert bank.last_update_time_of(i) == db.last_update_time
+    assert bank.updates_of(i) == db.updates
+    assert bank.latest(i) == db.latest() or (
+        np.isnan(bank.latest(i)) and np.isnan(db.latest())
+    )
+    for span in (60.0, 600.0, 6000.0):
+        for got, want in zip(bank.fetch(i, t - span, t), db.fetch(t - span, t)):
+            np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=30, deadline=None)

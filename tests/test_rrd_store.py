@@ -1,8 +1,7 @@
-"""Unit tests for the RRD store and write-behind batching."""
+"""Unit tests for the RRD store."""
 
 import pytest
 
-from repro.rrd.batch import BatchedRrdStore
 from repro.rrd.database import compact_rra_specs
 from repro.rrd.store import SUMMARY_HOST, MetricKey, RrdStore
 
@@ -26,7 +25,7 @@ class TestFullMode:
     def make(self):
         return RrdStore(mode="full", rra_specs=compact_rra_specs())
 
-    def test_databases_created_on_demand(self):
+    def test_series_created_on_demand(self):
         store = self.make()
         store.update(key(), 0.0, 1.0)
         store.update(key(), 15.0, 2.0)
@@ -84,122 +83,3 @@ class TestAccountMode:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             RrdStore(mode="magnetic-tape")
-
-
-class TestBatchedStore:
-    def make_pair(self):
-        direct = RrdStore(mode="full", rra_specs=compact_rra_specs())
-        buffered_backend = RrdStore(mode="full", rra_specs=compact_rra_specs())
-        return direct, BatchedRrdStore(buffered_backend)
-
-    def test_flush_produces_identical_archives(self):
-        direct, batched = self.make_pair()
-        samples = [(key(), i * 15.0, float(i % 5)) for i in range(50)]
-        samples += [(key("cpu_user"), i * 15.0, 50.0) for i in range(50)]
-        for k, t, v in samples:
-            direct.update(k, t, v)
-            batched.update(k, t, v)
-        batched.flush()
-        for k in direct.keys():
-            expected = direct.database(k).rras[0].recent_rows()
-            actual = batched.store.database(k).rras[0].recent_rows()
-            assert list(expected) == list(actual)
-
-    def test_nothing_written_before_flush(self):
-        _, batched = self.make_pair()
-        batched.update(key(), 0.0, 1.0)
-        assert batched.store.update_count == 0
-        assert batched.pending == 1
-
-    def test_auto_flush_at_max_pending(self):
-        backend = RrdStore(mode="account")
-        batched = BatchedRrdStore(backend, max_pending=10)
-        for i in range(25):
-            batched.update(key(), i * 15.0, 1.0)
-        assert backend.update_count >= 20
-        assert batched.pending < 10
-
-    def test_out_of_order_arrivals_sorted_per_key(self):
-        backend = RrdStore(mode="full", rra_specs=compact_rra_specs())
-        batched = BatchedRrdStore(backend)
-        batched.update(key(), 30.0, 3.0)
-        batched.update(key(), 0.0, 1.0)
-        batched.update(key(), 15.0, 2.0)
-        batched.flush()  # must not raise out-of-order
-        assert backend.database(key()).updates == 3
-
-    def test_flush_returns_written_count_and_counts_flushes(self):
-        _, batched = self.make_pair()
-        for i in range(7):
-            batched.update(key(), i * 15.0, 1.0)
-        assert batched.flush() == 7
-        assert batched.flushes == 1
-        assert batched.samples_batched == 7
-
-    def test_update_summary_routes_through_batch(self):
-        backend = RrdStore(mode="full", rra_specs=compact_rra_specs())
-        batched = BatchedRrdStore(backend)
-        batched.update_summary("src", "c", "m", 0.0, 10.0, 5)
-        assert batched.pending == 2
-        batched.flush()
-        assert len(backend) == 2
-
-    def test_batch_flush_determinism(self):
-        """Pins the ordering contract documented on ``flush``.
-
-        (1) Keys drain in sorted MetricKey order regardless of arrival
-        order; (2) within a key the timestamp sort is stable, so a
-        same-step pair accumulates in arrival order -- archive state is
-        a function of the sample *set*, not of queueing history.
-        """
-        import itertools
-
-        samples = [
-            (key("b"), 30.0, 3.0),
-            (key("a", host="h1"), 0.0, 1.0),
-            (key("b"), 0.0, 7.0),
-            (key("a"), 15.0, 2.0),
-            (key("b"), 15.0, 5.0),
-            (key("a"), 0.0, 4.0),
-        ]
-        reference = None
-        for perm in itertools.permutations(samples):
-            backend = RrdStore(mode="full", rra_specs=compact_rra_specs())
-            drained = []
-            batched = BatchedRrdStore(backend)
-            for k, t, v in perm:
-                batched.update(k, t, v)
-            # spy on drain order without changing behaviour
-            original_ensure = backend.ensure
-
-            def ensure(k, _orig=original_ensure, _log=drained):
-                _log.append(k)
-                return _orig(k)
-
-            backend.ensure = ensure
-            batched.flush()
-            assert drained == sorted(drained)  # (1) sorted key order
-            state = {
-                k: list(backend.database(k).rras[0].recent_rows())
-                for k in backend.keys()
-            }
-            if reference is None:
-                reference = state
-            else:
-                assert state == reference  # archive independent of arrival
-        # (2) same-timestamp pair applies in arrival order (stable sort):
-        # the PDP for step 0 averages 3.0 then 1.0 the same way the
-        # unbatched store fed in that order would
-        direct = RrdStore(mode="full", rra_specs=compact_rra_specs())
-        direct.update(key(), 0.0, 3.0)
-        direct.update(key(), 5.0, 1.0)
-        direct.update(key(), 15.0, 0.0)
-        backend = RrdStore(mode="full", rra_specs=compact_rra_specs())
-        batched = BatchedRrdStore(backend)
-        batched.update(key(), 0.0, 3.0)
-        batched.update(key(), 5.0, 1.0)
-        batched.update(key(), 15.0, 0.0)
-        batched.flush()
-        assert list(backend.database(key()).rras[0].recent_rows()) == list(
-            direct.database(key()).rras[0].recent_rows()
-        )

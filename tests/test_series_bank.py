@@ -167,17 +167,28 @@ class TestStoreIntegration:
         store.update(self.key("a"), 25.0, 5.0)  # replay-style scalar write
         assert store.database(self.key("a")).updates == 2
 
-    def test_bank_owned_key_rejects_ensure(self):
+    def test_scalar_then_plan_writes_keep_one_history(self):
+        # a key first archived by scalar updates (a summary series, say)
+        # and later bound into a plan continues in the same bank slot
         store = RrdStore(mode="full", rra_specs=compact_rra_specs())
-        store.column_plan([self.key("a")])
-        with pytest.raises(RuntimeError):
-            store.ensure(self.key("a"))
-
-    def test_scalar_owned_key_rejects_rebinding(self):
-        store = RrdStore(mode="full", rra_specs=compact_rra_specs())
-        store.update(self.key("a"), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            store.column_plan([self.key("a")])
+        twin = RrdDatabase(step=15.0, rra_specs=compact_rra_specs())
+        for step in range(12):
+            t = 4.0 + 15.0 * step
+            store.update(self.key("a"), t, float(step))
+            twin.update(t, float(step))
+        plan = store.column_plan([self.key("b"), self.key("a")])
+        assert len(store) == 2 and store.create_count == 2
+        for step in range(12, 30):
+            t = 4.0 + 15.0 * step
+            store.update_columns(plan, t, np.array([-1.0, float(step % 5)]))
+            twin.update(t, float(step % 5))
+        view = store.database(self.key("a"))
+        end = 15.0 * 32
+        for got, want in zip(view.fetch(0.0, end), twin.fetch(0.0, end)):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert view.latest() == twin.latest()
+        assert view.updates == twin.updates == 30
+        assert view.last_update_time == twin.last_update_time
 
     def test_account_mode_plan_only_counts(self):
         hits = []
@@ -198,3 +209,120 @@ class TestStoreIntegration:
         bank.add_series(200)  # forces capacity growth
         t0, v0, _ = bank.fetch(0, 0.0, 100.0)
         assert np.nansum(v0) > 0  # history survived the grow
+
+    def test_single_slot_growth_stays_within_a_quarter(self):
+        # a store allocates one slot per first write; growth must not
+        # leave doubling's slack behind, nor lose earlier history
+        specs = [RraSpec(ConsolidationFunction.AVERAGE, 1, 8)]
+        bank = SeriesBank(step=15.0, rra_specs=specs)
+        twin = RrdDatabase(step=15.0, rra_specs=specs)
+        for step in range(5):
+            t = 1.0 + 15.0 * step
+            if step == 0:
+                bank.add_series(1)
+            bank.update_one(0, t, float(step))
+            twin.update(t, float(step))
+        grows = 0
+        for _ in range(10_000):
+            cap = bank._cap
+            bank.add_series(1)
+            grows += bank._cap != cap
+            assert bank._cap <= 1.25 * bank.size + 64
+        assert grows > 10  # the bound was checked across many grows
+        assert bank.size == 10_001
+        for got, want in zip(bank.fetch(0, 0.0, 90.0), twin.fetch(0.0, 90.0)):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert bank.updates_of(0) == twin.updates
+
+
+class TestSeriesState:
+    def drive(self, bank, n, steps=range(40)):
+        idx = np.arange(n, dtype=np.int64)
+        for step in steps:
+            if step % 7 == 3:
+                continue  # a gap: the fill path runs on the next poll
+            values = np.array([float((step * (i + 1)) % 9) for i in range(n)])
+            bank.update_column(2.0 + 15.0 * step, idx, values)
+
+    def test_export_import_round_trip_is_observationally_identical(self):
+        src, _ = make_twins(3)
+        self.drive(src, 3)
+        dst, _ = make_twins(5)
+        for i in range(3):
+            dst.copy_series_from(src, i, 4 - i)
+        for i in range(3):
+            for got, want in zip(dst.fetch(4 - i, 0.0, 700.0), src.fetch(i, 0.0, 700.0)):
+                assert np.array_equal(got, want, equal_nan=True)
+            assert dst.latest(4 - i) == src.latest(i)
+            assert dst.updates_of(4 - i) == src.updates_of(i)
+            assert dst.last_update_time_of(4 - i) == src.last_update_time_of(i)
+        # the copies keep accepting writes exactly like the originals
+        t = 2.0 + 15.0 * 41
+        src.update_one(0, t, 3.0)
+        dst.update_one(4, t, 3.0)
+        for got, want in zip(dst.fetch(4, 0.0, t + 30), src.fetch(0, 0.0, t + 30)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_export_is_detached_from_the_bank(self):
+        bank, _ = make_twins(1)
+        self.drive(bank, 1)
+        state = bank.export_series(0)
+        before = [ring.copy() for ring in state["rings"]]
+        self.drive(bank, 1, steps=range(40, 120))
+        assert all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(state["rings"], before)
+        )
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(step=10.0),
+            dict(downtime_fill="nan"),
+            dict(specs=[RraSpec(ConsolidationFunction.AVERAGE, 1, 64)]),
+        ],
+    )
+    def test_import_rejects_a_different_layout(self, other):
+        src = SeriesBank(
+            step=other.get("step", 15.0),
+            rra_specs=other.get("specs", compact_rra_specs()),
+            downtime_fill=other.get("downtime_fill", "zero"),
+        )
+        src.add_series(1)
+        dst, _ = make_twins(1)
+        with pytest.raises(ValueError):
+            dst.import_series(0, src.export_series(0))
+
+
+class TestOneSeriesHome:
+    def test_every_full_mode_store_holds_its_series_in_the_bank(self):
+        """All gates on, storage nodes included: no series outside a bank,
+        scalar-written summary and self-cluster series among them."""
+        from repro import ObservabilityConfig, ResilienceConfig
+        from repro.analytics.config import AnalyticsConfig
+        from repro.bench.topology import build_paper_tree
+        from repro.rrd.store import SUMMARY_HOST
+        from repro.storage import StorageTierConfig
+
+        fed = build_paper_tree(
+            "nlevel", hosts_per_cluster=4, archive_mode="full",
+            incremental=True, columnar=True, columnar_serve=True,
+            binary_wire=True, resilience=ResilienceConfig(),
+            observability=ObservabilityConfig(),
+            storage_tier=StorageTierConfig(replication=2),
+            analytics=AnalyticsConfig(),
+        ).start()
+        fed.engine.run_for(75.0)
+        stores = []
+        for gmetad in fed.gmetads.values():
+            tier = gmetad.rrd_store
+            assert getattr(tier, "is_storage_tier", False)
+            stores += [node.store for node in tier.nodes.values()]
+        summary_series = 0
+        for store in stores:
+            bank, keys = store.bank_series()
+            assert len(store) == bank.size == len(keys)
+            assert sorted(keys) == store.keys()
+            assert bank._cap <= 1.25 * bank.size + 64
+            summary_series += sum(1 for k in keys if k.host == SUMMARY_HOST)
+        assert summary_series > 0
