@@ -66,10 +66,6 @@ class Gmetad(GmetadBase):
         #: per-source delta summarizers (cluster sources, incremental);
         #: tree-parsed polls reach them through ``columns_from_cluster``
         self._summary_trackers: Dict[str, ColumnarSummaryTracker] = {}
-        #: per-source fragment arenas (config.columnar_serve); they live
-        #: on the daemon, not the snapshot, so fragments survive snapshot
-        #: replacement and only changed hosts re-render
-        self._serve_arenas: Dict[str, object] = {}
 
     # -- polling ------------------------------------------------------------
 
@@ -199,15 +195,6 @@ class Gmetad(GmetadBase):
         if self.config.archive_local_detail:
             self.archiver.archive_cluster_detail_columns(source, cols, now)
         self.archiver.archive_summary(source, cols.name, summary, now)
-        arena = None
-        if self.config.columnar_serve:
-            from repro.serve import FragmentArena
-
-            arena = self._serve_arenas.get(source)
-            if arena is None:
-                arena = FragmentArena()
-                self._serve_arenas[source] = arena
-            arena.install(cols)
         self.datastore.install(
             SourceSnapshot(
                 name=source,
@@ -215,7 +202,7 @@ class Gmetad(GmetadBase):
                 summary=summary,
                 cluster=shell,
                 columns=cols,
-                arena=arena,
+                arena=self._install_arena(source, cols),
                 authority=self.config.authority_url,
             ),
             now,
@@ -223,25 +210,10 @@ class Gmetad(GmetadBase):
 
     # -- serving -----------------------------------------------------------
 
-    def serve_query(self, request: str) -> tuple[str, float]:
-        """Serve one request through the path query engine."""
-        try:
-            query = GmetadQuery.parse(request)
-        except QueryError:
-            query = GmetadQuery()  # garbage in, full default dump out
-        seconds = self.charge(self.costs.query_fixed, "query")
-        xml, stats = self.query_engine.execute(query, self.engine.now)
-        self.last_serve_cached_bytes = stats.bytes_from_cache
-        seconds += self.charge(
-            self.costs.hash_insert * stats.hash_lookups, "query"
-        )
-        fresh_bytes = stats.bytes_serialized - stats.bytes_from_cache
-        seconds += self.charge(self.costs.serve_byte * fresh_bytes, "serve")
-        if stats.bytes_from_cache:
-            seconds += self.charge(
-                self.costs.serve_byte_cached * stats.bytes_from_cache, "serve"
-            )
-        return xml, seconds
+    # bound on this class (not only inherited) so per-class span tables
+    # such as benchmarks/e2e/spans.py can wrap it; an alias rather
+    # than a super() wrapper, so a query pays for no extra call
+    serve_query = GmetadBase.serve_query
 
     def serve_binary(self, request: str):
         """Binary answer for the whole-tree summary poll.
@@ -249,22 +221,17 @@ class Gmetad(GmetadBase):
         The federation poll shape (``/?filter=summary``) always answers
         binary: it is the request every parent/peer sends on the
         background timescale, so it dominates serve-side wide-area
-        bytes.  With ``columnar_serve`` on, single-source full dumps
-        (``/source``) answer binary too -- a CLUSTER_DOC frame encoded
-        straight from the held columns, the no-XML path capable readtier
-        viewers negotiate.  Everything else declines (``None``) and
-        falls back to XML.  The documents built here mirror the query
-        engine's ``_write_tree``/``_source_fragment`` shapes element for
-        element, so a binary-decoding peer installs exactly the state an
-        XML-parsing peer would.
+        bytes.  Path queries take the shared ``/source`` detail frame;
+        everything else declines (``None``) and falls back to XML.  The
+        document built here mirrors the query engine's ``_write_tree``
+        shape element for element, so a binary-decoding peer installs
+        exactly the state an XML-parsing peer would.
         """
         try:
             query = GmetadQuery.parse(request)
         except QueryError:
             return None
         if query.path:
-            if query.summary or len(query.path) != 1:
-                return None
             return self._serve_binary_detail(query)
         if not query.summary:
             return None
@@ -311,40 +278,9 @@ class Gmetad(GmetadBase):
         seconds += self.charge(self.costs.serve_byte * len(frame), "serve")
         return frame, seconds
 
-    def _serve_binary_detail(self, query: GmetadQuery):
-        """A CLUSTER_DOC frame for one cluster source, straight from columns.
-
-        The no-XML serving path: a ``bin1``-capable viewer (or readtier
-        front door) asking for ``/source`` gets the columns re-framed,
-        never serialized to text.  Requires ``columnar_serve`` and held
-        columns; anything else declines to the XML engine.
-        """
-        if not self.config.columnar_serve:
-            return None
-        from repro.serve import columnar_detail_frame
-
-        frame = columnar_detail_frame(
-            self.datastore.source(query.path[0]), self.version
-        )
-        if frame is None:
-            return None
-        seconds = self.charge(self.costs.query_fixed, "query")
-        seconds += self.charge(self.costs.hash_insert, "query")
-        self.last_serve_cached_bytes = 0
-        seconds += self.charge(self.costs.serve_byte * len(frame), "serve")
-        return frame, seconds
-
-    def request_is_summary(self, request: str) -> bool:
-        """Summary-form answers key off content_version (see base)."""
-        try:
-            return GmetadQuery.parse(request).summary
-        except QueryError:
-            return False
-
     def remove_data_source(self, name: str) -> None:
         super().remove_data_source(name)
         self._summary_trackers.pop(name, None)
-        self._serve_arenas.pop(name, None)
 
     # -- convenience for tools/alarms -----------------------------------------
 

@@ -105,6 +105,10 @@ class OneLevelGmetad(GmetadBase):
 
     # -- serving -----------------------------------------------------------
 
+    def request_is_summary(self, request: str) -> bool:
+        """Never: every request gets the full tree."""
+        return False
+
     def serve_query(self, request: str) -> tuple[str, float]:
         """Any request gets the full tree; there is no query engine."""
         writer = XmlWriter()

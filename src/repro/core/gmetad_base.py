@@ -1,26 +1,34 @@
-"""Shared plumbing for both gmetad designs.
+"""Shared plumbing for both gmetad designs and the read replicas.
 
-The base class owns everything the two designs have in common: the CPU
-account, the datastore, the RRD archiver, one poller per configured data
-source (staggered so twelve clusters don't all land on the same tick),
-and the TCP listener.  Subclasses define:
+:class:`QueryServer` is the query-timescale half (§2.3): conditional
+GET, ``accept=bin1`` negotiation, load shedding and the path query
+engine's charge pattern.  Every daemon that answers viewers -- both
+gmetad designs and :class:`~repro.readtier.replica.ReadReplica` --
+serves through it.
+
+:class:`GmetadBase` adds the background half the two gmetad designs
+have in common: the CPU account, the datastore, the RRD archiver, one
+poller per configured data source (staggered so twelve clusters don't
+all land on the same tick), and the TCP listener.  Subclasses define:
 
 - :meth:`poll_request` -- what to ask children for (full dump vs
   summary query);
 - :meth:`ingest` -- what to keep, summarize and archive;
-- :meth:`serve_query` -- what a request gets back.
+- :meth:`serve_query` -- what a request gets back (the path query
+  engine unless overridden).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import random
 
+from repro.columnar import ColumnarDocument, InternPool
 from repro.core.archiver import Archiver
 from repro.core.datastore import Datastore
 from repro.core.poller import DataSourcePoller
-from repro.core.query import ServeQueue
+from repro.core.query import GmetadQuery, QueryError, ServeQueue
 from repro.core.resilience import Overloaded
 from repro.core.tree import GmetadConfig
 from repro.net.address import Address
@@ -29,6 +37,7 @@ from repro.obs.observability import Observability
 from repro.net.tcp import Response, TcpNetwork
 from repro.rrd.database import RraSpec, compact_rra_specs
 from repro.rrd.store import RrdStore
+from repro.serve.arena import FragmentArena
 from repro.sim.engine import Engine
 from repro.sim.resources import DEFAULT_CAPACITY, CostModel, CpuAccount
 from repro.sim.rng import derive_seed
@@ -38,6 +47,7 @@ from repro.wire.binfmt import (
     BinaryFrame,
     FrameError,
     decode_document,
+    encode_cluster_document,
     materialize_document,
     split_accept,
 )
@@ -90,11 +100,236 @@ def document_element_count(doc: GangliaDocument) -> int:
     return count
 
 
-class GmetadBase:
-    """Common daemon machinery; see :class:`Gmetad` / :class:`OneLevelGmetad`."""
+def parse_cluster_xml(xml: str, pool, validate: bool = True):
+    """``(cdoc, None)`` from the columnar parser, or ``(None, doc)`` from
+    the tree parser when the columnar builder declines the shape.
+
+    A :class:`ParseError` from either parser propagates.
+    """
+    try:
+        return parse_columnar(xml, pool=pool, validate=validate), None
+    except ColumnarFallback:
+        return None, parse_document(xml, validate=validate)
+
+
+class QueryServer:
+    """The query-timescale half of a gmetad: one serve path (§2.3).
+
+    Conditional GET and NOT-MODIFIED, ``accept=bin1`` negotiation,
+    oldest-first shedding, the path query engine's CPU charge pattern
+    and the GBF1 ``/source`` detail frame live here once, so a read
+    replica serves through exactly the ingest daemon's code.
+    Subclasses provide ``engine``, ``costs``, ``cpu`` and ``datastore``,
+    plus a ``query_engine`` unless they override :meth:`serve_query`.
+    """
 
     #: GANGLIA_XML VERSION emitted; set by subclasses.
     version = "2.5.x"
+
+    #: self-observability; None compiles the serve hooks out
+    obs: Optional[Observability] = None
+
+    #: whether ``accept=bin1`` requests may be answered with frames
+    serves_binary = True
+
+    #: whether cluster detail answers come off held columns: fragment
+    #: arenas for XML, GBF1 CLUSTER_DOC frames for ``bin1``
+    columnar_serve = False
+
+    def __init__(self, name: str, serve_queue_limit: int = 0) -> None:
+        self.serve_queue: Optional[ServeQueue] = (
+            ServeQueue(serve_queue_limit) if serve_queue_limit > 0 else None
+        )
+        #: serve-side epoch: generation tokens are scoped to this server
+        #: instance, so a restart (or fail-over to a twin or a replica)
+        #: can never produce a false NOT-MODIFIED match
+        self._serve_epoch = next_epoch(name)
+        #: per-source fragment arenas (``columnar_serve``); they live on
+        #: the server, not the snapshot, so fragments survive snapshot
+        #: replacement and only changed hosts re-render
+        self._serve_arenas: Dict[str, object] = {}
+        self.queries_served = 0
+        self.queries_shed = 0
+        self.not_modified_served = 0
+        self.binary_served = 0
+        #: reused-fragment bytes of the most recent serve (read by the
+        #: serve instrumentation)
+        self.last_serve_cached_bytes = 0
+
+    def charge(self, work_units: float, category: str) -> float:
+        """Charge CPU work to this server's account."""
+        return self.cpu.charge(work_units, category)
+
+    def _serve(self, client: str, request: object) -> Response:
+        response = self._serve_response(client, request)
+        if self.serve_queue is not None:
+            now = self.engine.now
+            # oldest-first shedding: completed serves purge for free;
+            # anyone still waiting past the bound gets an explicit
+            # OVERLOADED reply (their response payload is rewritten in
+            # place before delivery) so clients see "busy", not "dead"
+            for victim in self.serve_queue.make_room(now):
+                victim.payload = Overloaded()
+                self.queries_shed += 1
+                if self.obs is not None:
+                    self.obs.record_shed()
+            self.serve_queue.push(now + response.service_seconds, response)
+        return response
+
+    def _serve_response(self, client: str, request: object) -> Response:
+        self.queries_served += 1
+        obs = self.obs
+        seconds = self.charge(self.costs.tcp_connect, "network")
+        base, presented = split_generation(str(request))
+        base, accept = split_accept(base)
+        # an unconditional request gets the plain payload; a conditional
+        # one gets it tagged with the current token (or a 304)
+        current = None
+        if presented is not None:
+            current = self.serve_generation(base)
+            if presented == current:
+                # HTTP-304 analogue; localtime rides along so the poller
+                # can refresh the report timestamp without a transfer
+                # (the same way a 304 updates the Date header)
+                self.not_modified_served += 1
+                if obs is not None:
+                    obs.record_serve(base, seconds, 0, outcome="not_modified")
+                return Response(
+                    NotModified(
+                        generation=current,
+                        localtime=float(f"{self.engine.now:.0f}"),
+                    ),
+                    service_seconds=seconds,
+                )
+        if accept == CODEC_BINARY and self.serves_binary:
+            binary = self.serve_binary(base)
+            if binary is not None:
+                frame, serve_seconds = binary
+                seconds += serve_seconds
+                if obs is not None:
+                    obs.record_serve(
+                        base, seconds, len(frame),
+                        cached_bytes=self.last_serve_cached_bytes,
+                        codec="binary",
+                    )
+                return Response(
+                    BinaryFrame(frame, generation=current),
+                    service_seconds=seconds,
+                )
+        self.last_serve_cached_bytes = 0
+        xml, serve_seconds = self.serve_query(base)
+        seconds += serve_seconds
+        if obs is not None:
+            obs.record_serve(
+                base, seconds, len(xml),
+                cached_bytes=self.last_serve_cached_bytes,
+            )
+        payload = xml if current is None else TaggedXml(xml, current)
+        return Response(payload, service_seconds=seconds)
+
+    def serve_generation(self, request: str) -> str:
+        """Opaque content-generation token for one request's answer.
+
+        Summary-form answers key off ``content_version`` only; full-form
+        answers also move with freshness patches (``detail_version``),
+        so a full-dump poller re-fetches when a nested report timestamp
+        moved while a summary poller keeps getting NOT-MODIFIED.
+        """
+        if self.request_is_summary(request):
+            return f"{self._serve_epoch}:s{self.datastore.content_version}"
+        return f"{self._serve_epoch}:f{self.datastore.detail_version}"
+
+    def request_is_summary(self, request: str) -> bool:
+        """Whether a request gets summary-form output."""
+        try:
+            return GmetadQuery.parse(request).summary
+        except QueryError:
+            return False
+
+    def serve_query(self, request: str) -> Tuple[str, float]:
+        """Serve one request through the path query engine.
+
+        Returns ``(xml, service_seconds_charged)``: a fixed per-query
+        charge, one hash insert per lookup, and fresh vs reused bytes
+        at their own rates.
+        """
+        try:
+            query = GmetadQuery.parse(request)
+        except QueryError:
+            query = GmetadQuery()  # garbage in, full default dump out
+        seconds = self.charge(self.costs.query_fixed, "query")
+        xml, stats = self.query_engine.execute(query, self.engine.now)
+        self.last_serve_cached_bytes = stats.bytes_from_cache
+        seconds += self.charge(
+            self.costs.hash_insert * stats.hash_lookups, "query"
+        )
+        fresh_bytes = stats.bytes_serialized - stats.bytes_from_cache
+        seconds += self.charge(self.costs.serve_byte * fresh_bytes, "serve")
+        if stats.bytes_from_cache:
+            seconds += self.charge(
+                self.costs.serve_byte_cached * stats.bytes_from_cache, "serve"
+            )
+        return xml, seconds
+
+    def serve_binary(self, request: str):
+        """Answer one request as binary frame bytes, if this server can.
+
+        Returns ``(frame_bytes, service_seconds_charged)`` or ``None``
+        to decline -- the caller then serves XML, which is always
+        correct: the requester's ``accept=`` token is an offer, not a
+        demand.  The shared answer is the ``/source`` detail frame.
+        """
+        try:
+            query = GmetadQuery.parse(request)
+        except QueryError:
+            return None
+        return self._serve_binary_detail(query)
+
+    def _serve_binary_detail(self, query: GmetadQuery):
+        """A CLUSTER_DOC frame for one cluster source, straight from columns.
+
+        The no-XML serving path: a ``bin1``-capable viewer (or readtier
+        front door) asking for ``/source`` gets the columns re-framed,
+        never serialized to text.  Requires ``columnar_serve``, a
+        single-segment full-form path and held columns; anything else
+        declines to the XML engine.
+        """
+        if not self.columnar_serve or query.summary or len(query.path) != 1:
+            return None
+        snapshot = self.datastore.source(query.path[0])
+        if snapshot is None or snapshot.columns is None:
+            return None
+        try:
+            frame = encode_cluster_document(
+                ColumnarDocument(
+                    version=self.version, source="gmetad",
+                    clusters=[snapshot.columns],
+                )
+            )
+        except FrameError:
+            return None
+        seconds = self.charge(self.costs.query_fixed, "query")
+        seconds += self.charge(self.costs.hash_insert, "query")
+        self.last_serve_cached_bytes = 0
+        seconds += self.charge(self.costs.serve_byte * len(frame), "serve")
+        self.binary_served += 1
+        return frame, seconds
+
+    def _install_arena(self, source: str, cols):
+        """Install ``cols`` into the source's fragment arena (created on
+        first use) and return it; None when ``columnar_serve`` is off."""
+        if not self.columnar_serve:
+            return None
+        arena = self._serve_arenas.get(source)
+        if arena is None:
+            arena = FragmentArena()
+            self._serve_arenas[source] = arena
+        arena.install(cols)
+        return arena
+
+
+class GmetadBase(QueryServer):
+    """Common daemon machinery; see :class:`Gmetad` / :class:`OneLevelGmetad`."""
 
     #: whether this design implements :meth:`ingest_columnar`; the
     #: ``config.columnar`` switch is a no-op on designs that don't.
@@ -111,6 +346,13 @@ class GmetadBase:
         rra_specs: Optional[List[RraSpec]] = None,
         validate_xml: bool = False,
     ) -> None:
+        resilience = config.resilience
+        super().__init__(
+            config.name,
+            resilience.serve_queue_limit
+            if resilience is not None and resilience.enabled
+            else 0,
+        )
         self.engine = engine
         self.fabric = fabric
         self.tcp = tcp
@@ -123,21 +365,17 @@ class GmetadBase:
         #: and the delta summarizers; metric names repeat across every
         #: host and every poll, so ids stabilize after the first poll and
         #: stay comparable across polls
-        self._intern_pool = None
-        if self.supports_columnar:
-            from repro.columnar import InternPool
-
-            self._intern_pool = InternPool()
+        self._intern_pool = InternPool() if self.supports_columnar else None
         #: pool binary frames decode into: the columnar pool where the
         #: design has one (ids stay stable across polls, so the delta
         #: trackers keep working), a dedicated one otherwise
         self._decode_pool = self._intern_pool
         if config.binary_wire and self._decode_pool is None:
-            from repro.columnar import InternPool
-
             self._decode_pool = InternPool()
         if not fabric.has_host(config.host):
             fabric.add_host(config.host)
+        if rra_specs is None:
+            rra_specs = compact_rra_specs()
         if config.storage_tier is not None:
             from repro.storage.tier import StorageTier
 
@@ -145,21 +383,14 @@ class GmetadBase:
                 engine,
                 config.storage_tier,
                 mode=config.archive_mode,
-                rra_specs=(
-                    rra_specs if rra_specs is not None else compact_rra_specs()
-                ),
+                rra_specs=rra_specs,
                 # storage-node work is clocked in seconds: one physical
                 # RRD update costs its CPU work units at this daemon's
                 # capacity (units/second)
                 update_cost=self.costs.rrd_update / capacity,
             )
         else:
-            store = RrdStore(
-                mode=config.archive_mode,
-                rra_specs=(
-                    rra_specs if rra_specs is not None else compact_rra_specs()
-                ),
-            )
+            store = RrdStore(mode=config.archive_mode, rra_specs=rra_specs)
         self.archiver = Archiver(
             store, self.charge, self.costs, config.heartbeat_window
         )
@@ -185,50 +416,18 @@ class GmetadBase:
             else config.poll_interval
         )
         for i, source in enumerate(config.data_sources):
-            self.pollers[source.name] = DataSourcePoller(
-                engine,
-                tcp,
-                config.host,
-                source,
-                on_data=self._on_data,
-                on_source_down=self._on_source_down,
-                request=self.poll_request(),
-                initial_delay=(i + 1) * stride,  # stagger the poll phase
-                conditional=config.incremental,
-                on_not_modified=self._on_not_modified,
-                resilience=config.resilience,
-                rng=self._breaker_rng(source.name),
-                obs=self.obs,
-                accept_binary=config.binary_wire,
-            )
+            # stagger the poll phase
+            self.pollers[source.name] = self._make_poller(source, (i + 1) * stride)
         self._server = tcp.listen(Address.gmetad(config.host), self._serve)
-        resilience = config.resilience
-        self.serve_queue: Optional[ServeQueue] = None
-        if (
-            resilience is not None
-            and resilience.enabled
-            and resilience.serve_queue_limit > 0
-        ):
-            self.serve_queue = ServeQueue(resilience.serve_queue_limit)
         self._started = False
-        #: serve-side epoch: generation tokens are scoped to this daemon
-        #: instance, so a restart (or fail-over to a twin) can never
-        #: produce a false NOT-MODIFIED match
-        self._serve_epoch = next_epoch(config.name)
         # stats
         self.polls_ingested = 0
         self.polls_not_modified = 0
-        self.not_modified_served = 0
         self.parse_errors = 0
         self.polls_salvaged = 0
         self.polls_quarantined = 0
         self.frames_ingested = 0
         self.frame_errors = 0
-        self.queries_served = 0
-        self.queries_shed = 0
-        #: frag-cache bytes of the most recent serve (set by subclasses
-        #: whose serve path memoizes; read by the serve instrumentation)
-        self.last_serve_cached_bytes = 0
         #: optional tap called as (source, xml, sim_time) before every
         #: ingest -- used by the trace recorder (repro.bench.trace)
         self.ingest_tap = None
@@ -243,6 +442,26 @@ class GmetadBase:
             return None
         return random.Random(
             derive_seed(_BREAKER_SEED, f"{self.config.name}/{source}")
+        )
+
+    def _make_poller(self, source, initial_delay: float) -> DataSourcePoller:
+        """One data source's poller, wired to this daemon's ingest path."""
+        config = self.config
+        return DataSourcePoller(
+            self.engine,
+            self.tcp,
+            config.host,
+            source,
+            on_data=self._on_data,
+            on_source_down=self._on_source_down,
+            request=self.poll_request(),
+            initial_delay=initial_delay,
+            conditional=config.incremental,
+            on_not_modified=self._on_not_modified,
+            resilience=config.resilience,
+            rng=self._breaker_rng(source.name),
+            obs=self.obs,
+            accept_binary=config.binary_wire,
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -268,7 +487,7 @@ class GmetadBase:
             self.obs.stop()
         if getattr(self.archiver.store, "is_storage_tier", False):
             self.archiver.store.stop()
-        self.tcp.close(Address.gmetad(self.config.host))
+        self.tcp.close(self.address)
         self._started = False
 
     # -- dynamic membership (used by the self-organizing tree, §4) --------
@@ -277,22 +496,7 @@ class GmetadBase:
         """Attach a new data source at runtime and start polling it."""
         if source.name in self.pollers:
             raise ValueError(f"data source {source.name!r} already attached")
-        poller = DataSourcePoller(
-            self.engine,
-            self.tcp,
-            self.config.host,
-            source,
-            on_data=self._on_data,
-            on_source_down=self._on_source_down,
-            request=self.poll_request(),
-            initial_delay=initial_delay,
-            conditional=self.config.incremental,
-            on_not_modified=self._on_not_modified,
-            resilience=self.config.resilience,
-            rng=self._breaker_rng(source.name),
-            obs=self.obs,
-            accept_binary=self.config.binary_wire,
-        )
+        poller = self._make_poller(source, initial_delay)
         self.pollers[source.name] = poller
         self.config.data_sources.append(source)
         if self._started:
@@ -308,6 +512,7 @@ class GmetadBase:
             s for s in self.config.data_sources if s.name != name
         ]
         self.datastore.remove_source(name)
+        self._serve_arenas.pop(name, None)
         self.archiver.forget(name)
 
     def source_kind(self, source: str) -> str:
@@ -325,11 +530,14 @@ class GmetadBase:
         """The archive store behind the archiver."""
         return self.archiver.store
 
-    # -- CPU accounting ---------------------------------------------------
+    @property
+    def serves_binary(self) -> bool:
+        """``accept=bin1`` answers ride the binary wire gate."""
+        return self.config.binary_wire
 
-    def charge(self, work_units: float, category: str) -> float:
-        """Charge CPU work to this daemon's account."""
-        return self.cpu.charge(work_units, category)
+    @property
+    def columnar_serve(self) -> bool:
+        return self.config.columnar_serve
 
     # -- polling path (background timescale) ----------------------------------
 
@@ -348,65 +556,69 @@ class GmetadBase:
         # The columnar fast path only handles plain gmond cluster dumps;
         # GRID-bearing responses (child gmetads) take the tree parser.
         # The "<GRID" sniff is a cheap pre-filter -- anything it lets
-        # through that the columnar builder still can't shape raises
-        # ColumnarFallback and re-parses below, costing wall time only
-        # (CPU charges land once, after whichever parse succeeded).
+        # through that the columnar builder still can't shape falls back
+        # to the tree parser (see parse_cluster_xml).
         cdoc = None
-        doc = None
-        if (
-            self.config.columnar
-            and self.supports_columnar
-            and self.source_kind(source) == "cluster"
-            and "<GRID" not in xml
-        ):
-            try:
-                cdoc = parse_columnar(
-                    xml, pool=self._intern_pool, validate=self.validate_xml
+        try:
+            if (
+                self.config.columnar
+                and self.supports_columnar
+                and self.source_kind(source) == "cluster"
+                and "<GRID" not in xml
+            ):
+                cdoc, doc = parse_cluster_xml(
+                    xml, self._intern_pool, self.validate_xml
                 )
-            except ColumnarFallback:
-                cdoc = None
-            except ParseError as exc:
-                self._on_parse_error(source, xml, exc, now, busy0)
-                return
-        if cdoc is None:
-            try:
+            else:
                 doc = parse_document(xml, validate=self.validate_xml)
-            except ParseError as exc:
-                self._on_parse_error(source, xml, exc, now, busy0)
-                return
-        if cdoc is not None and cdoc.fast_lane_misses and obs is not None:
-            # a writer attribute-order drift silently degrades the regex
-            # fast lane to the generic path; surface it (satellite of
-            # the binary codec, which shares the canonical-order bet)
-            obs.registry.counter("parse_fast_lane_misses").inc(
-                cdoc.fast_lane_misses
-            )
-        element_count = (
-            cdoc.element_count if cdoc is not None else document_element_count(doc)
+        except ParseError as exc:
+            self._on_parse_error(source, xml, exc, now, busy0)
+            return
+        if cdoc is None:
+            element_count = document_element_count(doc)
+        else:
+            doc, element_count = cdoc, cdoc.element_count
+            if cdoc.fast_lane_misses and obs is not None:
+                # a writer attribute-order drift silently degrades the
+                # regex fast lane to the generic path; surface it (the
+                # binary codec shares the canonical-order bet)
+                obs.registry.counter("parse_fast_lane_misses").inc(
+                    cdoc.fast_lane_misses
+                )
+        self._ingest_parsed(
+            source, doc, cdoc is not None, element_count, len(xml), now, busy0
         )
+
+    def _ingest_parsed(
+        self, source: str, document, columnar: bool, element_count: int,
+        nbytes: int, now: float, busy0: float, codec: str = "xml",
+    ) -> None:
+        """Charge the inserts, run the design's ingest, publish.
+
+        ``document`` goes to :meth:`ingest_columnar` when ``columnar``,
+        else to :meth:`ingest`.  With observability on, the stage
+        timings come from the by-category charge deltas, so the spans
+        show exactly what the CPU account was billed.
+        """
         self.charge(self.costs.hash_insert * element_count, "parse")
         self.polls_ingested += 1
-        if obs is None:
-            if cdoc is not None:
-                self.ingest_columnar(source, cdoc, now)
-            else:
-                self.ingest(source, doc, now)
-        else:
+        obs = self.obs
+        if obs is not None:
             parse_seconds = self.cpu.total_busy_seconds - busy0
             by_category = self.cpu.window.by_category
             summarize0 = by_category["summarize"]
             archive0 = by_category["archive"]
-            if cdoc is not None:
-                self.ingest_columnar(source, cdoc, now)
-            else:
-                self.ingest(source, doc, now)
-            # stage timings come from the by-category charge deltas, so
-            # the spans show exactly what the CPU account was billed
+        if columnar:
+            self.ingest_columnar(source, document, now)
+        else:
+            self.ingest(source, document, now)
+        if obs is not None:
             obs.record_ingest(
-                source, len(xml), now, parse_seconds,
+                source, nbytes, now, parse_seconds,
                 max(0.0, by_category["summarize"] - summarize0),
                 max(0.0, by_category["archive"] - archive0),
-                path="columnar" if cdoc is not None else "tree",
+                path="columnar" if columnar else "tree",
+                codec=codec,
             )
         self._publish(source, now)
 
@@ -441,31 +653,11 @@ class GmetadBase:
                 document = materialize_document(document)
         else:
             element_count = document_element_count(document)
-        self.charge(self.costs.hash_insert * element_count, "parse")
-        self.polls_ingested += 1
         self.frames_ingested += 1
-        if obs is None:
-            if columnar:
-                self.ingest_columnar(source, document, now)
-            else:
-                self.ingest(source, document, now)
-        else:
-            parse_seconds = self.cpu.total_busy_seconds - busy0
-            by_category = self.cpu.window.by_category
-            summarize0 = by_category["summarize"]
-            archive0 = by_category["archive"]
-            if columnar:
-                self.ingest_columnar(source, document, now)
-            else:
-                self.ingest(source, document, now)
-            obs.record_ingest(
-                source, len(frame.data), now, parse_seconds,
-                max(0.0, by_category["summarize"] - summarize0),
-                max(0.0, by_category["archive"] - archive0),
-                path="columnar" if columnar else "tree",
-                codec="binary",
-            )
-        self._publish(source, now)
+        self._ingest_parsed(
+            source, document, columnar, element_count, len(frame.data), now,
+            busy0, codec="binary",
+        )
 
     def _on_frame_error(
         self,
@@ -492,16 +684,10 @@ class GmetadBase:
                 self.cpu.total_busy_seconds - busy0, 0.0, 0.0,
                 outcome="frame_error", codec="binary",
             )
-        self.datastore.mark_corrupt(
-            source, now, f"bad binary frame: {exc}",
-            kind=self.source_kind(source),
-        )
-        self.polls_quarantined += 1
         poller = self.pollers.get(source)
         if poller is not None:
             poller.note_frame_error()
-            poller.note_bad_payload(salvaged=False)
-        self._publish(source, now)
+        self._quarantine(source, now, f"bad binary frame: {exc}")
 
     def _on_parse_error(
         self, source: str, xml: str, exc: ParseError, now: float, busy0: float
@@ -557,7 +743,6 @@ class GmetadBase:
         resilience = self.config.resilience
         if resilience is None or not resilience.enabled or not resilience.salvage:
             return False
-        poller = self.pollers.get(source)
         if self.source_kind(source) == "cluster":
             result = salvage_document(xml, cluster_hint=source)
             if result.document is not None:
@@ -578,19 +763,25 @@ class GmetadBase:
                         f"salvaged {result.hosts_salvaged} hosts "
                         f"({result.hosts_dropped} dropped): {exc}"
                     )
+                poller = self.pollers.get(source)
                 if poller is not None:
                     poller.note_bad_payload(salvaged=True)
                 self._publish(source, now)
                 return True
         # nothing recoverable: degrade to the last-good snapshot
+        self._quarantine(source, now, f"corrupt payload: {exc}")
+        return True
+
+    def _quarantine(self, source: str, now: float, error: str) -> None:
+        """Keep serving the last-good snapshot of a garbled source."""
         self.datastore.mark_corrupt(
-            source, now, f"corrupt payload: {exc}", kind=self.source_kind(source)
+            source, now, error, kind=self.source_kind(source)
         )
         self.polls_quarantined += 1
+        poller = self.pollers.get(source)
         if poller is not None:
             poller.note_bad_payload(salvaged=False)
         self._publish(source, now)
-        return True
 
     def _carry_forward(self, source: str, doc: GangliaDocument) -> int:
         """Copy last-good hosts the salvage lost into the new document.
@@ -631,111 +822,6 @@ class GmetadBase:
         for hook in self.publish_hooks:
             hook(source, now)
 
-    # -- serving path (query timescale) -----------------------------------
-
-    def _serve(self, client: str, request: object) -> Response:
-        response = self._serve_response(client, request)
-        if self.serve_queue is not None:
-            now = self.engine.now
-            # oldest-first shedding: completed serves purge for free;
-            # anyone still waiting past the bound gets an explicit
-            # OVERLOADED reply (their response payload is rewritten in
-            # place before delivery) so clients see "busy", not "dead"
-            for victim in self.serve_queue.make_room(now):
-                victim.payload = Overloaded()
-                self.queries_shed += 1
-                if self.obs is not None:
-                    self.obs.record_shed()
-            self.serve_queue.push(now + response.service_seconds, response)
-        return response
-
-    def _serve_response(self, client: str, request: object) -> Response:
-        self.queries_served += 1
-        obs = self.obs
-        seconds = self.charge(self.costs.tcp_connect, "network")
-        base, presented = split_generation(str(request))
-        base, accept = split_accept(base)
-        wants_binary = accept == CODEC_BINARY and self.config.binary_wire
-        if presented is None:
-            # unconditional request: plain payload, exactly as before
-            if wants_binary:
-                binary = self.serve_binary(base)
-                if binary is not None:
-                    frame, serve_seconds = binary
-                    if obs is not None:
-                        obs.record_serve(
-                            base, seconds + serve_seconds, len(frame),
-                            cached_bytes=self.last_serve_cached_bytes,
-                            codec="binary",
-                        )
-                    return Response(
-                        BinaryFrame(frame),
-                        service_seconds=seconds + serve_seconds,
-                    )
-            self.last_serve_cached_bytes = 0
-            xml, serve_seconds = self.serve_query(base)
-            if obs is not None:
-                obs.record_serve(
-                    base, seconds + serve_seconds, len(xml),
-                    cached_bytes=self.last_serve_cached_bytes,
-                )
-            return Response(xml, service_seconds=seconds + serve_seconds)
-        current = self.serve_generation(base)
-        if presented == current:
-            # HTTP-304 analogue; localtime rides along so the poller can
-            # refresh the report timestamp without a transfer (the same
-            # way a 304 updates the Date header)
-            self.not_modified_served += 1
-            if obs is not None:
-                obs.record_serve(base, seconds, 0, outcome="not_modified")
-            return Response(
-                NotModified(
-                    generation=current,
-                    localtime=float(f"{self.engine.now:.0f}"),
-                ),
-                service_seconds=seconds,
-            )
-        if wants_binary:
-            binary = self.serve_binary(base)
-            if binary is not None:
-                frame, serve_seconds = binary
-                if obs is not None:
-                    obs.record_serve(
-                        base, seconds + serve_seconds, len(frame),
-                        cached_bytes=self.last_serve_cached_bytes,
-                        codec="binary",
-                    )
-                return Response(
-                    BinaryFrame(frame, generation=current),
-                    service_seconds=seconds + serve_seconds,
-                )
-        self.last_serve_cached_bytes = 0
-        xml, serve_seconds = self.serve_query(base)
-        if obs is not None:
-            obs.record_serve(
-                base, seconds + serve_seconds, len(xml),
-                cached_bytes=self.last_serve_cached_bytes,
-            )
-        return Response(
-            TaggedXml(xml, current), service_seconds=seconds + serve_seconds
-        )
-
-    def serve_generation(self, request: str) -> str:
-        """Opaque content-generation token for one request's answer.
-
-        Summary-form answers key off ``content_version`` only; full-form
-        answers also move with freshness patches (``detail_version``),
-        so a full-dump poller re-fetches when a nested report timestamp
-        moved while a summary poller keeps getting NOT-MODIFIED.
-        """
-        if self.request_is_summary(request):
-            return f"{self._serve_epoch}:s{self.datastore.content_version}"
-        return f"{self._serve_epoch}:f{self.datastore.detail_version}"
-
-    def request_is_summary(self, request: str) -> bool:
-        """Whether a request gets summary-form output (design-specific)."""
-        return False
-
     # -- subclass interface ---------------------------------------------------
 
     def poll_request(self) -> str:
@@ -750,17 +836,3 @@ class GmetadBase:
         """Fold one columnar-parsed poll in; only designs with
         ``supports_columnar = True`` implement this."""
         raise NotImplementedError
-
-    def serve_query(self, request: str) -> tuple[str, float]:
-        """Returns (xml, service_seconds_charged)."""
-        raise NotImplementedError
-
-    def serve_binary(self, request: str):
-        """Answer one request as binary frame bytes, if this design can.
-
-        Returns ``(frame_bytes, service_seconds_charged)`` or ``None``
-        to decline -- the caller then serves XML, which is always
-        correct: the requester's ``accept=`` token is an offer, not a
-        demand.  The base implementation declines everything.
-        """
-        return None

@@ -137,6 +137,10 @@ class QueryEngine:
         #: the DOM; replies stay byte-identical, reused fragment bytes
         #: are reported via ``QueryStats.bytes_from_cache``
         self.columnar_serve = columnar_serve
+        #: the last whole-tree summary reply, ``((LOCALTIME, content
+        #: version), xml, spliced fragment bytes)``; a repeat of it would
+        #: only re-join cached fragments, so it is handed back whole
+        self._summary_reply: tuple = ((), "", 0)
 
     # -- public API ---------------------------------------------------------
 
@@ -203,25 +207,36 @@ class QueryEngine:
     # -- serialization --------------------------------------------------------
 
     def _execute(self, query: GmetadQuery, now: float, stats: QueryStats) -> str:
+        key = None
+        if self.memoize and query.summary and not query.path:
+            key = (f"{now:.0f}", self.datastore.content_version)
+            if self._summary_reply[0] == key:
+                # the stats an all-cached re-join would report
+                stats.bytes_from_cache += self._summary_reply[2]
+                return self._summary_reply[1]
         writer = XmlWriter()
         writer.raw('<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n')
         writer.open_tag(
             "GANGLIA_XML", [("VERSION", self.version), ("SOURCE", "gmetad")]
         )
         if not query.path:
-            self._write_tree(writer, query.summary, now, stats)
+            spliced = self._write_tree(writer, query.summary, now, stats)
         else:
             self._write_path(writer, query, stats)
         writer.close_tag("GANGLIA_XML")
-        return writer.result()
+        xml = writer.result()
+        if key is not None:
+            self._summary_reply = (key, xml, spliced)
+        return xml
 
     def _write_tree(
         self, writer: XmlWriter, summary: bool, now: float, stats: QueryStats
-    ) -> None:
+    ) -> int:
         """The whole local grid: every source, full or summary form.
 
         Only the outer GRID envelope (whose LOCALTIME moves every serve)
         is always rebuilt; per-source bodies are memoized when enabled.
+        Returns the bytes of the per-source bodies.
         """
         writer.open_tag(
             "GRID",
@@ -232,6 +247,7 @@ class QueryEngine:
             ],
         )
         form = "summary" if summary else "full"
+        spliced = 0
         for name in self.datastore.source_names():
             snapshot = self.datastore.sources[name]
             if self.memoize:
@@ -242,8 +258,10 @@ class QueryEngine:
                     stats.bytes_from_cache += len(fragment)
             else:
                 fragment = self._source_fragment(snapshot, summary, stats)
+            spliced += len(fragment)
             writer.raw(fragment)
         writer.close_tag("GRID")
+        return spliced
 
     def _source_fragment(self, snapshot, summary: bool, stats=None) -> str:
         """Serialize one source's element(s) exactly as the tree dump does."""

@@ -4,49 +4,49 @@ A replica owns its own simulated host, CPU account, datastore and query
 engine; it subscribes to the ingest gmetad's pub-sub broker on the
 hidden ``/__repl__`` path and mirrors the replication feed
 (:mod:`repro.readtier.feed`).  Viewer queries land on the replica's own
-``Address.gmetad`` endpoint and are served through exactly the code the
-ingest daemon uses -- same query engine, same CPU charge pattern, same
+``Address.gmetad`` endpoint and are served by
+:class:`~repro.core.gmetad_base.QueryServer`, the ingest daemon's own
+serve path -- same query engine, same CPU charge pattern, same
 conditional-poll handshake -- so a replica is a drop-in target for any
 existing viewer.
 
 Generation barrier
     Each applied feed message is one atomic diff of the broker's
     published state, so the mirror is always internally consistent.
-    The replica still *stages* every changed source -- parses both
+    The replica still checks the ingest version triple from
+    ``__repl__/@gen`` and *stages* every changed source -- parses both
     fragments, rebuilds the snapshot -- before touching its datastore;
     only when the whole batch stages cleanly are the snapshots
-    installed (and the ingest version triple from ``__repl__/@gen``
-    adopted).  Any inconsistency aborts the batch and falls back to the
-    pub-sub full-sync recovery path, so a query can never observe a
-    half-applied generation.
+    installed and the triple adopted.  Any inconsistency aborts the
+    batch and falls back to the pub-sub full-sync recovery path, so a
+    query can never observe a half-applied generation.
 
 Byte identity
     Shipped fragments are primed into each installed snapshot's
     ``frag_cache`` under the install's serialization stamps, so
-    whole-tree dumps splice the ingest daemon's exact strings.  Path
-    queries re-serialize from the re-parsed elements; the writer/parser
-    round trip is stable (numeric attributes render through the same
-    ``_fmt_num``, metric values stay verbatim strings), which the
-    equivalence suite pins.
+    whole-tree dumps splice the ingest daemon's exact strings.  A
+    cluster's detail fragment parses straight into columns, as a
+    columnar ingest poll does, and installs as a hostless shell plus
+    columns plus fragment arena; path queries answer off those exactly
+    as on the ingest daemon, which the equivalence suites pin.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional, Tuple
 
+from repro.columnar import InternPool
 from repro.core.datastore import Datastore, SourceSnapshot
-from repro.core.gmetad_base import document_element_count
-from repro.core.query import (
-    GmetadQuery,
-    QueryEngine,
-    QueryError,
-    ServeQueue,
+from repro.core.gmetad_base import (
+    QueryServer,
+    document_element_count,
+    parse_cluster_xml,
 )
-from repro.core.resilience import Overloaded
+from repro.core.query import QueryEngine
 from repro.net.address import Address
 from repro.net.fabric import Fabric
-from repro.net.tcp import Response, TcpNetwork
+from repro.net.tcp import TcpNetwork
 from repro.pubsub import messages
 from repro.pubsub.client import PUSH_NOTIFY_PORT, PushClient
 from repro.readtier.config import ReadTierConfig
@@ -59,13 +59,6 @@ from repro.readtier.feed import (
 )
 from repro.sim.engine import Engine
 from repro.sim.resources import DEFAULT_CAPACITY, CostModel, CpuAccount
-from repro.wire.binfmt import CODEC_BINARY, BinaryFrame, split_accept
-from repro.wire.conditional import (
-    NotModified,
-    TaggedXml,
-    next_epoch,
-    split_generation,
-)
 from repro.wire.model import SummaryInfo
 from repro.wire.parser import ParseError, parse_document
 
@@ -76,7 +69,16 @@ class FeedError(RuntimeError):
     """The replication feed delivered an inconsistent or unparseable batch."""
 
 
-class ReadReplica:
+def _source_of(key: str) -> Optional[str]:
+    """The source a ``__repl__`` key belongs to; None for ``@gen`` and
+    keys outside the feed."""
+    parts = key.split("/")
+    if parts[0] != REPL_PREFIX or len(parts) < 2 or parts[1].startswith("@"):
+        return None
+    return parts[1]
+
+
+class ReadReplica(QueryServer):
     """One serving replica of an ingest gmetad."""
 
     def __init__(
@@ -92,15 +94,19 @@ class ReadReplica:
         capacity: float = DEFAULT_CAPACITY,
         notify_port: int = PUSH_NOTIFY_PORT,
     ) -> None:
-        self.engine = engine
-        self.tcp = tcp
-        self.ingest = ingest
         self.config = (
             config
             or getattr(ingest.config, "read_tier", None)
             or ReadTierConfig()
         )
         self.name = name or f"{ingest.config.name}-replica"
+        # the serve epoch is replica-private: a viewer failing over
+        # between replicas (or back to the ingest daemon) never gets a
+        # false 304
+        super().__init__(self.name, self.config.serve_queue_limit)
+        self.engine = engine
+        self.tcp = tcp
+        self.ingest = ingest
         self.host = host or f"{ingest.config.host}-replica"
         if not fabric.has_host(self.host):
             fabric.add_host(self.host)
@@ -108,9 +114,7 @@ class ReadReplica:
         self.cpu = CpuAccount(self.name, capacity)
         self.datastore = Datastore()
         self.version = getattr(ingest, "version", "2.5.4")
-        self.columnar_serve = bool(
-            getattr(self.config, "columnar_serve", False)
-        )
+        self.columnar_serve = self.config.columnar_serve
         self.query_engine = QueryEngine(
             self.datastore,
             grid_name=ingest.config.gridname,
@@ -119,19 +123,9 @@ class ReadReplica:
             memoize=True,
             columnar_serve=self.columnar_serve,
         )
-        #: per-source fragment arenas + shared intern pool
-        #: (config.columnar_serve); daemon-owned so fragments survive
-        #: snapshot replacement, exactly as on the ingest gmetad
-        self._serve_arenas: Dict[str, object] = {}
-        self._intern_pool = None
-        self.serve_queue: Optional[ServeQueue] = (
-            ServeQueue(self.config.serve_queue_limit)
-            if self.config.serve_queue_limit > 0
-            else None
-        )
-        #: replica-private epoch: a viewer failing over between replicas
-        #: (or back to the ingest daemon) can never get a false 304
-        self._serve_epoch = next_epoch(self.name)
+        #: the pool shipped cluster fragments parse into; ids stay
+        #: stable across installs, so arena diffs see the same layout
+        self._intern_pool = InternPool()
         self.address = Address.gmetad(self.host)
         self.client = PushClient(
             engine,
@@ -152,10 +146,6 @@ class ReadReplica:
         self.installs = 0
         self.removals = 0
         self.barrier_aborts = 0
-        self.queries_served = 0
-        self.queries_shed = 0
-        self.not_modified_served = 0
-        self.binary_served = 0
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -180,10 +170,6 @@ class ReadReplica:
         """Whether the replica has installed a consistent generation."""
         return self.client.stream.synced and self.ingest_versions is not None
 
-    def charge(self, work_units: float, category: str) -> float:
-        """Charge CPU work to this replica's own account."""
-        return self.cpu.charge(work_units, category)
-
     # -- feed ingestion ----------------------------------------------------
 
     def _on_feed(self, message: dict, outcome: str) -> None:
@@ -191,44 +177,31 @@ class ReadReplica:
         if outcome == "synced":
             self._rebuild(None)
         elif outcome == "applied":
-            changed: Set[str] = set()
-            for op in messages.ops_of(message):
-                parts = op.path.split("/")
-                if (
-                    parts[0] != REPL_PREFIX
-                    or len(parts) < 2
-                    or parts[1].startswith("@")
-                ):
-                    continue
-                changed.add(parts[1])
-            self._rebuild(changed)
-
-    def _feed_sources(self, mirror: Dict[str, str]) -> Set[str]:
-        """Source names present in the mirrored feed (meta keys)."""
-        names: Set[str] = set()
-        for key in mirror:
-            parts = key.split("/")
-            if (
-                parts[0] == REPL_PREFIX
-                and len(parts) == 2
-                and not parts[1].startswith("@")
-            ):
-                names.add(parts[1])
-        return names
+            changed = {_source_of(op.path) for op in messages.ops_of(message)}
+            self._rebuild(changed - {None})
 
     def _rebuild(self, changed: Optional[Iterable[str]]) -> None:
         """Stage every changed source, then install atomically.
 
         ``changed`` is None after a full sync (reconcile everything).
-        Any staging failure aborts the whole batch -- nothing installs
-        -- and requests a full sync, the pub-sub gap-recovery path.
+        Any staging failure -- a garbled version triple included --
+        aborts the whole batch before anything installs, and requests a
+        full sync, the pub-sub gap-recovery path.
         """
         mirror = self.client.state
         gen = mirror.get(GEN_KEY)
         if gen is None:
             return  # broker has no feed (read_tier off upstream)
+        try:
+            versions = tuple(int(part) for part in gen.split(":"))
+        except ValueError:
+            versions = ()
+        if len(versions) != 3:
+            self._abort_barrier()
+            return
         if changed is None:
-            names = self._feed_sources(mirror) | set(self.datastore.sources)
+            fed = {_source_of(key) for key in mirror} - {None}
+            names = fed | set(self.datastore.sources)
         else:
             names = set(changed)
         staged = {}
@@ -261,104 +234,83 @@ class ReadReplica:
             # splice the ingest daemon's exact bytes
             snapshot.frag_cache["full"] = (snapshot.detail_stamp, detail)
             snapshot.frag_cache["summary"] = (snapshot.summary_stamp, summary)
-            if self.columnar_serve and snapshot.kind == "cluster":
-                self._install_columns(snapshot)
+            if snapshot.columns is not None:
+                # the arena is shared across installs, so it only moves
+                # once the barrier holds
+                snapshot.arena = self._install_arena(source, snapshot.columns)
             self.installs += 1
         for source in removals:
             if self.datastore.remove_source(source):
                 self._serve_arenas.pop(source, None)
                 self.removals += 1
-        try:
-            triple = tuple(int(part) for part in gen.split(":"))
-        except ValueError:
-            self._abort_barrier()
-            return
-        if len(triple) == 3:
-            self.ingest_versions = triple  # type: ignore[assignment]
+        self.ingest_versions = versions  # type: ignore[assignment]
 
     def _abort_barrier(self) -> None:
         self.barrier_aborts += 1
         self.client.request_sync()
 
-    def _install_columns(self, snapshot: SourceSnapshot) -> None:
-        """Rebuild SoA columns + fragment arena for one installed source.
-
-        The feed ships text, so the replica re-derives the columnar
-        layout from the parsed cluster (the same conversion the ingest
-        daemon applies to tree-parsed salvage polls).  Unchanged hosts
-        keep their pre-rendered fragments across installs -- the arena's
-        delta diff sees the same layout and re-renders only movers.
-        """
-        cluster = snapshot.cluster
-        if cluster is None or cluster.is_summary or not cluster.hosts:
-            return
-        from repro.columnar import InternPool, columns_from_cluster
-        from repro.serve import FragmentArena
-
-        if self._intern_pool is None:
-            self._intern_pool = InternPool()
-        cols = columns_from_cluster(cluster, self._intern_pool)
-        arena = self._serve_arenas.get(snapshot.name)
-        if arena is None:
-            arena = FragmentArena()
-            self._serve_arenas[snapshot.name] = arena
-        arena.install(cols)
-        snapshot.columns = cols
-        snapshot.arena = arena
-
     def _build_snapshot(
         self, source: str, meta_raw: str, detail: str, summary: str
     ) -> Tuple[SourceSnapshot, bool, str, str]:
-        """Parse one source's feed records back into a snapshot."""
+        """Parse one source's feed records back into a snapshot.
+
+        A cluster's detail fragment goes through the ingest daemon's
+        columnar parse into this replica's intern pool and stages as a
+        hostless shell plus columns; shapes the columnar builder
+        declines (summary-form clusters) keep the tree parser's element.
+        """
         meta = json.loads(meta_raw)
         kind = meta.get("k", "cluster")
         self.charge(
             self.costs.parse_byte * (len(detail) + len(summary)), "parse"
         )
-        detail_doc = parse_document(self._wrap(detail))
-        summary_doc = parse_document(self._wrap(summary))
-        self.charge(
-            self.costs.hash_insert * document_element_count(detail_doc),
-            "parse",
-        )
+        cdoc = None
         if kind == "cluster":
-            if not detail_doc.clusters or not summary_doc.clusters:
+            cdoc, detail_doc = parse_cluster_xml(
+                self._wrap(detail), self._intern_pool
+            )
+        else:
+            detail_doc = parse_document(self._wrap(detail))
+        summary_doc = parse_document(self._wrap(summary))
+        if cdoc is not None:
+            inserts = cdoc.element_count
+        else:
+            inserts = document_element_count(detail_doc)
+        self.charge(self.costs.hash_insert * inserts, "parse")
+        cluster = columns = grid = None
+        if kind == "cluster":
+            if cdoc is not None and cdoc.clusters:
+                columns = cdoc.clusters[0]
+                cluster = columns.shell_cluster()
+                if not columns.host_count:
+                    # a hostless cluster's shell is its whole tree;
+                    # held columns would only make full reads count a
+                    # materialization
+                    columns = None
+            elif detail_doc is not None and detail_doc.clusters:
+                cluster = next(iter(detail_doc.clusters.values()))
+            if cluster is None or not summary_doc.clusters:
                 raise FeedError(f"feed for {source!r} lost its cluster")
-            cluster = next(iter(detail_doc.clusters.values()))
-            summary_cluster = next(iter(summary_doc.clusters.values()))
-            info = (
-                summary_cluster.summary
-                if summary_cluster.summary is not None
-                else SummaryInfo()
-            )
-            if meta.get("cs"):
-                # restore the ingest-side aliasing the full-form
-                # serialization dropped (see repro.readtier.feed)
-                cluster.summary = info
-            snapshot = SourceSnapshot(
-                name=source,
-                kind="cluster",
-                summary=info,
-                cluster=cluster,
-                authority=meta.get("a", ""),
-            )
+            element = next(iter(summary_doc.clusters.values()))
         else:
             if not detail_doc.grids or not summary_doc.grids:
                 raise FeedError(f"feed for {source!r} lost its grid")
             grid = next(iter(detail_doc.grids.values()))
-            summary_grid = next(iter(summary_doc.grids.values()))
-            info = (
-                summary_grid.summary
-                if summary_grid.summary is not None
-                else SummaryInfo()
-            )
-            snapshot = SourceSnapshot(
-                name=source,
-                kind="grid",
-                summary=info,
-                grid=grid,
-                authority=meta.get("a", ""),
-            )
+            element = next(iter(summary_doc.grids.values()))
+        info = element.summary if element.summary is not None else SummaryInfo()
+        if cluster is not None and meta.get("cs"):
+            # restore the ingest-side aliasing the full-form
+            # serialization dropped (see repro.readtier.feed)
+            cluster.summary = info
+        snapshot = SourceSnapshot(
+            name=source,
+            kind="cluster" if cluster is not None else "grid",
+            summary=info,
+            cluster=cluster,
+            grid=grid,
+            columns=columns,
+            authority=meta.get("a", ""),
+        )
         return snapshot, bool(meta.get("u", 1)), detail, summary
 
     def _wrap(self, fragment: str) -> str:
@@ -368,109 +320,9 @@ class ReadReplica:
             f"{fragment}</GANGLIA_XML>\n"
         )
 
-    # -- serving path (mirrors GmetadBase / Gmetad) ------------------------
+    # -- serving (the shared QueryServer path) ----------------------------
 
-    def serve_query(self, request: str) -> Tuple[str, float]:
-        """Serve one request; same engine and charges as the ingest daemon."""
-        try:
-            query = GmetadQuery.parse(request)
-        except QueryError:
-            query = GmetadQuery()  # garbage in, full default dump out
-        seconds = self.charge(self.costs.query_fixed, "query")
-        xml, stats = self.query_engine.execute(query, self.engine.now)
-        seconds += self.charge(
-            self.costs.hash_insert * stats.hash_lookups, "query"
-        )
-        fresh_bytes = stats.bytes_serialized - stats.bytes_from_cache
-        seconds += self.charge(self.costs.serve_byte * fresh_bytes, "serve")
-        if stats.bytes_from_cache:
-            seconds += self.charge(
-                self.costs.serve_byte_cached * stats.bytes_from_cache, "serve"
-            )
-        return xml, seconds
-
-    def serve_generation(self, request: str) -> str:
-        """Conditional-poll token; scoped to this replica's epoch."""
-        try:
-            is_summary = GmetadQuery.parse(request).summary
-        except QueryError:
-            is_summary = False
-        if is_summary:
-            return f"{self._serve_epoch}:s{self.datastore.content_version}"
-        return f"{self._serve_epoch}:f{self.datastore.detail_version}"
-
-    def _serve(self, client: str, request: object) -> Response:
-        response = self._serve_response(client, request)
-        if self.serve_queue is not None:
-            now = self.engine.now
-            for victim in self.serve_queue.make_room(now):
-                victim.payload = Overloaded()
-                self.queries_shed += 1
-            self.serve_queue.push(now + response.service_seconds, response)
-        return response
-
-    def _serve_response(self, client: str, request: object) -> Response:
-        self.queries_served += 1
-        seconds = self.charge(self.costs.tcp_connect, "network")
-        base, presented = split_generation(str(request))
-        base, accept = split_accept(base)
-        wants_binary = accept == CODEC_BINARY and self.columnar_serve
-        if presented is None:
-            if wants_binary:
-                binary = self.serve_binary(base)
-                if binary is not None:
-                    frame, serve_seconds = binary
-                    return Response(
-                        BinaryFrame(frame),
-                        service_seconds=seconds + serve_seconds,
-                    )
-            xml, serve_seconds = self.serve_query(base)
-            return Response(xml, service_seconds=seconds + serve_seconds)
-        current = self.serve_generation(base)
-        if presented == current:
-            self.not_modified_served += 1
-            return Response(
-                NotModified(
-                    generation=current,
-                    localtime=float(f"{self.engine.now:.0f}"),
-                ),
-                service_seconds=seconds,
-            )
-        if wants_binary:
-            binary = self.serve_binary(base)
-            if binary is not None:
-                frame, serve_seconds = binary
-                return Response(
-                    BinaryFrame(frame, generation=current),
-                    service_seconds=seconds + serve_seconds,
-                )
-        xml, serve_seconds = self.serve_query(base)
-        return Response(
-            TaggedXml(xml, current), service_seconds=seconds + serve_seconds
-        )
-
-    def serve_binary(self, request: str):
-        """A GBF1 frame for a ``/source`` detail query, or None.
-
-        Mirrors :meth:`repro.core.gmetad.Gmetad._serve_binary_detail`:
-        only unconditional single-segment cluster path queries with held
-        columns go binary; everything else falls back to the XML engine.
-        """
-        try:
-            query = GmetadQuery.parse(request)
-        except QueryError:
-            return None
-        if query.summary or len(query.path) != 1:
-            return None
-        from repro.serve import columnar_detail_frame
-
-        frame = columnar_detail_frame(
-            self.datastore.source(query.path[0]), self.version
-        )
-        if frame is None:
-            return None
-        seconds = self.charge(self.costs.query_fixed, "query")
-        seconds += self.charge(self.costs.hash_insert, "query")
-        seconds += self.charge(self.costs.serve_byte * len(frame), "serve")
-        self.binary_served += 1
-        return frame, seconds
+    # bound on this class (not only inherited) so per-class span tables
+    # such as benchmarks/e2e/spans.py can wrap it; an alias rather
+    # than a super() wrapper, so a query pays for no extra call
+    serve_query = QueryServer.serve_query

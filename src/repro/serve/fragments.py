@@ -1,17 +1,7 @@
-"""Shared per-source fragment logic for the serving paths.
-
-Two pieces of serve-side logic had drifted into near-duplicate copies:
-
-- the *hostless-shell synthesis* for a cluster snapshot installed
-  without an attached rollup (``QueryEngine._source_fragment`` and
-  ``Gmetad.serve_binary`` each built their own shell element);
-- the *stamp/frag-cache splice* deciding whether a source's serialized
-  fragment can be reused (``QueryEngine._write_tree`` and
-  ``ReplicationFeed._fragment`` each compared stamps and probed
-  ``frag_cache`` themselves).
-
-Both live here now; the callers keep their own CPU-charging and stats
-accounting, which is the part that legitimately differs per caller.
+"""Per-source fragment helpers shared by the query engine, the binary
+summary answer and the replication feed: the element a cluster's
+summary form serializes from, and the stamp-keyed ``frag_cache`` splice.
+Callers keep their own CPU charging and stats accounting.
 """
 
 from __future__ import annotations
@@ -62,29 +52,3 @@ def memoized_source_fragment(
     snapshot.frag_cache[form] = (stamp, fragment)
     return fragment, False
 
-
-def columnar_detail_frame(snapshot, version: str) -> Optional[bytes]:
-    """A GBF1 CLUSTER_DOC frame for one cluster source's held columns.
-
-    The no-XML serving path shared by the ingest daemon and the read
-    replicas: a ``bin1``-capable viewer asking for ``/source`` gets the
-    columns re-framed, never serialized to text.  Returns None (caller
-    falls back to the XML engine) for sources without columns or when
-    the encoder declines.
-    """
-    if (
-        snapshot is None
-        or snapshot.kind != "cluster"
-        or snapshot.columns is None
-    ):
-        return None
-    from repro.columnar.layout import ColumnarDocument
-    from repro.wire.binfmt import FrameError, encode_cluster_document
-
-    cdoc = ColumnarDocument(
-        version=version, source="gmetad", clusters=[snapshot.columns]
-    )
-    try:
-        return encode_cluster_document(cdoc)
-    except FrameError:
-        return None

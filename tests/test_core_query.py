@@ -148,6 +148,53 @@ class TestWholeTreeQueries:
         assert attic.authority == "http://gmeta-attic:8651/"
 
 
+class TestSummaryReplyReuse:
+    """A repeated whole-tree summary dump hands back the joined reply."""
+
+    QUERY = GmetadQuery.parse(SUMMARY_POLL_QUERY)
+
+    @staticmethod
+    def memo_engine(store):
+        return QueryEngine(
+            store, grid_name="SDSC", authority="http://gmeta-sdsc:8651/",
+            memoize=True,
+        )
+
+    def test_repeat_is_the_same_reply_with_all_cached_stats(self, store):
+        engine = self.memo_engine(store)
+        first, first_stats = engine.execute(self.QUERY, 120.0)
+        second, second_stats = engine.execute(self.QUERY, 120.4)
+        # what the reuse stands in for: a re-join of the fragments the
+        # first dump cached on the snapshots
+        rejoined, rejoined_stats = self.memo_engine(store).execute(
+            self.QUERY, 120.4
+        )
+        assert first_stats.bytes_from_cache == 0
+        assert second is first
+        assert rejoined == first
+        assert second_stats == rejoined_stats
+        assert second_stats.bytes_from_cache > 0
+
+    def test_new_second_or_new_content_rebuilds(self, store):
+        engine = self.memo_engine(store)
+        first, _ = engine.execute(self.QUERY, 120.0)
+        later, _ = engine.execute(self.QUERY, 121.0)
+        assert 'LOCALTIME="121"' in later and 'LOCALTIME="120"' in first
+        summary = SummaryInfo(hosts_up=2)
+        cluster = ClusterElement(name="meteor", localtime=121.0)
+        cluster.summary = summary
+        store.install(
+            SourceSnapshot(
+                name="meteor", kind="cluster", summary=summary, cluster=cluster
+            ),
+            now=121.0,
+        )
+        after, _ = engine.execute(self.QUERY, 121.0)
+        meteor = parse_document(after).grids["SDSC"].clusters["meteor"]
+        assert meteor.summary.hosts_up == 2
+        assert after != later
+
+
 class TestPathQueries:
     def test_cluster_query_full(self, engine_under_test):
         doc, stats, _ = run(engine_under_test, "/meteor")

@@ -198,6 +198,21 @@ class TestGenerationBarrier:
         assert replica.installs == installs_before
         assert "ghost" not in replica.datastore.sources
 
+    @pytest.mark.parametrize("gen", ["7:8", "a:b:c"])
+    def test_garbled_version_triple_installs_nothing(self, world, engine, gen):
+        """The triple is checked before the first install, not after."""
+        world.build()
+        replica = world.replica()
+        engine.run_for(60.0)
+        installs_before = replica.installs
+        versions_before = replica.ingest_versions
+        aborts_before = replica.barrier_aborts
+        replica.client.stream.mirror[GEN_KEY] = gen
+        replica._rebuild({"meteor"})
+        assert replica.installs == installs_before
+        assert replica.ingest_versions == versions_before
+        assert replica.barrier_aborts == aborts_before + 1
+
     def test_unparseable_fragment_aborts_whole_batch(self, world, engine):
         daemon = world.build()
         replica = world.replica()

@@ -293,6 +293,61 @@ def test_replica_columnar_serve_matches_daemon(engine, fabric, tcp, rngs):
     assert replica_dom.serve_binary("/meteor") is None
 
 
+def test_replica_feed_builds_no_dom(engine, fabric, tcp, rngs, monkeypatch):
+    """Shipped cluster fragments parse straight into columns: with the
+    DOM-to-columns conversion disabled, a churned feed still installs
+    and every query form stays byte-identical, with no materialization."""
+
+    def no_dom_conversion(*args, **kwargs):
+        raise AssertionError("replica feed converted a DOM to columns")
+
+    import repro.columnar
+    import repro.columnar.layout
+    import repro.core.gmetad
+
+    for module in (repro.columnar, repro.columnar.layout, repro.core.gmetad):
+        monkeypatch.setattr(module, "columns_from_cluster", no_dom_conversion)
+    config = GmetadConfig(
+        name="sdsc", host="gmeta-sdsc", archive_mode="account",
+        columnar=True, read_tier=ReadTierConfig(),
+    )
+    pseudos = {}
+    for i, name in enumerate(("meteor", "torus")):
+        pseudo = PseudoGmond(
+            engine, fabric, tcp, name, num_hosts=3 + i,
+            rng=rngs.stream(f"pg:{name}"),
+        )
+        pseudos[name] = pseudo
+        config.add_source(name, [pseudo.address])
+    daemon = Gmetad(engine, fabric, tcp, config).start()
+    daemon.attach_pubsub()
+    replica = ReadReplica(
+        engine, fabric, tcp, daemon, name="rc", host="gmeta-sdsc-rc",
+        config=ReadTierConfig(columnar_serve=True),
+    ).start()
+    engine.run_for(60.0)
+    for step in range(3):
+        pseudos["meteor"].mutate(hosts=[step % 3])
+        pseudos["torus"].mutate(hosts=[(step + 1) % 4, (step + 2) % 4])
+        engine.run_for(30.0)
+    pseudos["torus"].set_host_down(2)
+    engine.run_for(60.0)
+    assert replica.synced
+    assert replica.ingest_versions == (
+        daemon.datastore.generation,
+        daemon.datastore.content_version,
+        daemon.datastore.detail_version,
+    )
+    for request in REPLICA_QUERIES:
+        expected, _ = daemon.serve_query(request)
+        assert replica.serve_query(request)[0] == expected, request
+    assert all(
+        snapshot.columns is not None
+        for snapshot in replica.datastore.sources.values()
+    )
+    assert replica.datastore.materializations == 0
+
+
 # -- arena churn: never a stale host ---------------------------------------
 
 
