@@ -16,8 +16,9 @@ flush-driven analytics keeps pace, and flapping hosts still must not
 page the predictive rules.
 
 **Storage** -- same schedule, archiver swapped for a replicated storage
-tier with a node fail-stopped mid-run; readings flow through the scalar
-failover-fetch fallback and the pass counter must not stall.
+tier with a node fail-stopped mid-run; readings flow through the
+tier's window readout (one gather per shard on its failover-chosen read
+node) and the pass counter must not stall.
 
 Acceptance, from the issue: median detection lead > 0 s over the static
 baseline and a false-positive rate <= 5% of evaluation windows.  The

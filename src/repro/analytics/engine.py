@@ -5,11 +5,13 @@ flush notification and, at most once per flush timestamp (plus an
 optional cadence), recomputes trend and anomaly signals for *every*
 archived series in one vectorized pass:
 
-- the window readout is :meth:`SeriesBank.window_matrix` -- a single
-  fancy-indexed gather over the store bank's 2-D ring arrays, which
-  hold every archived series, with a scalar per-series fallback for
-  the storage tier's failover fetch surface; either way the stage's
-  own ``__analytics__`` series are left out;
+- the window readout is one ``store.window_readout`` call per pass:
+  a plain store answers it with a single fancy-indexed
+  :meth:`SeriesBank.window_matrix` gather over its bank's 2-D ring
+  arrays, the storage tier with one such gather per shard on the
+  shard's read node; either way each series' last ``window_rows``
+  finest rows are read, and the stage's own ``__analytics__`` series
+  are left out;
 - the kernels (:mod:`repro.analytics.kernels`) are whole-matrix column
   ops: least-squares slope, EWMA mean/variance, anomaly z-score.
 
@@ -100,24 +102,11 @@ class AnalyticsEngine:
     def recompute(self, t: float) -> None:
         """One analytics pass over every archived series."""
         self._last_pass_t = t
-        store = self.gmetad.archiver.store
-        if getattr(store, "mode", "full") == "account":
-            return  # accounting stores keep no history to analyze
-        bank_series = getattr(store, "bank_series", None)
-        if bank_series is None:
-            values, keys, row_seconds, end_times = self._scalar_window(store, t)
-        else:
-            bank, keys = bank_series()
-            values, _, row_seconds, last_end = bank.window_matrix(
-                self.config.window_rows
-            )
-            end_times = last_end.astype(float) * bank.step
-            keep = [i for i, key in enumerate(keys) if key.source != ANALYTICS_SOURCE]
-            if len(keep) < len(keys):
-                values, end_times = values[:, keep], end_times[keep]
-                keys = [keys[i] for i in keep]
+        keys, values, row_seconds, end_times = self._scalar_window(
+            self.gmetad.archiver.store
+        )
         if not keys:
-            return
+            return  # nothing archived yet, or an accounting store
         cfg = self.config
         self._keys = keys
         self._latest = latest_values(values)
@@ -139,38 +128,20 @@ class AnalyticsEngine:
             len(keys) * self.gmetad.costs.analytics_series, "analytics"
         )
 
-    def _scalar_window(self, store, t: float):
-        """Window matrix for stores without a bank (per-series fetch).
+    # The name is kept for the end-to-end benchmark's span table, which
+    # wraps this method by name; it no longer reads series one by one.
+    def _scalar_window(self, store):
+        """The pass's one window readout, the same call for every store.
 
-        The slow path -- the storage tier's failover fetch surface,
-        whose series are spread over many node banks.  Each series'
-        last ``window_rows`` rows
-        are right-aligned into the matrix, so the kernels are identical
-        either way.
+        ``store.window_readout`` returns ``(keys, values, row_seconds,
+        end_times)`` with each series' last ``window_rows`` finest rows
+        right-aligned in its column -- one bank gather on a plain store,
+        one per shard on the storage tier.  The stage's own
+        ``__analytics__`` series are left out before the read.
         """
-        k = self.config.window_rows
-        keys = [
-            key for key in store.keys() if key.source != ANALYTICS_SOURCE
-        ]
-        if not keys:
-            return None, [], self._row_seconds, np.zeros(0)
-        row_seconds = getattr(store, "step", 15.0)
-        values = np.full((k, len(keys)), np.nan)
-        end_times = np.full(len(keys), -row_seconds)
-        for i, key in enumerate(keys):
-            try:
-                times, vals, series_row_seconds = store.fetch_series(
-                    key, t - (k + 1) * row_seconds, t
-                )
-            except KeyError:
-                continue
-            if len(vals) == 0:
-                continue
-            row_seconds = series_row_seconds
-            tail = min(k, len(vals))
-            values[k - tail:, i] = vals[-tail:]
-            end_times[i] = times[-1]
-        return values, keys, row_seconds, end_times
+        return store.window_readout(
+            self.config.window_rows, skip_source=ANALYTICS_SOURCE
+        )
 
     # -- reading access (alarm rules) ----------------------------------------
 

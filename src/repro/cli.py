@@ -411,7 +411,7 @@ def _cmd_analytics(args: argparse.Namespace) -> int:
         window_rows=args.window_rows,
         horizon=args.horizon,
     )
-    path = "storage-tier scalar fallback" if args.storage else "columnar bank"
+    path = "storage-tier shard readout" if args.storage else "columnar bank"
     print(f"analytics replay: {result.hosts} hosts, "
           f"{result.duration:.0f}s, {path}")
     for ramp in result.ramps:

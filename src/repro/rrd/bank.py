@@ -511,51 +511,57 @@ class SeriesBank:
         return float(rows[-1][1]) if rows else None
 
     def window_matrix(
-        self, k: int
+        self, k: int, cols: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """The last ``k`` finest-resolution rows of every series, time-major.
+        """The last ``k`` finest-resolution rows of many series, time-major.
 
-        Returns ``(values, counts, row_seconds, last_end_steps)``:
+        ``cols`` picks the series (an index array, output column ``j``
+        is series ``cols[j]``); ``None`` reads every series in index
+        order.  Returns ``(values, counts, row_seconds, last_end_steps)``:
 
-        - ``values`` is ``(k, size)``; row ``k-1`` is each series'
+        - ``values`` is ``(k, n)``; row ``k-1`` is each series'
           newest closed row, earlier rows walk back one row period at a
           time.  Slots a series has not written are NaN.
-        - ``counts[i]`` is how many of the ``k`` rows are real for
-          series ``i``.
+        - ``counts[j]`` is how many of the ``k`` rows are real for
+          column ``j``.
         - ``row_seconds`` is the row period (finest ``pdp_per_row`` x
           step), shared by every series in the bank.
-        - ``last_end_steps[i]`` is the absolute end step of series
-          ``i``'s newest row (-1 when it has no closed rows); the row
-          at position ``j`` ends at ``(last_end_steps[i] - (k-1-j) *
+        - ``last_end_steps[j]`` is the absolute end step of column
+          ``j``'s newest row (-1 when it has no closed rows); the row
+          at position ``r`` ends at ``(last_end_steps[j] - (k-1-r) *
           pdp_per_row) * step`` seconds.
 
-        This is the analytics stage's whole-bank readout: one fancy-
-        indexed gather regardless of how many series the bank holds, the
-        vectorized twin of calling :meth:`_BankRra.rows_with_end_steps_one`
-        per series (the differential test pins the equivalence).  Rows
-        are aligned per series to its own newest row -- a straggler's
-        window simply ends earlier, which per-series trend/anomaly
-        kernels are indifferent to.
+        This is the stores' window readout: one fancy-indexed gather
+        regardless of how many series are read, the vectorized twin of
+        calling :meth:`_BankRra.rows_with_end_steps_one` per series (the
+        differential test pins the equivalence).  Rows are aligned per
+        series to its own newest row -- a straggler's window simply ends
+        earlier, which per-series trend/anomaly kernels are indifferent
+        to.
         """
         if k <= 0:
             raise ValueError("window size must be positive")
         finest = min(self.rras, key=lambda r: r.pdp_per_row)
-        n = self.size
+        cols = (
+            np.arange(self.size) if cols is None
+            else np.asarray(cols, dtype=np.int64)
+        )
+        n = cols.size
         ppr = finest.pdp_per_row
         row_seconds = ppr * self.step
         values = np.full((k, n), np.nan)
         counts = np.zeros(n, dtype=np.int64)
-        last_end = finest.last_row_end[:n].copy()
+        last_end = finest.last_row_end[cols]
         if n == 0:
             return values, counts, row_seconds, last_end
         have = last_end >= 0
         counts[have] = np.minimum(
-            finest.rows_written[:n][have], min(finest.rows, k)
+            finest.rows_written[cols][have], min(finest.rows, k)
         )
         last_pos = last_end // ppr - 1  # junk where have is False
         offsets = np.arange(k - 1, -1, -1)  # back-offsets per output row
         pos = (last_pos[None, :] - offsets[:, None]) % finest.rows
-        gathered = finest.values[pos, np.arange(n)[None, :]]
+        gathered = finest.values[pos, cols[None, :]]
         valid = offsets[:, None] < counts[None, :]
         values[valid] = gathered[valid]
         return values, counts, row_seconds, last_end

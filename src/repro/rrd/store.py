@@ -113,7 +113,8 @@ class RrdStore:
         )
         #: key -> bank index; insertion order is index order
         self._bank_index: Dict[MetricKey, int] = {}
-        self._bank_keys_cache: List[MetricKey] = []
+        #: (stamp, keys, bank columns) of the last window readout
+        self._readout: Tuple = (None, [], None)
         self.update_count = 0
         self.create_count = 0
 
@@ -197,19 +198,42 @@ class RrdStore:
         i = self._bank_index.get(key)
         return None if i is None else BankSeriesView(self._bank, i)
 
-    def bank_series(self) -> Tuple[Optional[SeriesBank], List[MetricKey]]:
-        """The shared bank and its index-ordered key list.
+    def window_readout(
+        self, k: int, skip_source: Optional[str] = None
+    ) -> Tuple[List[MetricKey], "np.ndarray", float, "np.ndarray"]:
+        """The last ``k`` finest rows of every series, in one bank gather.
 
-        ``keys[i]`` names bank column ``i`` -- the inverse of the
-        key-to-index map, which the analytics stage needs to label the
-        columns of :meth:`SeriesBank.window_matrix`.  Returns
-        ``(None, [])`` in accounting mode.  Indices are allocated densely
-        in insertion order and never reused, so the list is rebuilt only
-        when series were added since the last call.
+        Returns ``(keys, values, row_seconds, end_times)``: column ``j``
+        of the ``(k, len(keys))`` matrix ``values`` holds ``keys[j]``'s
+        rows as :meth:`SeriesBank.window_matrix` lays them out, and
+        ``end_times[j]`` is the end time of its newest closed row
+        (negative when it has none).  Series of source ``skip_source``
+        are left out; an accounting store reads no series.  This is the
+        analytics stage's one readout call --
+        :class:`~repro.storage.tier.StorageTier` answers it too.
         """
-        if len(self._bank_keys_cache) != len(self._bank_index):
-            self._bank_keys_cache = list(self._bank_index)
-        return self._bank, self._bank_keys_cache
+        if self.mode == "account":
+            return [], np.full((k, 0), np.nan), self.step, np.zeros(0)
+        stamp = (len(self._bank_index), skip_source)
+        if self._readout[0] != stamp:
+            keys = [key for key in self._bank_index if key.source != skip_source]
+            self._readout = (stamp, keys, self.slots(keys))
+        _, keys, cols = self._readout
+        return (keys, *self.window_columns(k, cols))
+
+    def slots(self, keys: Sequence[MetricKey]) -> "np.ndarray":
+        """Each key's bank index; -1 where the store holds no such series."""
+        get = self._bank_index.get
+        return np.fromiter(
+            (get(key, -1) for key in keys), dtype=np.int64, count=len(keys)
+        )
+
+    def window_columns(
+        self, k: int, cols: "np.ndarray"
+    ) -> Tuple["np.ndarray", float, "np.ndarray"]:
+        """``(values, row_seconds, end_times)`` of bank columns ``cols``."""
+        values, _, row_seconds, last_end = self._bank.window_matrix(k, cols)
+        return values, row_seconds, last_end * self._bank.step
 
     def keys(self) -> List[MetricKey]:
         """Every archived series key, sorted."""

@@ -3,9 +3,10 @@
 A :class:`StorageTier` stands in for the archiver's single
 :class:`~repro.rrd.store.RrdStore`: it exposes the same surface
 (``update`` / ``column_plan`` / ``update_columns`` / ``update_summary``
-/ ``database`` / ``fetch_series`` / ``keys`` ...) but routes every
-series to a shard and every shard to an ordered replica list of
-simulated :class:`~repro.storage.node.StorageNode` fleets.
+/ ``database`` / ``fetch_series`` / ``window_readout`` / ``keys`` ...)
+but routes every series to a shard and every shard to an ordered
+replica list of simulated :class:`~repro.storage.node.StorageNode`
+fleets.
 
 Design points:
 
@@ -26,6 +27,11 @@ Design points:
   first fresh live replica (counted in ``failover_fetches``), degrade
   to a stale live replica (``stale_fetches``) and only raise
   :class:`StorageUnavailable` when every replica of the shard is dead.
+- **Bulk window readout.**  ``window_readout`` (the analytics stage's
+  one read per pass) applies the same rule once per shard and gathers
+  the shard's columns from its read node's bank in one call; heat and
+  the counters above move by the per-key totals, and a dead shard's
+  series read NaN (counted in ``fetch_failures``) instead of raising.
 - **Anti-entropy repair.**  A periodic sweep finds shards with fewer
   than R fresh live replicas, re-syncs stale-but-live members and
   recruits replacement nodes (least loaded first) for dead ones by
@@ -40,9 +46,12 @@ Design points:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.rrd.database import RraSpec
+import numpy as np
+
+from repro.rrd.database import RraSpec, default_rra_specs
 from repro.rrd.store import MetricKey, SUMMARY_HOST
 from repro.sim.engine import Engine, PeriodicTask
 from repro.sim.rng import derive_seed
@@ -89,8 +98,6 @@ class TierColumnPlan:
         return len(self.keys)
 
     def _rebuild(self) -> None:
-        import numpy as np
-
         tier = self.tier
         by_shard: Dict[int, List[int]] = {}
         for j, key in enumerate(self.keys):
@@ -187,6 +194,13 @@ class StorageTier:
         # -- feature accumulators for the clustering pass
         self._group_updates: Dict[GroupKey, int] = {}
         self._group_heat: Dict[GroupKey, float] = {}
+        # -- window readout: (stamp, keys, shard slices), per-node columns
+        self._readout: Tuple = (None, [], [])
+        self._readout_columns: Dict[Tuple[int, str], Tuple] = {}
+        finest = min(
+            self.rra_specs or default_rra_specs(), key=lambda r: r.pdp_per_row
+        )
+        self._row_seconds = finest.pdp_per_row * step
         # -- counters (mirrored into obs gauges when attached)
         self.failover_fetches = 0
         self.stale_fetches = 0
@@ -292,7 +306,9 @@ class StorageTier:
         self, source: str, cluster: str, host: str, amount: float = 1.0
     ) -> None:
         """Feed external query heat (e.g. from the query engine) in."""
-        group = (source, cluster, host)
+        self._add_heat((source, cluster, host), amount)
+
+    def _add_heat(self, group: GroupKey, amount: float) -> None:
         self._group_heat[group] = self._group_heat.get(group, 0.0) + amount
 
     # -- freshness ---------------------------------------------------------
@@ -403,18 +419,24 @@ class StorageTier:
 
     # -- reading (RrdStore surface, with failover) -------------------------
 
-    def _read_node(self, key: MetricKey, shard: int) -> StorageNode:
+    def _read_node(self, shard: int, reads: int = 1) -> Optional[StorageNode]:
+        """The node serving ``reads`` reads of ``shard``, counted.
+
+        The first fresh live replica (a failover unless it is the
+        primary), else the first live one (a stale read); None, counted
+        as failed reads, when every replica is down.
+        """
         replicas = self.shard_map.replicas[shard]
         live = [n for n in replicas if self.nodes[n].up]
         if not live:
-            self.fetch_failures += 1
-            raise StorageUnavailable(key, shard)
+            self.fetch_failures += reads
+            return None
         fresh = self._fresh_live(shard)
         chosen = fresh[0] if fresh else live[0]
         if not fresh:
-            self.stale_fetches += 1
+            self.stale_fetches += reads
         if replicas and chosen != replicas[0]:
-            self.failover_fetches += 1
+            self.failover_fetches += reads
         return self.nodes[chosen]
 
     def database(self, key: MetricKey):
@@ -423,9 +445,11 @@ class StorageTier:
         s = self._key_shard.get(key)
         if s is None:
             return None
-        group = self._group_of(key)
-        self._group_heat[group] = self._group_heat.get(group, 0.0) + 1.0
-        return self._read_node(key, s).store.database(key)
+        self._add_heat(self._group_of(key), 1.0)
+        node = self._read_node(s)
+        if node is None:
+            raise StorageUnavailable(key, s)
+        return node.store.database(key)
 
     def fetch_series(
         self, key: MetricKey, start: float, end: float
@@ -434,6 +458,80 @@ class StorageTier:
         if series is None:
             raise KeyError(f"no archive for {key}")
         return series.fetch(start, end)
+
+    def window_readout(
+        self, k: int, skip_source: Optional[str] = None
+    ) -> Tuple[List[MetricKey], "np.ndarray", float, "np.ndarray"]:
+        """:meth:`RrdStore.window_readout` over the fleet: one gather per shard.
+
+        Each shard's read node is picked once, by :meth:`_read_node`'s
+        rule, and the shard's columns come from one bank gather on that
+        node.  Query heat and the failover, stale and failure counters
+        move by the totals a :meth:`fetch_series` per key would add.  A
+        shard with no live replica, and a series its read node does not
+        hold, read NaN with end time ``-row_seconds``.
+        """
+        if self.mode == "account":
+            return [], np.full((k, 0), np.nan), self.step, np.zeros(0)
+        keys, shards = self._readout_layout(skip_source)
+        values = np.full((k, len(keys)), np.nan)
+        end_times = np.full(len(keys), -self._row_seconds)
+        for s, lo, hi, heat in shards:
+            for group, count in heat.items():
+                self._add_heat(group, count)
+            node = self._read_node(s, hi - lo)
+            if node is None:
+                continue
+            cols, held = self._node_columns(s, node, keys, lo, hi)
+            block, _, ends = node.store.window_columns(k, cols)
+            if held is None:
+                values[:, lo:hi], end_times[lo:hi] = block, ends
+            else:
+                values[:, lo:hi][:, held] = block
+                end_times[lo:hi][held] = ends
+        return keys, values, self._row_seconds, end_times
+
+    def _readout_layout(self, skip_source: Optional[str]):
+        """The readout's keys, grouped by shard, and each shard's slice.
+
+        Shard slices are ``(shard, lo, hi, keys per group)`` over the
+        key list.  Rebuilt when a key moves shard or the tier
+        gains series; per-node column arrays are dropped with it.
+        """
+        stamp = (self.placement_epoch, len(self._key_shard), skip_source)
+        if self._readout[0] != stamp:
+            by_shard: Dict[int, List[MetricKey]] = {}
+            for key, s in self._key_shard.items():
+                if key.source != skip_source:
+                    by_shard.setdefault(s, []).append(key)
+            keys: List[MetricKey] = []
+            shards = []
+            for s, shard_keys in sorted(by_shard.items()):
+                heat = Counter(self._group_of(key) for key in shard_keys)
+                shards.append((s, len(keys), len(keys) + len(shard_keys), heat))
+                keys += shard_keys
+            self._readout = (stamp, keys, shards)
+            self._readout_columns.clear()
+        return self._readout[1], self._readout[2]
+
+    def _node_columns(
+        self, shard: int, node: StorageNode, keys: List[MetricKey],
+        lo: int, hi: int,
+    ) -> Tuple["np.ndarray", Optional["np.ndarray"]]:
+        """Bank columns of ``keys[lo:hi]`` on ``node``, and which it holds.
+
+        The mask is None when the node holds every key.  Cached per
+        (shard, node) until the node's store gains series, the read-side
+        mirror of :class:`TierColumnPlan`'s per-node sub-plans.
+        """
+        size = len(node.store)
+        cached = self._readout_columns.get((shard, node.name))
+        if cached is None or cached[0] != size:
+            cols = node.store.slots(keys[lo:hi])
+            held = cols >= 0
+            cached = (size, cols, None) if held.all() else (size, cols[held], held)
+            self._readout_columns[(shard, node.name)] = cached
+        return cached[1], cached[2]
 
     def keys(self) -> List[MetricKey]:
         if self.mode == "account":

@@ -4,8 +4,9 @@ Covers the PR's acceptance bar for the tentpole:
 
 - the gate defaults off and, when off, every ordinary source serves
   byte-identical XML to a daemon that never heard of analytics;
-- when on, flush-driven passes produce readings for archived series on
-  both the columnar bank path and the scalar fallback;
+- when on, flush-driven passes produce readings for archived series
+  through one window readout, whether the daemon archives to a plain
+  store or a storage tier (the tier is invisible to the readings);
 - the ``__analytics__`` cluster is served end to end: path queries, the
   web frontend, the pub-sub broker, and a parent gmetad polling the
   child all see it through unmodified machinery;
@@ -30,14 +31,15 @@ from repro.pubsub.client import PushClient
 
 
 def make_daemon(engine, fabric, tcp, rngs, *, columnar=True,
-                analytics=None, archive_mode="full", name="solo"):
+                analytics=None, archive_mode="full", name="solo",
+                storage_tier=None):
     pseudo = PseudoGmond(
         engine, fabric, tcp, f"{name}-c0", num_hosts=4,
         rng=rngs.stream(f"pg:{name}"), refresh_interval=15.0,
     )
     config = GmetadConfig(
         name=name, host=f"gmeta-{name}", archive_mode=archive_mode,
-        columnar=columnar, analytics=analytics,
+        columnar=columnar, analytics=analytics, storage_tier=storage_tier,
     )
     config.add_source(f"{name}-c0", [pseudo.address])
     return Gmetad(engine, fabric, tcp, config).start(), pseudo
@@ -167,7 +169,7 @@ class TestEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# readings: bank path and scalar fallback
+# readings: one window readout, plain store or storage tier
 # ---------------------------------------------------------------------------
 
 
@@ -201,8 +203,8 @@ class TestReadings:
         assert daemon.analytics.reading("solo-c0", "nope", "load_one") is None
 
     def test_scalar_fallback_matches_surface(self, engine, fabric, tcp, rngs):
-        """Non-columnar store: every series is scalar-written, readings
-        still come."""
+        """Non-columnar daemon: every detail series is written by scalar
+        updates, and the one bank readout still yields readings."""
         daemon, pseudo = make_daemon(
             engine, fabric, tcp, rngs, columnar=False,
             analytics=AnalyticsConfig(window_rows=6),
@@ -229,6 +231,90 @@ class TestReadings:
         expected = [k for k in store.keys() if k.source != ANALYTICS_SOURCE]
         assert sorted(daemon.analytics._keys) == expected
         assert daemon.analytics.series_analyzed == len(expected)
+
+    def test_readings_do_not_depend_on_the_storage_tier(self):
+        """Twin daemons, one archiving through a replicated tier: every
+        reading matches, a silenced host's series and reads served by a
+        non-primary replica included."""
+        from repro.net.fabric import Fabric
+        from repro.net.tcp import TcpNetwork
+        from repro.sim.engine import Engine
+        from repro.sim.rng import RngRegistry
+        from repro.storage import StorageTierConfig
+
+        def twin(storage_tier):
+            engine = Engine()
+            fabric = Fabric()
+            rngs = RngRegistry(99)
+            tcp = TcpNetwork(engine, fabric, rng=rngs.stream("tcp.gray"))
+            daemon, pseudo = make_daemon(
+                engine, fabric, tcp, rngs, storage_tier=storage_tier,
+                analytics=AnalyticsConfig(window_rows=4),
+            )
+            engine.run_for(150.0)
+            pseudo.set_host_down(1)
+            tier = daemon.rrd_store if storage_tier is not None else None
+            if tier is not None:
+                primary = tier.shard_map.replicas[0][0]
+                engine.run_for(60.0)
+                tier.kill_node(primary)
+                engine.run_for(90.0)
+                tier.restart_node(primary)
+                engine.run_for(90.0)
+            else:
+                engine.run_for(240.0)
+            return daemon.analytics, tier
+
+        plain, _ = twin(None)
+        tiered, tier = twin(StorageTierConfig(nodes=2, replication=2))
+        assert tier.failover_fetches > 0 and tier.fetch_failures == 0
+        assert sorted(tiered._keys) == sorted(plain._keys)
+        silenced = [k for k in plain._keys if k.host.endswith("-0-1")]
+        assert silenced
+        for key in plain._keys:
+            a = plain.reading(key.source, key.host, key.metric)
+            b = tiered.reading(key.source, key.host, key.metric)
+            for field in ("latest", "slope", "zscore", "end_time"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert x == y or (math.isnan(x) and math.isnan(y)), (key, field)
+
+    def test_dead_shard_leaves_its_columns_nan(self):
+        """A shard with no live replica does not stop the pass: its
+        series read NaN and count as failed fetches, the rest still
+        come."""
+        from repro.storage import StorageTierConfig
+
+        fed = build_paper_tree(
+            "nlevel", hosts_per_cluster=4, archive_mode="full",
+            storage_tier=StorageTierConfig(nodes=2, replication=1),
+            analytics=AnalyticsConfig(),
+        ).start()
+        fed.engine.run_for(60.0)
+        daemon = fed.gmetad("physics")
+        tier = daemon.rrd_store
+        victim = next(iter(tier.nodes))
+        tier.kill_node(victim)
+        passes = daemon.analytics.passes
+        fed.engine.run_for(30.0)
+        stage = daemon.analytics
+        assert stage.passes > passes
+        dead = {
+            s for s, replicas in enumerate(tier.shard_map.replicas)
+            if replicas == [victim]
+        }
+        assert dead and tier.fetch_failures > 0
+        live_readings = dead_series = 0
+        for key in stage._keys:
+            reading = stage.reading(key.source, key.host, key.metric)
+            if reading is None:
+                continue  # a summary key under another cluster name
+            if tier._key_shard[key] in dead:
+                dead_series += 1
+                assert math.isnan(reading.latest)
+                assert reading.end_time < 0
+            elif not math.isnan(reading.latest):
+                live_readings += 1
+        assert dead_series and live_readings
 
     def test_account_mode_keeps_quiet(self, engine, fabric, tcp, rngs):
         daemon, _ = make_daemon(

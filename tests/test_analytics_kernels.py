@@ -167,6 +167,16 @@ class TestWindowMatrixVsScalarReadout:
                 assert got[k - 1 - j] == pytest.approx(value)
             assert np.all(np.isnan(got[: k - len(tail)]))
 
+    @pytest.mark.parametrize("cols", [[5, 0, 3], [2], []])
+    def test_column_subset_matches_full_gather(self, cols):
+        bank = self.drive_bank()
+        full = bank.window_matrix(6)
+        part = bank.window_matrix(6, np.asarray(cols, dtype=np.int64))
+        assert np.array_equal(part[0], full[0][:, cols], equal_nan=True)
+        assert np.array_equal(part[1], full[1][cols])
+        assert part[2] == full[2]
+        assert np.array_equal(part[3], full[3][cols])
+
     def test_coarse_rra_ladder(self):
         # a ladder whose finest rung has pdp_per_row > 1
         bank = SeriesBank(

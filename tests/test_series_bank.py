@@ -320,8 +320,9 @@ class TestOneSeriesHome:
             stores += [node.store for node in tier.nodes.values()]
         summary_series = 0
         for store in stores:
-            bank, keys = store.bank_series()
-            assert len(store) == bank.size == len(keys)
+            bank = store._bank
+            keys, values, _, _ = store.window_readout(1)
+            assert len(store) == bank.size == len(keys) == values.shape[1]
             assert sorted(keys) == store.keys()
             assert bank._cap <= 1.25 * bank.size + 64
             summary_series += sum(1 for k in keys if k.host == SUMMARY_HOST)

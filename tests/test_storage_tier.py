@@ -287,6 +287,97 @@ class TestFailoverAndRepair:
             )
 
 
+class TestWindowReadout:
+    """One bulk readout moves the tier exactly as a fetch per key does."""
+
+    K = 4
+
+    @staticmethod
+    def counters(tier):
+        return (
+            tier.failover_fetches, tier.stale_fetches, tier.fetch_failures,
+            dict(tier._group_heat),
+        )
+
+    def fetch_every_key(self, tier, t):
+        """Tier A's reads: one ``fetch_series`` per analysed key."""
+        rows = {}
+        for k in tier.keys():
+            if k.source == "__analytics__":
+                continue
+            try:
+                _, vals, _ = tier.fetch_series(k, t - (self.K + 1) * 15.0, t)
+            except (KeyError, StorageUnavailable):
+                vals = np.zeros(0)
+            column = np.full(self.K, np.nan)
+            if len(vals):
+                column[self.K - min(self.K, len(vals)):] = vals[-self.K:]
+            rows[k] = column
+        return rows
+
+    def readout(self, tier):
+        """Tier B's reads: one window readout."""
+        keys, values, _, _ = tier.window_readout(
+            self.K, skip_source="__analytics__"
+        )
+        return {k: values[:, j] for j, k in enumerate(keys)}
+
+    def test_side_effects_and_values_match_per_key_fetches(self, engine):
+        tiers = [make_tier(engine, nodes=3, shards=6) for _ in range(2)]
+        hosts = [key(f"h{i}", m, cluster=f"c{i % 3}")
+                 for i in range(12) for m in ("a", "b")]
+        own = [key("gmeta", "analytics_passes", source="__analytics__")]
+        late = [key(f"late{i}") for i in range(6)]
+        plans = [tier.column_plan(hosts) for tier in tiers]
+        for step in range(1, 9):
+            t = 15.0 * step
+            for tier, plan in zip(tiers, plans):
+                tier.update_columns(plan, t, np.arange(len(hosts)) * 1.0 + step)
+                write_ramp(tier, own, steps=1, t0=t)
+        a, b = tiers
+        for tier in tiers:
+            tier.kill_node("st00")
+        # every read node is fresh: a failover readout, values included
+        fetched, read = self.fetch_every_key(a, t), self.readout(b)
+        assert list(fetched) == sorted(read)
+        for k, column in read.items():
+            assert np.array_equal(column, fetched[k], equal_nan=True), k
+            assert not np.isnan(column).any()
+        assert a.failover_fetches > 0
+        assert self.counters(a) == self.counters(b)
+        # st00 misses a write and the late keys, then comes back stale;
+        # the other nodes die, so shards without st00 are unavailable
+        for tier in tiers:
+            write_ramp(tier, hosts + late, steps=1, t0=t + 15.0)
+            tier.restart_node("st00")
+            tier.kill_node("st01")
+            tier.kill_node("st02")
+        self.fetch_every_key(a, t + 15.0)
+        self.readout(b)
+        assert a.stale_fetches > 0 and a.fetch_failures > 0
+        assert self.counters(a) == self.counters(b)
+
+    def test_readout_matches_plain_store(self, engine):
+        tier = make_tier(engine)
+        single = RrdStore(mode="full")
+        keys = [key(f"h{i}", m) for i in range(6) for m in ("a", "b")]
+        write_ramp(tier, keys)
+        write_ramp(single, keys)
+        t_keys, t_values, t_rows, t_ends = tier.window_readout(5)
+        s_keys, s_values, s_rows, s_ends = single.window_readout(5)
+        assert t_rows == s_rows
+        order = [s_keys.index(k) for k in t_keys]
+        assert sorted(t_keys) == sorted(s_keys)
+        assert np.array_equal(t_values, s_values[:, order], equal_nan=True)
+        assert np.array_equal(t_ends, s_ends[order])
+
+    def test_account_mode_reads_nothing(self, engine):
+        tier = StorageTier(engine, StorageTierConfig(), mode="account")
+        write_ramp(tier, [key("h0")])
+        keys, values, _, ends = tier.window_readout(4)
+        assert keys == [] and values.shape == (4, 0) and ends.size == 0
+
+
 class TestObsIntegration:
     def _federation(self, storage):
         from repro.bench.topology import build_paper_tree
