@@ -158,6 +158,8 @@ class SoakResult:
     wall_seconds: float = 0.0
     stats: Dict[str, float] = field(default_factory=dict)
     repair_times: List[float] = field(default_factory=list)
+    #: replica slots per node at the end of the soak
+    loads: Dict[str, int] = field(default_factory=dict)
 
     @property
     def availability(self) -> float:
@@ -171,6 +173,11 @@ class SoakResult:
     def worst_repair(self) -> float:
         return max(self.repair_times, default=0.0)
 
+    @property
+    def load_spread(self) -> int:
+        """Most minus fewest replica slots on any node."""
+        return max(self.loads.values()) - min(self.loads.values())
+
     def to_dict(self) -> dict:
         return {
             "replication": self.replication,
@@ -179,6 +186,7 @@ class SoakResult:
             "fetch_availability": round(self.availability, 4),
             "worst_repair_seconds": round(self.worst_repair, 1),
             "repair_times_seconds": [round(t, 1) for t in self.repair_times],
+            "replica_slots_per_node": self.loads,
             "wall_seconds": round(self.wall_seconds, 3),
             "stats": {k: round(v, 4) for k, v in self.stats.items()},
         }
@@ -236,6 +244,7 @@ def run_soak_arm(
     engine.run_for(soak_seconds)
     result.stats = tier.stats()
     result.repair_times = list(tier.repair_times)
+    result.loads = tier.shard_map.loads(sorted(tier.nodes))
     result.wall_seconds = time.perf_counter() - started
     return result
 
@@ -292,6 +301,9 @@ def acceptance(
         "r1_probe_failures": soaks[1].probe_failures,
         "r2_probe_failures": soaks[2].probe_failures,
         "r2_worst_repair_seconds": round(soaks[2].worst_repair, 1),
+        "r2_critical_path_seconds": round(
+            soaks[2].stats["critical_path_seconds"], 4
+        ),
         "repair_deadline_seconds": REPAIR_DEADLINE,
         "r2_under_replicated_at_end": soaks[2].stats[
             "under_replicated_shards"
@@ -355,11 +367,13 @@ def test_replicated_arm_rides_through_kills(soaks):
 
 @pytest.mark.slow
 def test_every_shard_repaired_before_soak_end(soaks):
-    """Acceptance: anti-entropy restored R everywhere, inside deadline."""
+    """Acceptance: anti-entropy restored R everywhere, inside deadline,
+    and the shard rebalance gave every restarted node its share back."""
     soak = soaks[2]
     assert soak.stats["under_replicated_shards"] == 0, soak.to_dict()
     assert soak.repair_times, "no incident was ever recorded"
     assert soak.worst_repair <= REPAIR_DEADLINE, soak.repair_times
+    assert soak.load_spread <= 1, soak.loads
 
 
 @pytest.mark.smoke
@@ -379,6 +393,7 @@ def test_smoke_single_kill_soak(save_report):
     assert soak.availability == 1.0
     assert soak.stats["under_replicated_shards"] == 0
     assert soak.worst_repair <= REPAIR_DEADLINE
+    assert soak.load_spread <= 1, soak.loads
     save_report(
         "storage_soak_smoke",
         "Storage smoke: 1->2 node speedup "

@@ -7,18 +7,20 @@ disk, one failure domain (§2.4).  This example attaches the
 walks the robustness story end to end:
 
 1. every gmetad archives through a fleet of four simulated storage
-   nodes: series are grouped by (source, cluster, host), groups are
-   placed on shards by feature clustering, and each shard lives on
-   R=2 replicas -- the archiver's charged CPU is identical to the
-   single-store baseline, only the flush parallelism changes;
+   nodes: the series of one (source, cluster, host) hash to one fixed
+   shard, and each shard lives on R=2 replicas -- the archiver's
+   charged CPU is identical to the single-store baseline, only the
+   flush parallelism changes;
 2. a :class:`FaultSchedule` kills one storage node mid-run: fetches
    against its shards fail over to the surviving replicas while
    anti-entropy recruits replacements and re-replicates the series;
-3. the node comes back *stale* and is re-synced in place, and the
-   measured time-to-repair for every incident is printed against the
-   configured deadline;
+3. the node comes back *stale* and holding no replica slots; the
+   shard rebalance hands it its share back (each moved replica synced
+   by one bank-block copy), and the measured time-to-repair for every
+   incident is printed against the configured deadline;
 4. the ``__gmetad__`` self-cluster surfaces the tier's counters
-   (under-replicated shards, failovers, repairs) in band.
+   (under-replicated shards, failovers, repairs, replica moves) in
+   band.
 
 Run:  python examples/storage_federation.py
 """
@@ -85,11 +87,15 @@ def main() -> None:
           f"{len(values)} samples (failovers so far: "
           f"{tier.failover_fetches})")
 
-    engine.run_for(KILL_FOR + 30.0)  # node returns stale, gets re-synced
-    print(f"\n=== after restart + anti-entropy ===")
+    engine.run_for(KILL_FOR + 30.0)  # node returns stale, wins slots back
+    print(f"\n=== after restart, anti-entropy and shard rebalance ===")
     print(f"nodes up: {tier.nodes_up()}/{len(tier.nodes)}, "
           f"under-replicated shards: {tier.under_replicated_shards()}, "
-          f"repairs completed: {tier.repairs_completed}")
+          f"repairs completed: {tier.repairs_completed}, "
+          f"replica moves: {tier.replica_moves}")
+    loads = tier.shard_map.loads(sorted(tier.nodes))
+    print("replica slots per node: "
+          + ", ".join(f"{name} {count}" for name, count in loads.items()))
     worst = max(tier.repair_times, default=0.0)
     print(f"time-to-repair per incident: "
           + ", ".join(f"{t:.0f}s" for t in tier.repair_times)

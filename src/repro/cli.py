@@ -375,7 +375,7 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     print(f"logical updates: {int(stats['logical_updates'])} "
           f"({int(stats['physical_updates'])} physical across replicas)")
     print(f"series: {int(stats['series'])} in {int(stats['shards'])} shards; "
-          f"groups migrated by clustering: {int(stats['groups_migrated'])}")
+          f"replica moves by shard rebalance: {int(stats['replica_moves'])}")
     print(f"failover fetches: {int(stats['failover_fetches'])}  "
           f"stale: {int(stats['stale_fetches'])}  "
           f"failed: {int(stats['fetch_failures'])}  "

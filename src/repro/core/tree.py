@@ -108,11 +108,11 @@ class GmetadConfig:
     #: broker so ReadReplica processes can serve viewer queries.  None
     #: keeps the single-daemon serving path byte-identical to baseline.
     read_tier: Optional[ReadTierConfig] = None
-    #: replicated, sharded storage tier: series placed across a fleet of
-    #: simulated storage nodes by feature clustering, hot shards
-    #: replicated R-way, failover fetch + anti-entropy repair on node
-    #: death.  None keeps the single-store archiver path byte-identical
-    #: to baseline.
+    #: replicated, sharded storage tier: series hashed by host onto fixed
+    #: shards, each shard replicated R-way across a fleet of simulated
+    #: storage nodes, failover fetch + anti-entropy repair on node death
+    #: and a shard rebalance that evens out node load.  None keeps the
+    #: single-store archiver path byte-identical to baseline.
     storage_tier: Optional[StorageTierConfig] = None
     #: streaming analytics stage (``repro.analytics``): vectorized
     #: trend/anomaly/time-to-cross kernels over the archive bank at each

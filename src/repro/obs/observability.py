@@ -348,9 +348,7 @@ class Observability:
             registry.gauge("storage_repairs_completed").set(
                 tier.repairs_completed
             )
-            registry.gauge("storage_groups_migrated").set(
-                tier.groups_migrated
-            )
+            registry.gauge("storage_replica_moves").set(tier.replica_moves)
 
     def refresh_self_cluster(self) -> None:
         """Re-render and install the ``__gmetad__`` cluster in band."""

@@ -329,8 +329,9 @@ class SeriesBank:
         accumulator and, per RRA rung, its spec, row cursor and row
         accumulator -- plus ``"rings"``, a copy of each rung's ring
         column.  :meth:`import_series` restores it into any bank with
-        the same step, ladder and fill; storage-tier replica copies and
-        on-disk persistence both go through this pair.
+        the same step, ladder and fill; on-disk persistence goes through
+        this pair, and :meth:`copy_columns_from` is its in-memory block
+        form.
         """
         state: Dict[str, Any] = {
             "step": self.step, "downtime_fill": self.downtime_fill,
@@ -366,9 +367,26 @@ class SeriesBank:
             for name in _RUNG_FIELDS:
                 getattr(rra, name)[i] = rung[name]
 
-    def copy_series_from(self, src: "SeriesBank", src_i: int, dst_i: int) -> None:
-        """Overwrite series ``dst_i`` with the full state of ``src[src_i]``."""
-        self.import_series(dst_i, src.export_series(src_i))
+    def copy_columns_from(
+        self, src: "SeriesBank", src_idx: np.ndarray, dst_idx: np.ndarray
+    ) -> None:
+        """Overwrite series ``dst_idx[j]`` with the state of ``src[src_idx[j]]``.
+
+        The block form of ``import_series(export_series(...))``: the
+        banks' step, ladder and downtime fill are checked once, then
+        each clock field, ring and rung field moves in one indexed copy.
+        ``dst_idx`` must not repeat a series.
+        """
+        if (src.step, src.downtime_fill, src._ladder) != (
+            self.step, self.downtime_fill, self._ladder
+        ):
+            raise ValueError("banks must share step, RRA ladder and downtime fill")
+        for name in _CLOCK_FIELDS:
+            getattr(self, "_" + name)[dst_idx] = getattr(src, "_" + name)[src_idx]
+        for rra, src_rra in zip(self.rras, src.rras):
+            rra.values[:, dst_idx] = src_rra.values[:, src_idx]
+            for name in _RUNG_FIELDS:
+                getattr(rra, name)[dst_idx] = getattr(src_rra, name)[src_idx]
 
     # -- writing -------------------------------------------------------------
 

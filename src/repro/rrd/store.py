@@ -169,21 +169,24 @@ class RrdStore:
             float(num),
         )
 
-    def clone_series_from(self, key: MetricKey, src: "RrdStore") -> bool:
-        """Replicate one series' full state from another store.
+    def copy_series_from(self, src: "RrdStore", keys: Sequence[MetricKey]) -> None:
+        """Replicate the full state of ``keys`` from another store.
 
-        The storage tier's repair/re-replication primitive: after the
-        copy, this store answers ``fetch``/``latest``/``updates`` for
-        ``key`` identically to ``src``.  Returns False when there is
-        nothing to copy (unknown key, or either store only accounts).
+        The storage tier's replica-sync primitive, one bank-block copy:
+        afterwards this store answers ``fetch``/``latest``/``updates``
+        for every copied key identically to ``src``.  Keys ``src`` does
+        not hold are skipped; an accounting store on either side copies
+        nothing.
         """
         if self.mode == "account" or src.mode == "account":
-            return False
-        src_i = src._bank_index.get(key)
-        if src_i is None:
-            return False
-        self._bank.copy_series_from(src._bank, src_i, self._slot(key))
-        return True
+            return
+        src_idx = src.slots(keys)
+        held = src_idx >= 0
+        dst_idx = np.fromiter(
+            (self._slot(key) for key, h in zip(keys, held) if h),
+            dtype=np.int64, count=int(held.sum()),
+        )
+        self._bank.copy_columns_from(src._bank, src_idx[held], dst_idx)
 
     # -- reading -----------------------------------------------------------
 

@@ -16,10 +16,10 @@ class StorageTierConfig:
 
     Attaching this to ``GmetadConfig.storage_tier`` replaces the
     daemon's single :class:`~repro.rrd.store.RrdStore` with a
-    :class:`~repro.storage.tier.StorageTier`: series are partitioned
-    into ``shards`` placed across ``nodes`` simulated storage nodes by
-    feature clustering, hot shards replicate ``hot_replication``-way,
-    and fetches fail over to surviving replicas when a node dies.
+    :class:`~repro.storage.tier.StorageTier`: series hash by host into
+    ``shards``, each shard lives on ``replication`` of the ``nodes``
+    simulated storage nodes, and fetches fail over to surviving
+    replicas when a node dies.
     ``None`` (the default) keeps the single-store archiver path
     byte-identical to baseline.
     """
@@ -28,22 +28,13 @@ class StorageTierConfig:
     nodes: int = 4
     #: number of series shards (placement unit; K in the placement math)
     shards: int = 16
-    #: base replica count for every shard
+    #: replica count for every shard
     replication: int = 1
-    #: replica count for *hot* shards (0 means "same as replication")
-    hot_replication: int = 0
-    #: fraction of shards (by query heat) promoted to hot replication
-    hot_fraction: float = 0.25
-    #: root seed for the deterministic placement machinery
+    #: root seed of the stable group -> shard hash
     placement_seed: int = 20031201
-    #: how often the clustering-driven placement refinement runs
-    #: (seconds of simulated time; 0 disables periodic rebalancing)
+    #: how often the shard rebalance spreads replica slots evenly over
+    #: the live nodes (seconds of simulated time; 0 disables it)
     rebalance_interval: float = 120.0
-    #: cap on series *groups* moved between shards per rebalance pass
-    #: (the "bounded movement" of the clustering refinement)
-    max_group_moves: int = 8
-    #: k-means iteration budget for the feature clustering
-    kmeans_iterations: int = 8
     #: anti-entropy sweep cadence (seconds; 0 disables self-repair)
     repair_interval: float = 15.0
     #: target: every under-replicated shard is restored to its replica
@@ -63,16 +54,8 @@ class StorageTierConfig:
             raise ValueError("storage tier needs at least one shard")
         if self.replication < 1:
             raise ValueError("replication must be >= 1")
-        if self.hot_replication < 0:
-            raise ValueError("hot_replication must be >= 0 (0 = base)")
-        if not (0.0 <= self.hot_fraction <= 1.0):
-            raise ValueError("hot_fraction must be in [0, 1]")
         if self.rebalance_interval < 0:
             raise ValueError("rebalance_interval must be >= 0")
-        if self.max_group_moves < 0:
-            raise ValueError("max_group_moves must be >= 0")
-        if self.kmeans_iterations < 1:
-            raise ValueError("kmeans_iterations must be >= 1")
         if self.repair_interval < 0:
             raise ValueError("repair_interval must be >= 0")
         if self.repair_deadline <= 0:
@@ -82,7 +65,3 @@ class StorageTierConfig:
         if self.repair_cost_per_series < 0:
             raise ValueError("repair_cost_per_series must be >= 0")
 
-    @property
-    def effective_hot_replication(self) -> int:
-        """Replica count hot shards actually get (never below base)."""
-        return max(self.replication, self.hot_replication or self.replication)

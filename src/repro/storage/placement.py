@@ -1,167 +1,36 @@
-"""Clustering-driven shard placement for the storage tier.
+"""Storage-tier placement: groups hash to shards, shards map to nodes.
 
 Two layers, deliberately separate:
 
-- **Series groups -> shards** (:func:`assign_groups`): every archived
+- **Series groups -> shards** (:func:`group_shard`): every archived
   series belongs to a *group* -- one ``(source, cluster, host)`` -- and
-  groups are packed into K shards by a seeded k-means over their feature
-  vectors (update rate, query heat, source/cluster affinity) followed by
-  a weight-balanced slicing of the cluster ordering.  Affinity
-  coordinates are derived from the ``(source, cluster)`` names, so hosts
-  of one cluster land adjacent and usually share shards -- the
-  clustering-aware co-location of SNIPPETS.md snippet 1.
+  a group's shard is a stable hash of its name under the placement
+  seed.  Groups never move: a series lives in one shard for its life,
+  so a column plan's shard split is computed once.
 - **Shards -> storage nodes** (:class:`ShardMap`): each shard owns an
   ordered replica list (primary first).  Rebalancing after a node join
   or leave is *bounded*: a single membership change moves at most
   ``ceil(slots/N)`` shards (``ceil(K/N)`` at R=1), never a full
-  reshuffle -- the property the Hypothesis suite pins.
+  reshuffle -- the property the Hypothesis suite pins.  This is the
+  only way data moves between nodes.
 
-Everything here is pure data manipulation: deterministic given
-(features, seed), no simulation clock, no randomness beyond
-seed-derived streams.
+Everything here is pure data manipulation: deterministic given the
+seed and the live set, no simulation clock.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.rng import derive_seed
 
-#: A series group: every key of one (source, cluster, host) moves as a unit.
+#: A series group: every key of one (source, cluster, host) shares a shard.
 GroupKey = Tuple[str, str, str]
 
-#: Weight of the affinity coordinates relative to the (normalized) rate
-#: and heat axes.  Affinity dominates so same-cluster groups cluster
-#: together unless their load profiles diverge hard.
-_AFFINITY_WEIGHT = 2.0
 
-
-@dataclass(frozen=True)
-class GroupFeatures:
-    """Placement features for one series group."""
-
-    update_rate: float = 0.0  # archive updates per observation window
-    query_heat: float = 0.0   # fetches served from the group's series
-
-    def weight(self) -> float:
-        """Packing weight: how much storage work the group represents."""
-        return 1.0 + self.update_rate + self.query_heat
-
-
-def _affinity_point(group: GroupKey, seed: int) -> Tuple[float, float]:
-    """Stable 2-D coordinate shared by all hosts of one (source, cluster)."""
-    source, cluster, _host = group
-    span = float(2**63)
-    x = derive_seed(seed, f"aff-x:{source}") / span
-    y = derive_seed(seed, f"aff-y:{source}/{cluster}") / span
-    return x, y
-
-
-def _feature_vectors(
-    groups: Sequence[GroupKey],
-    features: Dict[GroupKey, GroupFeatures],
-    seed: int,
-) -> List[Tuple[float, ...]]:
-    max_rate = max(
-        (features[g].update_rate for g in groups), default=0.0
-    ) or 1.0
-    max_heat = max(
-        (features[g].query_heat for g in groups), default=0.0
-    ) or 1.0
-    vectors = []
-    for g in groups:
-        f = features[g]
-        ax, ay = _affinity_point(g, seed)
-        vectors.append(
-            (
-                f.update_rate / max_rate,
-                f.query_heat / max_heat,
-                ax * _AFFINITY_WEIGHT,
-                ay * _AFFINITY_WEIGHT,
-            )
-        )
-    return vectors
-
-
-def _sq_dist(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
-
-
-def _kmeans_labels(
-    vectors: List[Tuple[float, ...]], k: int, seed: int, iterations: int
-) -> List[int]:
-    """Seeded Lloyd iterations; ties and init are deterministic."""
-    n = len(vectors)
-    k = min(k, n)
-    rng = random.Random(derive_seed(seed, "kmeans-init"))
-    order = list(range(n))
-    rng.shuffle(order)
-    centroids = [list(vectors[i]) for i in order[:k]]
-    labels = [0] * n
-    for _ in range(iterations):
-        moved = False
-        for i, v in enumerate(vectors):
-            best, best_d = 0, math.inf
-            for c, centroid in enumerate(centroids):
-                d = _sq_dist(v, centroid)
-                if d < best_d - 1e-15:
-                    best, best_d = c, d
-            if labels[i] != best:
-                labels[i] = best
-                moved = True
-        sums = [[0.0] * len(vectors[0]) for _ in range(k)]
-        counts = [0] * k
-        for i, v in enumerate(vectors):
-            c = labels[i]
-            counts[c] += 1
-            for j, x in enumerate(v):
-                sums[c][j] += x
-        for c in range(k):
-            if counts[c]:  # empty clusters keep their old centroid
-                centroids[c] = [s / counts[c] for s in sums[c]]
-        if not moved:
-            break
-    return labels
-
-
-def assign_groups(
-    features: Dict[GroupKey, GroupFeatures],
-    shards: int,
-    seed: int,
-    iterations: int = 8,
-) -> Dict[GroupKey, int]:
-    """Deterministically place every group into one of ``shards`` shards.
-
-    k-means clusters the feature vectors (so similar groups are adjacent
-    in the packing order), then the cluster-sorted group sequence is
-    sliced into shards at equal *weight* boundaries.  Balanced shard
-    weights are what make the per-node flush critical path scale with
-    node count; the adjacency is what keeps a cluster's hosts
-    co-located.
-    """
-    groups = sorted(features)
-    if not groups:
-        return {}
-    vectors = _feature_vectors(groups, features, seed)
-    labels = _kmeans_labels(vectors, shards, seed, iterations)
-    ordered = sorted(range(len(groups)), key=lambda i: (labels[i], groups[i]))
-    total = sum(features[g].weight() for g in groups)
-    assignment: Dict[GroupKey, int] = {}
-    cum = 0.0
-    shard = 0
-    for i in ordered:
-        g = groups[i]
-        # advance to the shard whose weight band contains the cumulative
-        # midpoint of this group -- never past the last shard
-        mid = cum + features[g].weight() / 2.0
-        while shard < shards - 1 and mid >= (shard + 1) * total / shards:
-            shard += 1
-        assignment[g] = shard
-        cum += features[g].weight()
-    return assignment
+def group_shard(group: GroupKey, shards: int, seed: int) -> int:
+    """The shard of ``group``: a stable hash of its name under ``seed``."""
+    return derive_seed(seed, f"group:{'/'.join(group)}") % shards
 
 
 class ShardMap:
@@ -190,23 +59,16 @@ class ShardMap:
         self.shards = shards
         self.node_names: List[str] = sorted(node_names)
         n = len(self.node_names)
-        self.targets: List[int] = [min(replication, n)] * shards
+        #: replicas every shard keeps, capped at the fleet size
+        self.replication = min(replication, n)
         # round-robin start: primary s % N, backups on the next nodes --
         # balanced per replica rank, so per-node load starts balanced
         self.replicas: List[List[str]] = [
-            [self.node_names[(s + r) % n] for r in range(self.targets[s])]
+            [self.node_names[(s + r) % n] for r in range(self.replication)]
             for s in range(shards)
         ]
 
     # -- queries -----------------------------------------------------------
-
-    def target(self, shard: int) -> int:
-        return self.targets[shard]
-
-    def set_target(self, shard: int, replication: int) -> None:
-        if replication < 1:
-            raise ValueError("replication must be >= 1")
-        self.targets[shard] = replication
 
     def loads(self, live: Sequence[str]) -> Dict[str, int]:
         """Replica slots currently assigned per live node."""
@@ -236,10 +98,10 @@ class ShardMap:
         """Adapt to the live set; returns how many shards changed.
 
         Three deterministic passes: evict dead replicas, refill each
-        shard to its target from the least-loaded live nodes, then drain
-        the load spread to <= 1 by moving single replicas from the most-
-        to the least-loaded node (this is the only pass a pure join
-        exercises, and it only ever moves slots *onto* underloaded
+        shard to ``replication`` from the least-loaded live nodes, then
+        drain the load spread to <= 1 by moving single replicas from
+        the most- to the least-loaded node (this is the only pass a pure
+        join exercises, and it only ever moves slots *onto* underloaded
         nodes).
         """
         live_set = set(live)
@@ -260,7 +122,7 @@ class ShardMap:
         load = self.loads(sorted(live_set))
         for s in range(self.shards):
             nodes = self.replicas[s]
-            want = min(self.targets[s], len(live_set))
+            want = min(self.replication, len(live_set))
             while len(nodes) < want:
                 candidates = [n for n in load if n not in nodes]
                 if not candidates:
@@ -270,7 +132,7 @@ class ShardMap:
                 load[pick] += 1
                 changed.add(s)
 
-        for _ in range(sum(self.targets)):
+        for _ in range(self.shards * self.replication):
             lo = min(load, key=lambda n: (load[n], n))
             hi = max(load, key=lambda n: (load[n], n))
             if load[hi] - load[lo] <= 1:

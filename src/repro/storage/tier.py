@@ -29,40 +29,39 @@ Design points:
   :class:`StorageUnavailable` when every replica of the shard is dead.
 - **Bulk window readout.**  ``window_readout`` (the analytics stage's
   one read per pass) applies the same rule once per shard and gathers
-  the shard's columns from its read node's bank in one call; heat and
-  the counters above move by the per-key totals, and a dead shard's
-  series read NaN (counted in ``fetch_failures``) instead of raising.
+  the shard's columns from its read node's bank in one call; the
+  counters above move by the per-key totals, and a dead shard's series
+  read NaN (counted in ``fetch_failures``) instead of raising.
+- **Fixed shards, moving replicas.**  A series' shard is a stable hash
+  of its ``(source, cluster, host)`` group and never changes.  Data
+  moves between nodes only when the :class:`ShardMap` reassigns a
+  replica slot, and every such copy is one bank-block copy per shard
+  (:meth:`~repro.rrd.store.RrdStore.copy_series_from`).
 - **Anti-entropy repair.**  A periodic sweep finds shards with fewer
   than R fresh live replicas, re-syncs stale-but-live members and
-  recruits replacement nodes (least loaded first) for dead ones by
-  cloning series state; time from node death to full R is recorded per
-  incident in ``repair_times``.
-- **Clustering-driven rebalance.**  A slower periodic pass re-runs the
-  feature clustering (:func:`repro.storage.placement.assign_groups`)
-  over observed update rates and query heat and migrates at most
-  ``max_group_moves`` series groups per pass toward their ideal shard.
+  recruits replacement nodes (least loaded first) for dead ones; time
+  from node death to full R is recorded per incident in
+  ``repair_times``.
+- **Shard rebalance.**  A slower periodic pass, run only while no repair
+  incident is open, lets :meth:`ShardMap.rebalance` even out replica
+  slots over the live nodes (at most ``ceil(slots/N)`` shards move), so
+  a node that restarts after repair replaced it wins its share back.
+  Each newly assigned replica is synced at once from a replica that was
+  fresh before the move.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.rrd.database import RraSpec, default_rra_specs
 from repro.rrd.store import MetricKey, SUMMARY_HOST
 from repro.sim.engine import Engine, PeriodicTask
-from repro.sim.rng import derive_seed
 from repro.storage.config import StorageTierConfig
 from repro.storage.node import StorageNode, make_node_names
-from repro.storage.placement import (
-    GroupFeatures,
-    GroupKey,
-    ShardMap,
-    assign_groups,
-)
+from repro.storage.placement import ShardMap, group_shard
 
 
 class StorageUnavailable(RuntimeError):
@@ -79,30 +78,20 @@ class TierColumnPlan:
 
     Mirrors :class:`repro.rrd.store.ColumnPlan`'s contract (``keys``,
     ``__len__``, ``update``) so the archiver's plan cache works
-    unchanged.  The shard grouping is rebuilt whenever the tier's
-    placement epoch moves (a group migrated), and per-node sub-plans are
-    bound lazily so replicas recruited by repair start receiving scatter
-    writes on the next poll without invalidating the archiver's cache.
+    unchanged.  Shards never change, so the shard split is built once,
+    at bind time; per-node sub-plans are bound lazily so replicas that
+    repair or rebalance assign start receiving scatter writes on the
+    next poll without invalidating the archiver's cache.
     """
 
-    __slots__ = ("tier", "keys", "_epoch", "_chunks", "_node_plans")
+    __slots__ = ("tier", "keys", "_chunks", "_node_plans")
 
     def __init__(self, tier: "StorageTier", keys: Sequence[MetricKey]) -> None:
         self.tier = tier
         self.keys = list(keys)
-        self._epoch = -1
-        self._chunks: List[Tuple[int, "object", List[MetricKey]]] = []
-        self._node_plans: Dict[Tuple[int, str], object] = {}
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def _rebuild(self) -> None:
-        tier = self.tier
         by_shard: Dict[int, List[int]] = {}
         for j, key in enumerate(self.keys):
-            s = tier._shard_of(key)
-            by_shard.setdefault(s, []).append(j)
+            by_shard.setdefault(tier._shard_of(key), []).append(j)
         self._chunks = [
             (
                 s,
@@ -111,8 +100,10 @@ class TierColumnPlan:
             )
             for s, positions in sorted(by_shard.items())
         ]
-        self._node_plans.clear()
-        self._epoch = tier.placement_epoch
+        self._node_plans: Dict[Tuple[int, str], object] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
     def update(self, t: float, values: "object") -> None:
         tier = self.tier
@@ -120,10 +111,7 @@ class TierColumnPlan:
         tier.update_count += n
         if tier.on_update is not None:
             tier.on_update(n)
-        if self._epoch != tier.placement_epoch:
-            self._rebuild()
         for s, sel, chunk_keys in self._chunks:
-            tier._note_updates(chunk_keys[0], len(chunk_keys))
             sub_values = values[sel]
             tier._scatter_shard(s, chunk_keys, t, sub_values, self._node_plans)
 
@@ -177,23 +165,16 @@ class StorageTier:
             if update_cost is not None and update_cost > 0
             else config.rrd_update_cost
         ) or 2.5e-5
-        # -- placement state
+        # -- placement state: each key's fixed shard, each shard's keys
         self._key_shard: Dict[MetricKey, int] = {}
-        self._group_shard: Dict[GroupKey, int] = {}
-        self._group_keys: Dict[GroupKey, List[MetricKey]] = {}
-        self._shard_keys: List[Set[MetricKey]] = [
-            set() for _ in range(config.shards)
+        self._shard_keys: List[List[MetricKey]] = [
+            [] for _ in range(config.shards)
         ]
-        #: bumped whenever a key changes shard; column plans watch it
-        self.placement_epoch = 0
         # -- freshness state
         self._versions: List[int] = [0] * config.shards
         self._applied: List[Dict[str, int]] = [
             {} for _ in range(config.shards)
         ]
-        # -- feature accumulators for the clustering pass
-        self._group_updates: Dict[GroupKey, int] = {}
-        self._group_heat: Dict[GroupKey, float] = {}
         # -- window readout: (stamp, keys, shard slices), per-node columns
         self._readout: Tuple = (None, [], [])
         self._readout_columns: Dict[Tuple[int, str], Tuple] = {}
@@ -207,8 +188,7 @@ class StorageTier:
         self.fetch_failures = 0
         self.updates_lost = 0
         self.repairs_completed = 0
-        self.groups_migrated = 0
-        self.rebalance_passes = 0
+        self.replica_moves = 0
         self.repair_times: List[float] = []
         self._incidents: Dict[int, float] = {}
         self._registry = None  # obs MetricsRegistry, attached lazily
@@ -273,43 +253,20 @@ class StorageTier:
 
     # -- placement ---------------------------------------------------------
 
-    @staticmethod
-    def _group_of(key: MetricKey) -> GroupKey:
-        return (key.source, key.cluster, key.host)
-
     def _shard_of(self, key: MetricKey) -> int:
+        """The fixed shard of ``key``, registered on first touch."""
         s = self._key_shard.get(key)
-        if s is not None:
-            return s
-        group = self._group_of(key)
-        gs = self._group_shard.get(group)
-        if gs is None:
-            # initial placement: stable hash of the group name; the
-            # periodic clustering pass refines it from observed features
-            gs = derive_seed(
-                self.config.placement_seed, f"group:{'/'.join(group)}"
-            ) % self.config.shards
-            self._group_shard[group] = gs
-            self._group_keys[group] = []
-        self._key_shard[key] = gs
-        self._group_keys[group].append(key)
-        self._shard_keys[gs].add(key)
-        if self.mode == "full":
-            self.create_count += 1
-        return gs
-
-    def _note_updates(self, key: MetricKey, count: int) -> None:
-        group = self._group_of(key)
-        self._group_updates[group] = self._group_updates.get(group, 0) + count
-
-    def note_query_heat(
-        self, source: str, cluster: str, host: str, amount: float = 1.0
-    ) -> None:
-        """Feed external query heat (e.g. from the query engine) in."""
-        self._add_heat((source, cluster, host), amount)
-
-    def _add_heat(self, group: GroupKey, amount: float) -> None:
-        self._group_heat[group] = self._group_heat.get(group, 0.0) + amount
+        if s is None:
+            s = group_shard(
+                (key.source, key.cluster, key.host),
+                self.config.shards,
+                self.config.placement_seed,
+            )
+            self._key_shard[key] = s
+            self._shard_keys[s].append(key)
+            if self.mode == "full":
+                self.create_count += 1
+        return s
 
     # -- freshness ---------------------------------------------------------
 
@@ -329,7 +286,7 @@ class StorageTier:
 
     def _shard_deficit(self, shard: int) -> int:
         live_nodes = self.nodes_up()
-        want = min(self.shard_map.target(shard), max(live_nodes, 1))
+        want = min(self.shard_map.replication, max(live_nodes, 1))
         return max(0, want - len(self._fresh_live(shard)))
 
     def under_replicated_shards(self) -> int:
@@ -345,7 +302,6 @@ class StorageTier:
         if self.on_update is not None:
             self.on_update(1)
         s = self._shard_of(key)
-        self._note_updates(key, 1)
         ver = self._versions[s] + 1
         applied = False
         for name in self.shard_map.replicas[s]:
@@ -445,7 +401,6 @@ class StorageTier:
         s = self._key_shard.get(key)
         if s is None:
             return None
-        self._add_heat(self._group_of(key), 1.0)
         node = self._read_node(s)
         if node is None:
             raise StorageUnavailable(key, s)
@@ -466,8 +421,8 @@ class StorageTier:
 
         Each shard's read node is picked once, by :meth:`_read_node`'s
         rule, and the shard's columns come from one bank gather on that
-        node.  Query heat and the failover, stale and failure counters
-        move by the totals a :meth:`fetch_series` per key would add.  A
+        node.  The failover, stale and failure counters move by the
+        totals a :meth:`fetch_series` per key would add.  A
         shard with no live replica, and a series its read node does not
         hold, read NaN with end time ``-row_seconds``.
         """
@@ -476,9 +431,7 @@ class StorageTier:
         keys, shards = self._readout_layout(skip_source)
         values = np.full((k, len(keys)), np.nan)
         end_times = np.full(len(keys), -self._row_seconds)
-        for s, lo, hi, heat in shards:
-            for group, count in heat.items():
-                self._add_heat(group, count)
+        for s, lo, hi in shards:
             node = self._read_node(s, hi - lo)
             if node is None:
                 continue
@@ -494,22 +447,19 @@ class StorageTier:
     def _readout_layout(self, skip_source: Optional[str]):
         """The readout's keys, grouped by shard, and each shard's slice.
 
-        Shard slices are ``(shard, lo, hi, keys per group)`` over the
-        key list.  Rebuilt when a key moves shard or the tier
-        gains series; per-node column arrays are dropped with it.
+        Shard slices are ``(shard, lo, hi)`` over the key list.  Rebuilt
+        when the tier gains series; per-node column arrays are dropped
+        with it.
         """
-        stamp = (self.placement_epoch, len(self._key_shard), skip_source)
+        stamp = (len(self._key_shard), skip_source)
         if self._readout[0] != stamp:
-            by_shard: Dict[int, List[MetricKey]] = {}
-            for key, s in self._key_shard.items():
-                if key.source != skip_source:
-                    by_shard.setdefault(s, []).append(key)
             keys: List[MetricKey] = []
             shards = []
-            for s, shard_keys in sorted(by_shard.items()):
-                heat = Counter(self._group_of(key) for key in shard_keys)
-                shards.append((s, len(keys), len(keys) + len(shard_keys), heat))
-                keys += shard_keys
+            for s, shard_keys in enumerate(self._shard_keys):
+                chosen = [key for key in shard_keys if key.source != skip_source]
+                if chosen:
+                    shards.append((s, len(keys), len(keys) + len(chosen)))
+                    keys += chosen
             self._readout = (stamp, keys, shards)
             self._readout_columns.clear()
         return self._readout[1], self._readout[2]
@@ -555,14 +505,15 @@ class StorageTier:
     # -- anti-entropy repair ----------------------------------------------
 
     def _sync_node(self, shard: int, src: StorageNode, dst: StorageNode) -> None:
-        """Copy every series of ``shard`` from a fresh replica to ``dst``."""
+        """Copy every series of ``shard`` from a fresh replica to ``dst``.
+
+        One block copy between the two nodes' banks; ``dst`` is fresh
+        afterwards.
+        """
         keys = self._shard_keys[shard]
-        if self.mode == "full":
-            for key in sorted(keys):
-                dst.store.clone_series_from(key, src.store)
+        dst.store.copy_series_from(src.store, keys)
         dst.busy_seconds += len(keys) * self.config.repair_cost_per_series
         self._applied[shard][dst.name] = self._versions[shard]
-        self.repairs_completed += 1
 
     def repair_sweep(self) -> int:
         """One anti-entropy pass; returns how many shard syncs ran."""
@@ -590,7 +541,7 @@ class StorageTier:
                     self._sync_node(s, src, node)
                     synced += 1
             # 2) recruit replacements for dead replicas, least-loaded first
-            want = min(self.shard_map.target(s), max(live_count, 1))
+            want = min(self.shard_map.replication, max(live_count, 1))
             load = self.shard_map.loads(
                 sorted(n for n, node in self.nodes.items() if node.up)
             )
@@ -618,92 +569,36 @@ class StorageTier:
                 started = self._incidents.pop(s, None)
                 if started is not None:
                     self.repair_times.append(now - started)
+        self.repairs_completed += synced
         return synced
 
-    # -- clustering-driven rebalance ---------------------------------------
-
-    def _collect_features(self) -> Dict[GroupKey, GroupFeatures]:
-        return {
-            group: GroupFeatures(
-                update_rate=float(self._group_updates.get(group, 0)),
-                query_heat=float(self._group_heat.get(group, 0.0)),
-            )
-            for group in self._group_shard
-        }
+    # -- shard rebalance --------------------------------------------------
 
     def rebalance_sweep(self) -> int:
-        """Refine placement toward the clustering ideal; bounded moves."""
-        self.rebalance_passes += 1
-        if not self._group_shard:
+        """Even out replica slots over the live nodes; returns moves made.
+
+        Runs only while no repair incident is open and every shard is at
+        its replica count, so each shard has a fresh replica to copy
+        from.  :meth:`ShardMap.rebalance` moves at most
+        ``ceil(slots/N)`` shards; each replica it newly assigns is
+        synced at once from a replica that was fresh before the move,
+        so a move never opens a freshness gap.
+        """
+        if self._incidents or self.under_replicated_shards():
             return 0
-        features = self._collect_features()
-        ideal = assign_groups(
-            features,
-            self.config.shards,
-            self.config.placement_seed,
-            iterations=self.config.kmeans_iterations,
-        )
-        misplaced = [
-            g
-            for g in sorted(ideal)
-            if ideal[g] != self._group_shard[g]
-        ]
-        misplaced.sort(key=lambda g: (-features[g].weight(), g))
-        moved = 0
-        for g in misplaced[: self.config.max_group_moves]:
-            if self._move_group(g, ideal[g]):
-                moved += 1
-        self._refresh_hot_targets(features)
-        if moved:
-            self.placement_epoch += 1
-            self.groups_migrated += moved
-        return moved
-
-    def _move_group(self, group: GroupKey, new_shard: int) -> bool:
-        old_shard = self._group_shard[group]
-        if old_shard == new_shard:
-            return False
-        keys = self._group_keys.get(group, [])
-        if self.mode == "full" and keys:
-            fresh = self._fresh_live(old_shard)
-            if not fresh:
-                return False  # no consistent source to copy from; retry later
-            src = self.nodes[fresh[0]]
-            for name in self.shard_map.replicas[new_shard]:
-                node = self.nodes[name]
-                if not node.up:
-                    continue
-                for key in keys:
-                    node.store.clone_series_from(key, src.store)
-                node.busy_seconds += (
-                    len(keys) * self.config.repair_cost_per_series
-                )
-        self._group_shard[group] = new_shard
-        for key in keys:
-            self._key_shard[key] = new_shard
-            self._shard_keys[old_shard].discard(key)
-            self._shard_keys[new_shard].add(key)
-        return True
-
-    def _refresh_hot_targets(
-        self, features: Dict[GroupKey, GroupFeatures]
-    ) -> None:
-        """Promote the hottest shards (by query heat) to R_hot replicas."""
-        cfg = self.config
-        hot_r = cfg.effective_hot_replication
-        if hot_r <= cfg.replication or cfg.hot_fraction <= 0:
-            return
-        heat = [0.0] * cfg.shards
-        for group, shard in self._group_shard.items():
-            heat[shard] += features.get(group, GroupFeatures()).query_heat
-        hot_count = max(1, int(math.ceil(cfg.shards * cfg.hot_fraction)))
-        ranked = sorted(range(cfg.shards), key=lambda s: (-heat[s], s))
-        hot = set(ranked[:hot_count])
-        for s in range(cfg.shards):
-            self.shard_map.set_target(
-                s, hot_r if s in hot and heat[s] > 0 else cfg.replication
-            )
-        # the anti-entropy sweep recruits the extra replicas
+        shards = range(self.config.shards)
+        before = [list(self.shard_map.replicas[s]) for s in shards]
+        sources = [self._fresh_live(s)[0] for s in shards]
+        live = sorted(n for n, node in self.nodes.items() if node.up)
+        self.shard_map.rebalance(live)
+        moves = 0
+        for s in shards:
+            for name in self.shard_map.replicas[s]:
+                if name not in before[s]:
+                    self._sync_node(s, self.nodes[sources[s]], self.nodes[name])
+                    moves += 1
+        self.replica_moves += moves
+        return moves
 
     # -- reporting ---------------------------------------------------------
 
@@ -731,7 +626,7 @@ class StorageTier:
             "fetch_failures": float(self.fetch_failures),
             "under_replicated_shards": float(self.under_replicated_shards()),
             "repairs_completed": float(self.repairs_completed),
-            "groups_migrated": float(self.groups_migrated),
+            "replica_moves": float(self.replica_moves),
             "critical_path_seconds": self.critical_path_seconds(),
             "total_node_seconds": self.total_node_seconds(),
         }

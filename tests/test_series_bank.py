@@ -10,7 +10,7 @@ error messages) to match exactly.
 import numpy as np
 import pytest
 
-from repro.rrd.bank import SeriesBank
+from repro.rrd.bank import _CLOCK_FIELDS, _RUNG_FIELDS, SeriesBank
 from repro.rrd.consolidate import ConsolidationFunction
 from repro.rrd.database import RrdDatabase, RraSpec, compact_rra_specs
 from repro.rrd.store import ColumnPlan, MetricKey, RrdStore
@@ -160,6 +160,23 @@ class TestStoreIntegration:
         store.update_columns(plan, 25.0, np.array([4.0, 5.0, 6.0]))
         assert view.updates == 2 and view.latest() == 2.0
 
+    def test_copy_series_from_moves_held_keys_in_one_block(self):
+        src = RrdStore(mode="full", rra_specs=compact_rra_specs())
+        dst = RrdStore(mode="full", rra_specs=compact_rra_specs())
+        held = [self.key("a"), self.key("b")]
+        for step in range(12):
+            for j, k in enumerate(held):
+                src.update(k, 2.0 + 15.0 * step, float(step * (j + 1)))
+        dst.update(self.key("b"), 2.0, 99.0)  # overwritten by the copy
+        dst.copy_series_from(src, held + [self.key("missing")])
+        assert dst.keys() == sorted(held)  # a key src lacks is skipped
+        for k in held:
+            for got, want in zip(
+                dst.fetch_series(k, 0.0, 200.0), src.fetch_series(k, 0.0, 200.0)
+            ):
+                assert np.array_equal(got, want, equal_nan=True)
+            assert dst.database(k).updates == src.database(k).updates
+
     def test_scalar_update_routes_into_bank(self):
         store = RrdStore(mode="full", rra_specs=compact_rra_specs())
         plan = store.column_plan([self.key("a")])
@@ -249,7 +266,7 @@ class TestSeriesState:
         self.drive(src, 3)
         dst, _ = make_twins(5)
         for i in range(3):
-            dst.copy_series_from(src, i, 4 - i)
+            dst.import_series(4 - i, src.export_series(i))
         for i in range(3):
             for got, want in zip(dst.fetch(4 - i, 0.0, 700.0), src.fetch(i, 0.0, 700.0)):
                 assert np.array_equal(got, want, equal_nan=True)
@@ -274,6 +291,34 @@ class TestSeriesState:
             for a, b in zip(state["rings"], before)
         )
 
+    def test_block_copy_equals_per_series_export_import(self):
+        """``copy_columns_from`` is ``import_series(export_series(...))``
+        for every series at once: clocks, rung cursors and accumulators
+        and rings, partially filled rows and occupied targets included."""
+        src, _ = make_twins(7)
+        self.drive(src, 6, steps=range(37))  # series 6 is never written
+        src_idx = np.array([5, 0, 3, 6, 2], dtype=np.int64)
+        dst_idx = np.array([1, 7, 4, 0, 6], dtype=np.int64)
+        # the coarse rungs end mid-row: partial row accumulators move too
+        assert all(rra.acc_total[src_idx].any() for rra in src.rras[1:])
+        block, _ = make_twins(8)
+        oracle, _ = make_twins(8)
+        for bank in (block, oracle):
+            # targets 0, 1 and 4 hold data; 6 and 7 were never written
+            self.drive(bank, 6, steps=range(5, 90))
+        block.copy_columns_from(src, src_idx, dst_idx)
+        for i, j in zip(src_idx, dst_idx):
+            oracle.import_series(int(j), src.export_series(int(i)))
+        for name in _CLOCK_FIELDS:
+            got, want = getattr(block, "_" + name), getattr(oracle, "_" + name)
+            assert np.array_equal(got, want, equal_nan=True), name
+        for got, want in zip(block.rras, oracle.rras):
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+            for name in _RUNG_FIELDS:
+                assert np.array_equal(
+                    getattr(got, name), getattr(want, name), equal_nan=True
+                ), name
+
     @pytest.mark.parametrize(
         "other",
         [
@@ -292,6 +337,9 @@ class TestSeriesState:
         dst, _ = make_twins(1)
         with pytest.raises(ValueError):
             dst.import_series(0, src.export_series(0))
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError):
+            dst.copy_columns_from(src, one, one)
 
 
 class TestOneSeriesHome:

@@ -3,8 +3,8 @@
 Twin Fig. 2 federations are built from the same seed -- one archiving
 through the daemon's single :class:`~repro.rrd.store.RrdStore`, one
 through a replicated, sharded :class:`~repro.storage.tier.StorageTier`
-(3 nodes, R=2, live anti-entropy and rebalance sweeps) -- and driven
-through identical event sequences.  At every checkpoint every gmetad in
+(3 nodes, R=2, live anti-entropy and shard rebalance sweeps) -- and
+driven through identical event sequences.  At every checkpoint every gmetad in
 both trees must serve **byte-identical** XML, charge identical CPU, and
 (in full archive mode) hold value-identical RRD histories.  That is the
 tier's acceptance bar: replication and sharding change *where* series
@@ -85,7 +85,9 @@ def assert_tier_engaged(tiered):
             continue
         engaged += 1
         physical = sum(n.updates_applied for n in store.nodes.values())
-        if store.mode == "full":
+        if store.mode == "full" and not any(
+            n.kills for n in store.nodes.values()
+        ):
             assert physical == 2 * store.update_count  # R=2, all nodes up
         assert store.updates_lost == 0
         assert store.critical_path_seconds() > 0
@@ -144,13 +146,25 @@ def test_full_archives_value_identical(columnar):
     """Full archive mode: every series fetched through the tier (with
     its replica-choosing read path) equals the single store's copy --
     across both the scalar update path and the columnar batch scatter,
-    and across live rebalance migrations."""
+    and across live shard moves: a storage node dies, repair re-homes
+    its replicas, and after its restart the rebalance sweep moves
+    replica slots back onto it."""
     base, tiered = build_twins(columnar=columnar, archive_mode="full")
     run_both(base, tiered, 150.0)
+    tiers = [g.rrd_store for g in tiered.gmetads.values()]
+    for tier in tiers:
+        tier.kill_node("st01")
+    run_both(base, tiered, 45.0)
+    for tier in tiers:
+        tier.restart_node("st01")
     for fed in (base, tiered):
         fed.pseudos["sdsc-c0"].mutate(hosts=[1])
         fed.pseudos["attic-c2"].set_host_down(0)
     run_both(base, tiered, 120.0)
+    for tier in tiers:
+        if len(tier):
+            assert tier.replica_moves > 0
+            assert tier.shard_map.shards_on("st01")
     now = base.engine.now
     compared = 0
     for name in base.gmetads:

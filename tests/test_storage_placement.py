@@ -1,9 +1,9 @@
-"""Placement properties: deterministic clustering, bounded shard movement.
+"""Placement properties: a stable group hash, bounded shard movement.
 
 The two guarantees the storage tier's placement layer makes:
 
-- :func:`assign_groups` is a pure function of (features, seed) -- same
-  inputs, same placement, across calls and across processes;
+- :func:`group_shard` is a pure function of (group, shards, seed) --
+  same inputs, same shard, across calls and across processes;
 - :class:`ShardMap.rebalance` after a *single* node join or leave moves
   at most ``ceil(K/N)`` shards (at R=1), never a full reshuffle.
 """
@@ -14,87 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.placement import (
-    GroupFeatures,
-    ShardMap,
-    assign_groups,
-)
+from repro.storage.placement import ShardMap, group_shard
 
 
-def grid_features(clusters=4, hosts=12, rate=1.0, heat=0.0):
-    """Uniform features over a clusters x hosts grid of groups."""
-    return {
-        (f"src{c}", f"cluster{c}", f"host{h:02d}"): GroupFeatures(
-            update_rate=rate, query_heat=heat
-        )
-        for c in range(clusters)
-        for h in range(hosts)
-    }
-
-
-class TestAssignGroups:
-    def test_empty_features(self):
-        assert assign_groups({}, shards=8, seed=1) == {}
-
-    def test_covers_every_group_within_range(self):
-        features = grid_features()
-        assignment = assign_groups(features, shards=8, seed=7)
-        assert set(assignment) == set(features)
-        assert all(0 <= s < 8 for s in assignment.values())
-
-    def test_deterministic_across_calls(self):
-        features = grid_features(rate=2.0, heat=3.0)
-        first = assign_groups(features, shards=16, seed=42)
-        second = assign_groups(features, shards=16, seed=42)
-        assert first == second
-
-    def test_weight_balanced_shards(self):
-        """Equal-weight groups land in near-equal-weight shards."""
-        features = grid_features(clusters=4, hosts=16)
-        assignment = assign_groups(features, shards=8, seed=3)
-        sizes = [0] * 8
-        for s in assignment.values():
-            sizes[s] += 1
-        assert max(sizes) - min(sizes) <= 2  # 64 groups over 8 shards
-        assert min(sizes) > 0
-
-    def test_cluster_affinity_colocates_hosts(self):
-        """Hosts of one cluster occupy a contiguous slice of shards --
-        not a scatter across the whole ring."""
-        features = grid_features(clusters=4, hosts=12)
-        assignment = assign_groups(features, shards=8, seed=11)
-        for c in range(4):
-            shards = {
-                assignment[g] for g in assignment if g[0] == f"src{c}"
-            }
-            # 12 of 48 equal-weight groups ~ a quarter of 8 shards, plus
-            # at most one boundary spill on each side
-            assert len(shards) <= 4, f"cluster {c} scattered to {shards}"
-
+class TestGroupShard:
     @given(
-        rates=st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=40,
-        ),
-        shards=st.integers(min_value=1, max_value=32),
+        source=st.text(max_size=8),
+        host=st.text(max_size=8),
+        shards=st.integers(min_value=1, max_value=64),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_property_deterministic_given_features_and_seed(
-        self, rates, shards, seed
-    ):
-        features = {
-            ("s", f"c{i % 3}", f"h{i}"): GroupFeatures(
-                update_rate=rate, query_heat=float(i)
-            )
-            for i, rate in enumerate(rates)
-        }
-        first = assign_groups(features, shards, seed)
-        second = assign_groups(features, shards, seed)
-        assert first == second
-        assert set(first) == set(features)
-        assert all(0 <= s < shards for s in first.values())
+    def test_property_stable_and_in_range(self, source, host, shards, seed):
+        group = (source, "c0", host)
+        shard = group_shard(group, shards, seed)
+        assert 0 <= shard < shards
+        assert group_shard(group, shards, seed) == shard
+
+    def test_hosts_spread_over_every_shard(self):
+        groups = [("src", "cl", f"h{h:03d}") for h in range(256)]
+        used = {group_shard(g, 8, seed=20031201) for g in groups}
+        assert used == set(range(8))
 
 
 class TestShardMap:

@@ -8,10 +8,13 @@ The tier's contract has three faces, each pinned here:
 - **robustness** -- kills fail fetches over to surviving replicas,
   lost-write and failure counters move, and the anti-entropy sweep
   restores full replication (including re-syncing restarted-but-stale
-  nodes) with value-identical archives;
+  nodes) with value-identical archives, and the shard rebalance hands
+  a restarted node its replica slots back with bounded moves;
 - **fault plumbing** -- ``storage_kill`` / ``storage_restart`` schedule
   events validate, dispatch, and replay deterministically.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -229,61 +232,94 @@ class TestFailoverAndRepair:
         tier.repair_sweep()
         assert tier.under_replicated_shards() == 0
 
-    def test_hot_shards_gain_extra_replicas(self, engine):
-        tier = make_tier(
-            engine,
-            replication=1,
-            hot_replication=3,
-            hot_fraction=0.25,
-        )
-        keys = [key(f"h{i}") for i in range(16)]
-        write_ramp(tier, keys)
-        hot = keys[0]
-        for _ in range(50):
-            tier.database(hot)  # query heat concentrates on one group
-        tier.rebalance_sweep()
-        hot_shard = tier._shard_of(hot)
-        assert tier.shard_map.target(hot_shard) == 3
-        tier.repair_sweep()  # recruits the extra replicas
-        live = [
-            n
-            for n in tier.shard_map.replicas[hot_shard]
-            if tier.nodes[n].up
-        ]
-        assert len(live) == 3
-        assert tier.under_replicated_shards() == 0
-
     def test_rebalance_moves_are_bounded(self, engine):
-        tier = make_tier(engine, max_group_moves=2)
+        tier = make_tier(engine)
         keys = [key(f"h{i}", cluster=f"c{i % 4}") for i in range(24)]
         write_ramp(tier, keys, steps=2)
+        tier.kill_node("st01")
+        tier.repair_sweep()  # re-homes every st01 slot
+        tier.restart_node("st01")
+        assert not tier.shard_map.shards_on("st01")
+        slots = tier.config.shards * tier.config.replication
         moved = tier.rebalance_sweep()
-        assert moved <= 2
-        if moved:
-            assert tier.placement_epoch == 1
-            # fetches still resolve after migration
-            for k in keys:
-                tier.fetch_series(k, 0.0, 100.0)
+        assert 0 < moved <= math.ceil(slots / len(tier.nodes))
+        assert tier.replica_moves == moved
+        loads = tier.shard_map.loads(sorted(tier.nodes))
+        assert max(loads.values()) - min(loads.values()) <= 1
+        assert tier.under_replicated_shards() == 0
+        # fetches still resolve after the move, from fresh replicas only
+        for k in keys:
+            tier.fetch_series(k, 0.0, 100.0)
+        assert tier.stale_fetches == 0
+
+    def test_rebalance_waits_for_open_repair_incidents(self, engine):
+        tier = make_tier(engine)
+        write_ramp(tier, [key(f"h{i}") for i in range(8)], steps=1)
+        tier.kill_node("st01")
+        before = [list(nodes) for nodes in tier.shard_map.replicas]
+        assert tier.rebalance_sweep() == 0
+        assert tier.shard_map.replicas == before
 
     def test_column_plans_follow_migrations(self, engine):
-        tier = make_tier(engine, max_group_moves=64, shards=4)
+        tier = make_tier(engine, shards=4)
         single = RrdStore(mode="full")
         keys = [key(f"h{i}", cluster=f"c{i % 3}") for i in range(12)]
         plan = tier.column_plan(keys)
         single_plan = single.column_plan(keys)
-        for i in range(4):
-            values = np.arange(len(keys), dtype=float) * (i + 1)
-            tier.update_columns(plan, 15.0 * (i + 1), values)
-            single.update_columns(single_plan, 15.0 * (i + 1), values)
-        tier.rebalance_sweep()
-        for i in range(4, 8):
-            values = np.arange(len(keys), dtype=float) * (i + 1)
-            tier.update_columns(plan, 15.0 * (i + 1), values)
-            single.update_columns(single_plan, 15.0 * (i + 1), values)
+
+        def write(steps):
+            for i in steps:
+                values = np.arange(len(keys), dtype=float) * (i + 1)
+                tier.update_columns(plan, 15.0 * (i + 1), values)
+                single.update_columns(single_plan, 15.0 * (i + 1), values)
+
+        write(range(4))
+        tier.kill_node("st01")
+        tier.repair_sweep()
+        write(range(4, 6))  # missed by st01
+        tier.restart_node("st01")
+        assert tier.rebalance_sweep() > 0
+        write(range(6, 9))
+        # the moved replicas were synced and take the plan's writes:
+        # every replica of every shard, st01's included, equals the twin
+        assert tier.shard_map.shards_on("st01")
+        for k in keys:
+            want = single.fetch_series(k, 0.0, 200.0)
+            for name in tier.shard_map.replicas[tier._shard_of(k)]:
+                assert_same_series(
+                    tier.nodes[name].store.fetch_series(k, 0.0, 200.0), want
+                )
+
+    def test_restarted_node_wins_its_replica_slots_back(self, engine):
+        tier = make_tier(
+            engine, shards=16, repair_interval=10.0, rebalance_interval=120.0
+        ).start()
+        single = RrdStore(mode="full")
+        keys = [key(f"h{i}", m, cluster=f"c{i % 4}")
+                for i in range(16) for m in ("a", "b")]
+        plan = tier.column_plan(keys)
+        single_plan = single.column_plan(keys)
+
+        def flush():
+            values = np.arange(len(keys), dtype=float) + engine.now
+            tier.update_columns(plan, engine.now, values)
+            single.update_columns(single_plan, engine.now, values)
+
+        engine.every(15.0, flush, initial_delay=15.0)
+        engine.run_for(60.0)
+        tier.kill_node("st01")
+        engine.run_for(90.0)
+        tier.restart_node("st01")
+        engine.run_for(300.0)
+        loads = tier.shard_map.loads(sorted(tier.nodes))
+        assert max(loads.values()) - min(loads.values()) <= 1, loads
+        assert tier.replica_moves > 0
+        for s in range(tier.config.shards):
+            assert len(tier._fresh_live(s)) == tier.config.replication
         for k in keys:
             assert_same_series(
-                tier.fetch_series(k, 0.0, 200.0),
-                single.fetch_series(k, 0.0, 200.0),
+                tier.fetch_series(k, 0.0, engine.now),
+                single.fetch_series(k, 0.0, engine.now),
             )
 
 
@@ -296,7 +332,6 @@ class TestWindowReadout:
     def counters(tier):
         return (
             tier.failover_fetches, tier.stale_fetches, tier.fetch_failures,
-            dict(tier._group_heat),
         )
 
     def fetch_every_key(self, tier, t):
