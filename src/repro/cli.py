@@ -278,7 +278,7 @@ def _cmd_readtier(args: argparse.Namespace) -> int:
     tier = build_read_tier(
         engine, federation.fabric, federation.tcp, ingest,
         replicas=args.replicas,
-        config=ReadTierConfig(replicas=args.replicas),
+        config=ReadTierConfig(replicas=args.replicas, columnar_serve=True),
     )
     deadline = engine.now + 300.0
     while not tier.synced() and engine.now < deadline:
@@ -291,6 +291,7 @@ def _cmd_readtier(args: argparse.Namespace) -> int:
         engine, federation.fabric, federation.tcp, tier.address,
         viewer_paths(ingest), clients=args.clients,
         per_client_qps=args.qps, aggregators=32, seed=args.seed,
+        accept_binary=True,
     ).start()
     engine.run_for(args.window)
     fleet.stop()
@@ -308,6 +309,17 @@ def _cmd_readtier(args: argparse.Namespace) -> int:
         print(f"  {replica.name:16s} gen={replica.ingest_versions} "
               f"({match})  served={replica.queries_served} "
               f"shed={replica.queries_shed} installs={replica.installs}")
+    rows = sum(r.feed_metric_rows for r in tier.replicas)
+    hits = sum(r.feed_fast_lane_hits for r in tier.replicas)
+    if rows:
+        print(f"feed parse: fast lane took {hits}/{rows} METRIC rows "
+              f"({hits / rows:.2f})")
+    else:
+        print("feed parse: no cluster records (grid sources only)")
+    frames = [r.frame_counts() for r in tier.replicas]
+    print(f"bin1 frames: encoded={sum(e for e, _ in frames)} "
+          f"reused={sum(r for _, r in frames)}")
+    identical = True
     matched = [r for r in tier.replicas if r.ingest_versions == triple]
     if matched:
         replica = matched[0]
@@ -327,7 +339,7 @@ def _cmd_readtier(args: argparse.Namespace) -> int:
           f"{1000 * window.percentile(0.50):.2f} ms, p99 "
           f"{1000 * window.percentile(0.99):.2f} ms")
     federation.stop()
-    return 0
+    return 0 if identical else 1
 
 
 def _cmd_storage(args: argparse.Namespace) -> int:
@@ -526,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "readtier",
-        help="replicated read tier + viewer fleet over the Fig. 2 tree",
+        help="replicated read tier (columnar-serve replicas) + accept=bin1 "
+             "viewer fleet over the Fig. 2 tree",
     )
     p.add_argument("--at", default="root",
                    help="which gmetad gets the read tier (default root)")

@@ -314,6 +314,8 @@ class ColumnarDocument:
     #: slow path still parsed them correctly, but a nonzero count means
     #: the canonical-order assumption the binary codec shares is broken
     fast_lane_misses: int = 0
+    #: METRIC elements the fast lane took; zero with the lane off
+    fast_lane_hits: int = 0
 
     @property
     def element_count(self) -> int:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import random
 
-from repro.columnar import ColumnarDocument, InternPool
+from repro.columnar import InternPool
 from repro.core.archiver import Archiver
 from repro.core.datastore import Datastore
 from repro.core.poller import DataSourcePoller
@@ -47,7 +47,6 @@ from repro.wire.binfmt import (
     BinaryFrame,
     FrameError,
     decode_document,
-    encode_cluster_document,
     materialize_document,
     split_accept,
 )
@@ -290,22 +289,23 @@ class QueryServer:
 
         The no-XML serving path: a ``bin1``-capable viewer (or readtier
         front door) asking for ``/source`` gets the columns re-framed,
-        never serialized to text.  Requires ``columnar_serve``, a
-        single-segment full-form path and held columns; anything else
-        declines to the XML engine.
+        never serialized to text.  The frame is the one the source's
+        fragment arena holds (:meth:`FragmentArena.cluster_frame`):
+        encoded on the first binary read after an install, reused until
+        the next.  Every snapshot a ``columnar_serve`` daemon installs
+        with columns carries its arena, so requiring the arena declines
+        nothing the columns would have answered.  Requires
+        ``columnar_serve``, a single-segment full-form path and an
+        arena; anything else declines to the XML engine.  The charge is
+        the same whether the frame was encoded or reused.
         """
         if not self.columnar_serve or query.summary or len(query.path) != 1:
             return None
         snapshot = self.datastore.source(query.path[0])
-        if snapshot is None or snapshot.columns is None:
+        if snapshot is None or snapshot.arena is None:
             return None
         try:
-            frame = encode_cluster_document(
-                ColumnarDocument(
-                    version=self.version, source="gmetad",
-                    clusters=[snapshot.columns],
-                )
-            )
+            frame = snapshot.arena.cluster_frame(self.version)
         except FrameError:
             return None
         seconds = self.charge(self.costs.query_fixed, "query")
@@ -314,6 +314,14 @@ class QueryServer:
         seconds += self.charge(self.costs.serve_byte * len(frame), "serve")
         self.binary_served += 1
         return frame, seconds
+
+    def frame_counts(self) -> Tuple[int, int]:
+        """(CLUSTER_DOC frames encoded, frames reused) over every arena."""
+        arenas = self._serve_arenas.values()
+        return (
+            sum(arena.frames_encoded for arena in arenas),
+            sum(arena.frames_reused for arena in arenas),
+        )
 
     def _install_arena(self, source: str, cols):
         """Install ``cols`` into the source's fragment arena (created on

@@ -29,6 +29,19 @@ Byte identity
     columnar ingest poll does, and installs as a hostless shell plus
     columns plus fragment arena; path queries answer off those exactly
     as on the ingest daemon, which the equivalence suites pin.
+
+Validation
+    Validation belongs at trust boundaries: where bytes arrive from a
+    gmond or a child gmetad.  The feed is not one.  It carries the
+    ingest daemon's own writer output, CRC-framed on the binary feed,
+    so a replica parses it under the ingest daemon's own
+    ``validate_xml`` switch (off by default), which keeps the columnar
+    parser's METRIC fast lane on.  Structural damage -- a cut tag, an
+    unclosed element, an unknown TYPE -- still raises with validation
+    off, and the generation barrier aborts the batch on it.
+    ``feed_metric_rows`` and ``feed_fast_lane_hits`` count the METRIC
+    rows of installed feed records and how many the lane took; the
+    hits read 0 when the lane is off outright.
 """
 
 from __future__ import annotations
@@ -146,6 +159,10 @@ class ReadReplica(QueryServer):
         self.installs = 0
         self.removals = 0
         self.barrier_aborts = 0
+        #: METRIC rows of the installed feed records' columnar parses,
+        #: and how many of them the parser's fast lane took
+        self.feed_metric_rows = 0
+        self.feed_fast_lane_hits = 0
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -226,7 +243,7 @@ class ReadReplica(QueryServer):
         # barrier complete: every changed source staged cleanly
         now = self.engine.now
         for source in sorted(staged):
-            snapshot, up, detail, summary = staged[source]
+            snapshot, up, detail, summary, (rows, hits) = staged[source]
             self.datastore.install(snapshot, now)
             snapshot.up = up
             # the shipped strings ARE the serve output: prime the
@@ -239,6 +256,8 @@ class ReadReplica(QueryServer):
                 # once the barrier holds
                 snapshot.arena = self._install_arena(source, snapshot.columns)
             self.installs += 1
+            self.feed_metric_rows += rows
+            self.feed_fast_lane_hits += hits
         for source in removals:
             if self.datastore.remove_source(source):
                 self._serve_arenas.pop(source, None)
@@ -251,29 +270,37 @@ class ReadReplica(QueryServer):
 
     def _build_snapshot(
         self, source: str, meta_raw: str, detail: str, summary: str
-    ) -> Tuple[SourceSnapshot, bool, str, str]:
+    ) -> Tuple[SourceSnapshot, bool, str, str, Tuple[int, int]]:
         """Parse one source's feed records back into a snapshot.
 
         A cluster's detail fragment goes through the ingest daemon's
         columnar parse into this replica's intern pool and stages as a
         hostless shell plus columns; shapes the columnar builder
         declines (summary-form clusters) keep the tree parser's element.
+        All three records parse under the ingest daemon's
+        ``validate_xml`` (see "Validation" above).  The last element of
+        the result is the parse's ``(METRIC rows, fast-lane hits)``,
+        added to the replica's counts only once the barrier holds.
         """
         meta = json.loads(meta_raw)
         kind = meta.get("k", "cluster")
         self.charge(
             self.costs.parse_byte * (len(detail) + len(summary)), "parse"
         )
+        validate = self.ingest.validate_xml
         cdoc = None
         if kind == "cluster":
             cdoc, detail_doc = parse_cluster_xml(
-                self._wrap(detail), self._intern_pool
+                self._wrap(detail), self._intern_pool, validate
             )
         else:
-            detail_doc = parse_document(self._wrap(detail))
-        summary_doc = parse_document(self._wrap(summary))
+            detail_doc = parse_document(self._wrap(detail), validate)
+        summary_doc = parse_document(self._wrap(summary), validate)
+        lane = (0, 0)
         if cdoc is not None:
             inserts = cdoc.element_count
+            lane = (sum(c.row_count for c in cdoc.clusters),
+                    cdoc.fast_lane_hits)
         else:
             inserts = document_element_count(detail_doc)
         self.charge(self.costs.hash_insert * inserts, "parse")
@@ -311,7 +338,7 @@ class ReadReplica(QueryServer):
             columns=columns,
             authority=meta.get("a", ""),
         )
-        return snapshot, bool(meta.get("u", 1)), detail, summary
+        return snapshot, bool(meta.get("u", 1)), detail, summary, lane
 
     def _wrap(self, fragment: str) -> str:
         return (

@@ -17,6 +17,14 @@ here compares those and reduces per-row changes onto the host axis with
 one ``bincount``.  NaN compares unequal to itself, so NaN-carrying rows
 re-render every install: over-invalidation is allowed, staleness is not
 (``test_serve_churn`` pins this).
+
+The arena also holds the GBF1 ``CLUSTER_DOC`` frame of its current
+columns, the answer to a ``bin1`` ``/source`` request.  The frame is
+encoded on the first such request after an install and dropped by the
+next :meth:`FragmentArena.install`, so repeated binary reads of one
+install encode once, and an install no one reads in binary encodes
+nothing.  A quarantined source keeps its last-good columns, so it keeps
+serving its last-good frame.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.columnar.layout import ColumnarDocument
 from repro.serve.render import (
     EscapedPool,
     NumFormatter,
@@ -32,6 +41,7 @@ from repro.serve.render import (
     render_host,
     render_metric_row,
 )
+from repro.wire.binfmt import encode_cluster_document
 
 
 class FragmentArena:
@@ -48,9 +58,12 @@ class FragmentArena:
         "_fresh_bytes",
         "_fresh_hosts",
         "_total_bytes",
+        "_frame",
         "frag_hits",
         "frag_misses",
         "frag_invalidations",
+        "frames_encoded",
+        "frames_reused",
     )
 
     def __init__(self) -> None:
@@ -64,18 +77,26 @@ class FragmentArena:
         self._fresh_bytes = 0
         self._fresh_hosts = 0
         self._total_bytes = 0
+        #: GBF1 CLUSTER_DOC frame of the current columns, or None until
+        #: the first binary read after an install
+        self._frame: Optional[bytes] = None
         #: fragments spliced into replies without re-rendering
         self.frag_hits = 0
         #: fragments rendered (initial builds and re-renders)
         self.frag_misses = 0
         #: fragments invalidated by a per-host delta diff
         self.frag_invalidations = 0
+        #: CLUSTER_DOC frames encoded (at most one per install)
+        self.frames_encoded = 0
+        #: binary reads answered with the held frame
+        self.frames_reused = 0
 
     # -- install-time maintenance -----------------------------------------
 
     def install(self, cols) -> None:
         """Adopt one poll's columns, re-rendering only what changed."""
         prev = self.cols
+        self._frame = None
         if self._esc is None or self._esc._pool is not cols.pool:
             self._esc = EscapedPool(cols.pool)
         if prev is not None and cols.same_layout(prev):
@@ -168,6 +189,25 @@ class FragmentArena:
         self._fresh_hosts = 0
         self.frag_hits += len(frags) - fresh_hosts
         return "".join(parts), self._total_bytes - fresh_bytes
+
+    def cluster_frame(self, version: str) -> bytes:
+        """The GBF1 ``CLUSTER_DOC`` frame of the current columns.
+
+        Encoded on the first call after an install and held until the
+        next; ``version`` is the GANGLIA_XML VERSION of the one daemon
+        that owns this arena.  A :class:`~repro.wire.binfmt.FrameError`
+        propagates and leaves nothing held.
+        """
+        if self._frame is not None:
+            self.frames_reused += 1
+            return self._frame
+        self._frame = encode_cluster_document(
+            ColumnarDocument(
+                version=version, source="gmetad", clusters=[self.cols]
+            )
+        )
+        self.frames_encoded += 1
+        return self._frame
 
     def host_fragment(self, host_name: str) -> Optional[str]:
         """The pre-rendered HOST fragment, or None if unknown."""

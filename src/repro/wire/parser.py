@@ -92,6 +92,10 @@ class GangliaParser:
         #: turn the whole parse O(slow), and the binary codec shares the
         #: same canonical-order assumption -- so consumers surface this.
         self.fast_lane_misses = 0
+        #: METRIC elements the fast lane took.  Zero when the lane is
+        #: off outright (``validate=True`` or a handler without
+        #: ``fast_metric``), which a miss count alone cannot show.
+        self.fast_lane_hits = 0
 
     def parse(self, text: str, handler: SaxHandler) -> int:
         """Feed ``text`` through ``handler``; returns the event count.
@@ -114,12 +118,14 @@ class GangliaParser:
         # validation: the DTD/gap checks need the generic path)
         fast_metric = None if validate else getattr(handler, "fast_metric", None)
         metric_fast_match = _METRIC_FAST_RE.match
+        hits = 0
         for match in _TAG_RE.finditer(text):
             if fast_metric is not None and stack:
                 fm = metric_fast_match(match.group(1))
                 if fm is not None:
                     fast_metric(*fm.groups())
                     events += 2  # start + end of a self-closing element
+                    hits += 1
                     continue
                 if match.group(1).startswith("METRIC "):
                     # a real METRIC the fast lane could not take
@@ -203,6 +209,7 @@ class GangliaParser:
                 events += 1
             else:
                 stack.append(name)
+        self.fast_lane_hits += hits
         if validate:
             tail = text[pos:]
             if tail and not tail.isspace():
@@ -785,6 +792,7 @@ def parse_columnar(
     if builder.document is None:
         raise ParseError("document produced no GANGLIA_XML root")
     builder.document.fast_lane_misses = parser.fast_lane_misses
+    builder.document.fast_lane_hits = parser.fast_lane_hits
     return builder.document
 
 

@@ -124,3 +124,32 @@ class TestGstatCommand:
         assert main([
             "gstat", "--at", "mars", "--hosts", "3", "--warmup", "20",
         ]) == 2
+
+
+class TestReadtierCommand:
+    ARGS = ["readtier", "--at", "sdsc", "--hosts", "4", "--replicas", "2",
+            "--clients", "200", "--window", "30"]
+
+    def test_drive_reports_lane_and_frames(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "(1.00)" in out.split("feed parse:")[1].splitlines()[0]
+        frames = out.split("bin1 frames: ")[1].splitlines()[0]
+        encoded = int(frames.split()[0].split("=")[1])
+        assert encoded > 0
+        assert "byte identity" in out and ": OK" in out
+
+    def test_byte_identity_mismatch_fails_the_command(
+        self, capsys, monkeypatch
+    ):
+        from repro.readtier.replica import ReadReplica
+
+        real = ReadReplica.serve_query
+
+        def drifted(self, request):
+            xml, seconds = real(self, request)
+            return xml + "<!-- drift -->", seconds
+
+        monkeypatch.setattr(ReadReplica, "serve_query", drifted)
+        assert main(self.ARGS) == 1
+        assert "MISMATCH" in capsys.readouterr().out

@@ -13,12 +13,16 @@ Invariants pinned here:
 6. Path query parse/render round-trips.
 """
 
+import dataclasses
 import math
 import string
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar.layout import InternPool
 from repro.core.query import GmetadQuery
 from repro.core.summarize import merge_summaries, summarize_cluster
 from repro.metrics.types import MetricType, format_value
@@ -32,7 +36,8 @@ from repro.wire.model import (
     HostElement,
     MetricElement,
 )
-from repro.wire.parser import parse_document
+from repro.serve.arena import FragmentArena
+from repro.wire.parser import ColumnarFallback, parse_columnar, parse_document
 from repro.wire.writer import write_document
 
 # -- strategies -------------------------------------------------------------
@@ -119,6 +124,40 @@ def test_fast_and_validating_parse_agree(doc):
     strict = parse_document(xml, validate=True)
     fast = parse_document(xml, validate=False)
     assert write_document(strict) == write_document(fast)
+    # the columnar lanes: the fast lane (validation off) and the
+    # validating path yield equal columns and equal arena renderings,
+    # so parsing a trusted feed without validation installs the same
+    cluster_doc = GangliaDocument(version=doc.version, source=doc.source)
+    for cluster in doc.clusters.values():
+        cluster_doc.add_cluster(cluster)
+    cluster_xml = write_document(cluster_doc)
+    pool = InternPool()
+    try:
+        strict_cols = parse_columnar(cluster_xml, pool, validate=True)
+    except ColumnarFallback:
+        with pytest.raises(ColumnarFallback):
+            parse_columnar(cluster_xml, pool, validate=False)
+        return
+    fast_cols = parse_columnar(cluster_xml, pool, validate=False)
+    assert strict_cols.fast_lane_hits == 0
+    assert fast_cols.fast_lane_hits == sum(
+        c.row_count for c in fast_cols.clusters
+    )
+    assert len(strict_cols.clusters) == len(fast_cols.clusters)
+    for a, b in zip(strict_cols.clusters, fast_cols.clusters):
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                np.testing.assert_array_equal(x, y)  # NaN == NaN here
+            elif field.compare:
+                assert x == y, field.name
+        arenas = FragmentArena(), FragmentArena()
+        for arena, cols in zip(arenas, (a, b)):
+            arena.install(cols)
+        assert arenas[0].detail_fragment() == arenas[1].detail_fragment()
+        assert arenas[0].cluster_frame("2.5.4") == arenas[1].cluster_frame(
+            "2.5.4"
+        )
 
 
 # -- 2/3: summaries are additive ------------------------------------------------

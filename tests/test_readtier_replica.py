@@ -7,6 +7,8 @@ answers to the ingest gmetad for every query form.  With ``read_tier``
 off (the default) nothing changes -- the feed does not even exist.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +20,18 @@ from repro.net.fabric import Fabric
 from repro.net.tcp import TcpNetwork
 from repro.pubsub.delta import flatten_datastore
 from repro.readtier.config import ReadTierConfig
-from repro.readtier.feed import GEN_KEY, REPL_PREFIX
-from repro.readtier.replica import ReadReplica
+from repro.readtier.feed import (
+    GEN_KEY,
+    REPL_PREFIX,
+    detail_key,
+    meta_key,
+    summary_key,
+)
+from repro.readtier.replica import FeedError, ReadReplica
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.wire.conditional import NotModified, TaggedXml, with_generation
+from repro.wire.parser import ParseError
 
 
 QUERIES = [
@@ -42,7 +51,10 @@ def world(engine, fabric, tcp, rngs):
         def __init__(self):
             self.pseudos = {}
 
-        def build(self, read_tier=ReadTierConfig(), sources=("meteor", "torus")):
+        def build(
+            self, read_tier=ReadTierConfig(), sources=("meteor", "torus"),
+            validate_xml=False,
+        ):
             config = GmetadConfig(
                 name="sdsc", host="gmeta-sdsc", archive_mode="account",
                 read_tier=read_tier,
@@ -54,7 +66,9 @@ def world(engine, fabric, tcp, rngs):
                 )
                 self.pseudos[name] = pseudo
                 config.add_source(name, [pseudo.address])
-            self.daemon = Gmetad(engine, fabric, tcp, config).start()
+            self.daemon = Gmetad(
+                engine, fabric, tcp, config, validate_xml=validate_xml
+            ).start()
             self.broker = self.daemon.attach_pubsub()
             return self.daemon
 
@@ -74,6 +88,36 @@ def assert_matched_generation(daemon, replica):
         daemon.datastore.content_version,
         daemon.datastore.detail_version,
     )
+
+
+def torn_open_tag(detail):
+    return "<CLUSTER NAME='broken"
+
+
+def cut_mid_metric(detail):
+    return detail[: detail.index("<METRIC ") + len('<METRIC NAME="lo')]
+
+
+def cut_mid_host(detail):
+    return detail[: detail.index("<HOST ") + len('<HOST NAME="')]
+
+
+def cluster_left_open(detail):
+    return detail[: detail.index("</HOST>") + len("</HOST>\n")]
+
+
+def unknown_metric_type(detail):
+    return re.sub(r'TYPE="[^"]*"', 'TYPE="bogus"', detail, count=1)
+
+
+#: damaged cluster detail fragments, each cut from a real feed record
+TEARS = [
+    torn_open_tag,
+    cut_mid_metric,
+    cut_mid_host,
+    cluster_left_open,
+    unknown_metric_type,
+]
 
 
 class TestByteIdentity:
@@ -213,22 +257,58 @@ class TestGenerationBarrier:
         assert replica.ingest_versions == versions_before
         assert replica.barrier_aborts == aborts_before + 1
 
-    def test_unparseable_fragment_aborts_whole_batch(self, world, engine):
-        daemon = world.build()
+    @pytest.mark.parametrize("tear", TEARS, ids=[t.__name__ for t in TEARS])
+    def test_unparseable_fragment_aborts_whole_batch(self, world, engine, tear):
+        """Damage that still raises with validation off aborts the whole
+        batch: the feed parses on the fast lane, not unchecked."""
+        world.build()
         replica = world.replica()
         engine.run_for(60.0)
+        assert not replica.ingest.validate_xml
         mirror = replica.client.stream.mirror
-        from repro.readtier.feed import detail_key, meta_key, summary_key
-
-        mirror[meta_key("ghost")] = '{"a":"","cs":0,"k":"cluster","u":1}'
-        mirror[detail_key("ghost")] = "<CLUSTER NAME='broken"
-        mirror[summary_key("ghost")] = "<CLUSTER/>"
+        meta = '{"a":"","cs":0,"k":"cluster","u":1}'
+        detail = tear(mirror[detail_key("meteor")])
+        summary = mirror[summary_key("meteor")]
+        # an unterminated tag is invisible to the tag scan without
+        # validation, so the parse finds no cluster; every cut inside a
+        # real record is a structural error the parser always raises
+        expected = FeedError if tear is torn_open_tag else ParseError
+        with pytest.raises(expected):
+            replica._build_snapshot("zulu", meta, detail, summary)
+        mirror[meta_key("zulu")] = meta
+        mirror[detail_key("zulu")] = detail
+        mirror[summary_key("zulu")] = summary
         installs_before = replica.installs
-        # "meteor" staged fine, but the batch contains the torn ghost:
-        # nothing from the batch may install
-        replica._rebuild({"ghost", "meteor"})
+        rows_before = replica.feed_metric_rows
+        meteor_before = replica.datastore.sources["meteor"]
+        # "meteor" stages first and cleanly, but the batch also holds
+        # the torn "zulu": nothing from the batch may install
+        replica._rebuild({"meteor", "zulu"})
         assert replica.barrier_aborts == 1
         assert replica.installs == installs_before
+        # rows count only for records that installed
+        assert replica.feed_metric_rows == rows_before
+        assert replica.datastore.sources["meteor"] is meteor_before
+        assert "zulu" not in replica.datastore.sources
+
+
+class TestFeedParseLane:
+    """Validation sits at trust boundaries: the feed is the ingest
+    daemon's own writer output, so it parses under the ingest's
+    ``validate_xml`` and its METRIC rows ride the fast lane."""
+
+    @pytest.mark.parametrize("validate_xml, share", [(False, 1.0), (True, 0.0)])
+    def test_fast_lane_share_follows_ingest_validation(
+        self, world, engine, validate_xml, share
+    ):
+        daemon = world.build(validate_xml=validate_xml)
+        replica = world.replica()
+        engine.run_for(60.0)
+        assert_matched_generation(daemon, replica)
+        assert replica.feed_metric_rows > 0
+        assert replica.feed_fast_lane_hits == share * replica.feed_metric_rows
+        for query in QUERIES:
+            assert replica.serve_query(query)[0] == daemon.serve_query(query)[0]
 
 
 churn_steps = st.lists(

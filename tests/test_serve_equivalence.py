@@ -19,8 +19,9 @@ The suite also pins the per-host renderer against :class:`XmlWriter`
 property-style (escaping, ``-0`` normalization, NaN, metric/attribute
 ordering), the arena's invalidation behavior under targeted churn
 (never a stale host), the lazy ``decode_to_xml`` path (satellite: no
-DOM materialization on binary decode), and the read tier's
-``columnar_serve`` mode including GBF1 detail frames.
+DOM materialization on binary decode), the read tier's
+``columnar_serve`` mode including GBF1 detail frames, and the arena-held
+``bin1`` frame (one encode per install, never stale).
 """
 
 import string
@@ -124,6 +125,18 @@ def assert_arenas_engaged(fast):
     assert engaged
 
 
+def assert_arenas_hold_columns(server):
+    """Every snapshot a columnar-serve daemon holds with columns carries
+    the arena those columns were installed into -- the ``bin1`` detail
+    frame is read off the arena, so no state may hold one without it."""
+    for name, snapshot in server.datastore.sources.items():
+        if snapshot.columns is None:
+            continue
+        assert snapshot.arena is not None, name
+        assert snapshot.arena is server._serve_arenas[name], name
+        assert snapshot.arena.cols is snapshot.columns, name
+
+
 @pytest.mark.parametrize("incremental", [False, True])
 def test_steady_churn_serves_identical_bytes(incremental):
     """Default workload: every pseudo re-randomizes each poll cycle."""
@@ -134,6 +147,8 @@ def test_steady_churn_serves_identical_bytes(incremental):
     assert_identical_everywhere(dom, fast, PATH_REQUESTS)
     assert_zero_materializations(fast)
     assert_arenas_engaged(fast)
+    for gmetad in fast.gmetads.values():
+        assert_arenas_hold_columns(gmetad)
 
 
 @pytest.mark.parametrize("incremental", [False, True])
@@ -159,6 +174,8 @@ def test_mutations_and_host_death(incremental):
         for a in g._serve_arenas.values()
     )
     assert invalidated > 0  # the mutations really cycled fragments
+    for gmetad in fast.gmetads.values():
+        assert_arenas_hold_columns(gmetad)
 
 
 def test_fast_path_matches_tree_baseline():
@@ -345,7 +362,147 @@ def test_replica_feed_builds_no_dom(engine, fabric, tcp, rngs, monkeypatch):
         snapshot.columns is not None
         for snapshot in replica.datastore.sources.values()
     )
+    assert_arenas_hold_columns(replica)
     assert replica.datastore.materializations == 0
+
+
+# -- the arena-held bin1 frame ----------------------------------------------
+
+
+def count_encodes(monkeypatch):
+    """Record every CLUSTER_DOC encode the fragment arenas make."""
+    import repro.serve.arena as arena_module
+
+    calls = []
+    original = arena_module.encode_cluster_document
+
+    def counting(doc):
+        calls.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(arena_module, "encode_cluster_document", counting)
+    return calls
+
+
+def encode_installed(server, source):
+    """The frame the installed columns encode to, encoded afresh."""
+    return encode_cluster_document(
+        ColumnarDocument(
+            version=server.version, source="gmetad",
+            clusters=[server.datastore.source(source).columns],
+        )
+    )
+
+
+def test_bin1_frame_encodes_once_per_install(
+    engine, fabric, tcp, rngs, monkeypatch
+):
+    """Two ``bin1 /source`` reads of one install encode once, return the
+    same bytes at the same charge; the frame is the installed columns
+    encoded and decodes to the XML view.  A new install re-encodes, and
+    only when read: the poll itself encodes nothing."""
+    daemon, pseudos = _serve_world(engine, fabric, tcp, rngs)
+    engine.run_for(60.0)
+    encodes = count_encodes(monkeypatch)
+    arena = daemon.datastore.source("meteor").arena
+    first, first_seconds = daemon.serve_binary("/meteor")
+    second, second_seconds = daemon.serve_binary("/meteor")
+    assert second == first
+    assert second_seconds == first_seconds
+    assert len(encodes) == 1
+    assert (arena.frames_encoded, arena.frames_reused) == (1, 1)
+    assert daemon.frame_counts() == (1, 1)
+    assert first == encode_installed(daemon, "meteor")
+    assert decode_to_xml(first) == daemon.serve_query("/meteor")[0]
+    installed = daemon.datastore.source("meteor").columns
+    pseudos["meteor"].mutate(hosts=[1])
+    engine.run_for(30.0)
+    assert daemon.datastore.source("meteor").columns is not installed
+    assert len(encodes) == 1  # lazy: the install encoded nothing
+    third, _ = daemon.serve_binary("/meteor")
+    assert len(encodes) == 2
+    assert third != first
+    assert third == encode_installed(daemon, "meteor")
+    assert decode_to_xml(third) == daemon.serve_query("/meteor")[0]
+    assert daemon.datastore.materializations == 0
+
+
+def test_removed_source_serves_no_stale_frame(engine, fabric, tcp, rngs):
+    """Detaching a source drops its arena and frame; re-attached, it
+    serves a frame of its new columns, not the old one."""
+    daemon, pseudos = _serve_world(engine, fabric, tcp, rngs)
+    engine.run_for(60.0)
+    stale, _ = daemon.serve_binary("/meteor")
+    source = next(s for s in daemon.config.data_sources if s.name == "meteor")
+    daemon.remove_data_source("meteor")
+    assert daemon.serve_binary("/meteor") is None
+    assert "meteor" not in daemon._serve_arenas
+    pseudos["meteor"].mutate(hosts=[0])
+    daemon.add_data_source(source)
+    engine.run_for(30.0)
+    fresh, _ = daemon.serve_binary("/meteor")
+    assert fresh != stale
+    assert fresh == encode_installed(daemon, "meteor")
+    assert daemon.datastore.source("meteor").arena.frames_encoded == 1
+
+
+def test_quarantined_source_keeps_last_good_frame(engine, fabric, tcp, rngs):
+    """``mark_corrupt`` keeps the last-good snapshot serving, so the
+    held frame keeps serving too, without a re-encode."""
+    daemon, _ = _serve_world(engine, fabric, tcp, rngs)
+    engine.run_for(60.0)
+    good, _ = daemon.serve_binary("/meteor")
+    daemon.datastore.mark_corrupt("meteor", engine.now, "garbled poll")
+    assert daemon.datastore.source("meteor").quarantined
+    again, _ = daemon.serve_binary("/meteor")
+    assert again == good
+    assert daemon.frame_counts() == (1, 1)
+
+
+def test_replica_bin1_frame_follows_feed_installs(
+    engine, fabric, tcp, rngs, monkeypatch
+):
+    """On a columnar-serve replica: one encode per feed install however
+    many ``bin1`` reads it serves, and a source the feed removes serves
+    no frame."""
+    config = GmetadConfig(
+        name="sdsc", host="gmeta-sdsc", archive_mode="account",
+        columnar=True, read_tier=ReadTierConfig(),
+    )
+    pseudo = PseudoGmond(
+        engine, fabric, tcp, "meteor", num_hosts=3,
+        rng=rngs.stream("pg:meteor"),
+    )
+    config.add_source("meteor", [pseudo.address])
+    daemon = Gmetad(engine, fabric, tcp, config).start()
+    daemon.attach_pubsub()
+    replica = ReadReplica(
+        engine, fabric, tcp, daemon, name="rc", host="gmeta-sdsc-rc",
+        config=ReadTierConfig(columnar_serve=True),
+    ).start()
+    engine.run_for(60.0)
+    encodes = count_encodes(monkeypatch)
+    frames = {replica.serve_binary("/meteor")[0] for _ in range(3)}
+    assert len(frames) == 1 and len(encodes) == 1
+    frame = frames.pop()
+    assert frame == encode_installed(replica, "meteor")
+    assert decode_to_xml(frame) == replica.serve_query("/meteor")[0]
+    installs = replica.installs
+    pseudo.mutate(hosts=[2])
+    engine.run_for(30.0)
+    assert replica.installs > installs
+    assert replica.serve_binary("/meteor")[0] == encode_installed(
+        replica, "meteor"
+    )
+    assert len(encodes) == 2
+    assert_arenas_hold_columns(replica)
+    # the feed drops the source: no arena, no frame
+    from repro.readtier.feed import meta_key
+
+    del replica.client.stream.mirror[meta_key("meteor")]
+    replica._rebuild({"meteor"})
+    assert replica.serve_binary("/meteor") is None
+    assert "meteor" not in replica._serve_arenas
 
 
 # -- arena churn: never a stale host ---------------------------------------
