@@ -21,7 +21,6 @@ ANALYTICS_SOURCE = "__analytics__"
 class AnalyticsConfig:
     """Configuration for the streaming analytics stage (``repro.analytics``)."""
 
-    enabled: bool = True
     #: how many finest-resolution archive rows each pass reads (the
     #: trend/anomaly window; bounded so a pass is O(window x series))
     window_rows: int = 16
@@ -36,15 +35,12 @@ class AnalyticsConfig:
     #: minimum seconds between analytics passes (0 = every distinct
     #: flush timestamp; passes within one timestamp always coalesce)
     cadence: float = 0.0
-    #: publish the ``__analytics__`` in-band cluster (off leaves the
-    #: readings query-able by alarm rules but out of the datastore)
-    publish: bool = True
     #: minimum seconds between ``__analytics__`` publishes
     publish_interval: float = 15.0
-    #: z-score denominator floor: ``max(std, abs + rel * |mean|)`` --
-    #: keeps near-constant series from alarming on float dust
+    #: absolute z-score denominator floor (the kernel adds its relative
+    #: floor on top) -- keeps near-constant series from alarming on
+    #: float dust
     z_floor_abs: float = 1e-6
-    z_floor_rel: float = 0.05
 
     def __post_init__(self) -> None:
         if self.window_rows < 2:
@@ -59,5 +55,5 @@ class AnalyticsConfig:
             raise ValueError("cadence must be non-negative")
         if self.publish_interval < 0:
             raise ValueError("publish_interval must be non-negative")
-        if self.z_floor_abs < 0 or self.z_floor_rel < 0:
-            raise ValueError("z-score floors must be non-negative")
+        if self.z_floor_abs < 0:
+            raise ValueError("z_floor_abs must be non-negative")

@@ -93,10 +93,7 @@ class AnalyticsEngine:
         if t - self._last_pass_t < self.config.cadence:
             return
         self.recompute(t)
-        if (
-            self.config.publish
-            and t - self._last_publish_t >= self.config.publish_interval
-        ):
+        if t - self._last_publish_t >= self.config.publish_interval:
             self.publish(t)
 
     def recompute(self, t: float) -> None:
@@ -112,8 +109,7 @@ class AnalyticsEngine:
         self._latest = latest_values(values)
         self._slope = rolling_slope(values, row_seconds, cfg.min_points)
         self._zscore = ewma_zscore(
-            values, cfg.ewma_alpha, cfg.min_points,
-            floor_abs=cfg.z_floor_abs, floor_rel=cfg.z_floor_rel,
+            values, cfg.ewma_alpha, cfg.min_points, floor_abs=cfg.z_floor_abs
         )
         self._row_seconds = row_seconds
         self._end_times = end_times

@@ -263,7 +263,7 @@ def _cmd_readtier(args: argparse.Namespace) -> int:
     from repro.readtier.fleet import ViewerFleet, build_read_tier, viewer_paths
 
     federation = build_paper_tree(
-        args.design, hosts_per_cluster=args.hosts, seed=args.seed,
+        "nlevel", hosts_per_cluster=args.hosts, seed=args.seed,
         archive_mode="account",
     )
     federation.start()
@@ -548,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="viewer fleet size (folded into aggregators)")
     p.add_argument("--qps", type=float, default=0.02,
                    help="per-client query rate (default 0.02)")
-    p.add_argument("--design", choices=("nlevel", "1level"), default="nlevel")
     _add_common(p)
     p.set_defaults(func=_cmd_readtier)
 

@@ -108,7 +108,7 @@ class Gmetad(GmetadBase):
                 )
             cluster.summary = summary  # element carries both resolutions
             self.charge(self.costs.summarize_metric * samples, "summarize")
-            if self.config.archive_local_detail and not summary_form:
+            if not summary_form:
                 self.archiver.archive_cluster_detail(source, cluster, now)
             self.archiver.archive_summary(source, cluster.name, summary, now)
             self.datastore.install(
@@ -192,8 +192,7 @@ class Gmetad(GmetadBase):
         shell = cols.shell_cluster()
         shell.summary = summary  # element carries both resolutions
         self.charge(self.costs.summarize_metric * samples, "summarize")
-        if self.config.archive_local_detail:
-            self.archiver.archive_cluster_detail_columns(source, cols, now)
+        self.archiver.archive_cluster_detail_columns(source, cols, now)
         self.archiver.archive_summary(source, cols.name, summary, now)
         self.datastore.install(
             SourceSnapshot(

@@ -34,6 +34,7 @@ class OneLevelGmetad(GmetadBase):
     """The unscalable baseline design."""
 
     version = "2.5.1"
+    summarizes = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -342,6 +342,9 @@ class GmetadBase(QueryServer):
     #: whether this design implements :meth:`ingest_columnar`; the
     #: ``config.columnar`` switch is a no-op on designs that don't.
     supports_columnar = False
+    #: whether ingest reduces cluster sources to summaries (the drift
+    #: auditor has nothing to re-fold on a design that doesn't)
+    summarizes = True
 
     def __init__(
         self,
@@ -357,9 +360,7 @@ class GmetadBase(QueryServer):
         resilience = config.resilience
         super().__init__(
             config.name,
-            resilience.serve_queue_limit
-            if resilience is not None and resilience.enabled
-            else 0,
+            resilience.serve_queue_limit if resilience is not None else 0,
         )
         self.engine = engine
         self.fabric = fabric
@@ -406,14 +407,14 @@ class GmetadBase(QueryServer):
         #: -- every hook below is guarded by ``if self.obs is not None``
         self.obs: Optional[Observability] = (
             Observability(self, config.observability)
-            if config.observability is not None and config.observability.enabled
+            if config.observability is not None
             else None
         )
         #: streaming analytics stage; None (the default) registers no
         #: flush hook, so the archiver path is untouched and output
         #: stays byte-identical to baseline
         self.analytics = None
-        if config.analytics is not None and config.analytics.enabled:
+        if config.analytics is not None:
             from repro.analytics.engine import AnalyticsEngine
 
             self.analytics = AnalyticsEngine(self, config.analytics)
@@ -446,7 +447,7 @@ class GmetadBase(QueryServer):
 
     def _breaker_rng(self, source: str) -> Optional[random.Random]:
         """Seeded jitter stream for one poller's circuit breaker."""
-        if self.config.resilience is None or not self.config.resilience.enabled:
+        if self.config.resilience is None:
             return None
         return random.Random(
             derive_seed(_BREAKER_SEED, f"{self.config.name}/{source}")
@@ -748,8 +749,7 @@ class GmetadBase(QueryServer):
         of evicting it.  Baseline mode (no resilience config) always
         returns False: the paper-faithful mark-failure path runs.
         """
-        resilience = self.config.resilience
-        if resilience is None or not resilience.enabled or not resilience.salvage:
+        if self.config.resilience is None:
             return False
         if self.source_kind(source) == "cluster":
             result = salvage_document(xml, cluster_hint=source)

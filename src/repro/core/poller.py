@@ -30,6 +30,8 @@ import random
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.resilience import (
+    HEALTH_ALPHA,
+    MIN_TIMEOUT,
     AdaptiveTimeout,
     CircuitBreaker,
     Overloaded,
@@ -113,31 +115,17 @@ class DataSourcePoller:
         self._initial_delay = (
             initial_delay if initial_delay is not None else config.poll_interval
         )
-        #: gray-failure resilience; None (or enabled=False) keeps every
-        #: code path below byte-identical to the paper-faithful baseline
-        self.resilience = (
-            resilience if resilience is not None and resilience.enabled else None
-        )
+        #: gray-failure resilience; None keeps every code path below
+        #: byte-identical to the paper-faithful baseline
+        self.resilience = resilience
         self.adaptive: Optional[AdaptiveTimeout] = None
         self.breaker: Optional[CircuitBreaker] = None
         self._health: Dict[Address, float] = {}
-        if self.resilience is not None:
-            r = self.resilience
+        if resilience is not None:
             self.adaptive = AdaptiveTimeout(
-                floor=min(r.min_timeout, config.timeout),
-                ceiling=config.timeout,
-                alpha=r.rtt_alpha,
-                beta=r.rtt_beta,
-                k=r.rtt_k,
+                floor=min(MIN_TIMEOUT, config.timeout), ceiling=config.timeout
             )
-            self.breaker = CircuitBreaker(
-                config.poll_interval,
-                threshold=r.breaker_threshold,
-                initial_intervals=r.breaker_initial_intervals,
-                ceiling_intervals=r.breaker_ceiling_intervals,
-                jitter=r.breaker_jitter,
-                rng=rng,
-            )
+            self.breaker = CircuitBreaker(config.poll_interval, rng=rng)
         #: self-observability hook; None keeps the poller uninstrumented
         self.obs = obs
         if self.obs is not None and self.breaker is not None:
@@ -241,10 +229,9 @@ class DataSourcePoller:
     def _note_health(self, address: Address, outcome: float) -> None:
         if self.resilience is None:
             return
-        alpha = self.resilience.health_alpha
         self._health[address] = (
-            1.0 - alpha
-        ) * self.endpoint_health(address) + alpha * outcome
+            1.0 - HEALTH_ALPHA
+        ) * self.endpoint_health(address) + HEALTH_ALPHA * outcome
 
     def _advance_endpoint(self) -> None:
         """Move to another redundant endpoint after a failure.

@@ -55,57 +55,33 @@ class Overloaded:
         return "<OVERLOADED/>"
 
 
+#: floor of the adaptive poll timeout (seconds); the configured fixed
+#: timeout stays the ceiling
+MIN_TIMEOUT = 0.5
+#: EWMA weight of the newest outcome in a per-endpoint health score
+HEALTH_ALPHA = 0.3
+
+
 @dataclass
 class ResilienceConfig:
-    """Knobs for the gray-failure resilience layer (one per gmetad).
+    """The gray-failure resilience layer (one per gmetad).
 
-    Attach via ``GmetadConfig(resilience=ResilienceConfig(...))``.  The
-    defaults are deliberately conservative: every adaptive behaviour is
-    bounded by the paper-faithful fixed parameters (timeout ceiling =
-    the configured timeout, breaker backoff ceiling = a few poll
+    Attach via ``GmetadConfig(resilience=ResilienceConfig(...))``;
+    ``None`` is the off switch.  Every adaptive behaviour is bounded by
+    the paper-faithful fixed parameters (timeout ceiling = the
+    configured timeout, breaker backoff ceiling = a few poll
     intervals), so enabling the layer can tighten reactions but never
-    loosen the original guarantees.
+    loosen the original guarantees.  The tuning constants live with the
+    pieces that use them: :class:`AdaptiveTimeout`,
+    :class:`CircuitBreaker`, :data:`MIN_TIMEOUT` and
+    :data:`HEALTH_ALPHA`.  Corruption-tolerant (salvage) ingest runs
+    whenever the layer is on.
     """
 
-    enabled: bool = True
-    # -- adaptive timeout (EWMA/variance, RFC6298-shaped) -----------------
-    min_timeout: float = 0.5
-    rtt_alpha: float = 0.125
-    rtt_beta: float = 0.25
-    rtt_k: float = 4.0
-    # -- per-endpoint health scores ---------------------------------------
-    health_alpha: float = 0.3
-    # -- circuit breaker ----------------------------------------------------
-    breaker_threshold: int = 3
-    breaker_initial_intervals: float = 1.0
-    breaker_ceiling_intervals: float = 4.0
-    breaker_jitter: float = 0.1
-    # -- corruption-tolerant ingest ----------------------------------------
-    salvage: bool = True
-    # -- query-engine load shedding (0 disables) ---------------------------
+    #: query-engine load shedding: in-flight serve bound (0 disables)
     serve_queue_limit: int = 0
 
     def __post_init__(self) -> None:
-        if self.min_timeout <= 0:
-            raise ValueError("min_timeout must be positive")
-        for name in ("rtt_alpha", "rtt_beta"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must be in (0, 1)")
-        if self.rtt_k <= 0:
-            raise ValueError("rtt_k must be positive")
-        if not (0.0 < self.health_alpha <= 1.0):
-            raise ValueError("health_alpha must be in (0, 1]")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_initial_intervals <= 0:
-            raise ValueError("breaker_initial_intervals must be positive")
-        if self.breaker_ceiling_intervals < self.breaker_initial_intervals:
-            raise ValueError(
-                "breaker_ceiling_intervals must be >= breaker_initial_intervals"
-            )
-        if not (0.0 <= self.breaker_jitter < 1.0):
-            raise ValueError("breaker_jitter must be in [0, 1)")
         if self.serve_queue_limit < 0:
             raise ValueError("serve_queue_limit must be non-negative")
 

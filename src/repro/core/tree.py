@@ -70,8 +70,6 @@ class GmetadConfig:
     timeout: float = 10.0
     #: archive mode: "full" keeps real RRDs, "account" only counts (big sweeps)
     archive_mode: str = "full"
-    #: archive per-host metrics for local clusters (leaf responsibility)
-    archive_local_detail: bool = True
     #: incremental ingest pipeline: conditional polls, delta
     #: summarization, memoized serialization.  Default on; the paper
     #: runners (Fig 5/6, Table 1) pin it off to keep the eager baseline.

@@ -18,7 +18,7 @@ from repro.gmond.config import GmondConfig
 from repro.gmond.state import ClusterState
 from repro.metrics.generators import MetricSource
 from repro.metrics.types import MetricSample, MetricType
-from repro.net.address import Address
+from repro.net.address import Address, stable_octet
 from repro.net.tcp import Response, TcpNetwork
 from repro.net.udp import MulticastChannel
 from repro.sim.engine import Engine, PeriodicTask
@@ -28,14 +28,11 @@ from repro.wire.binfmt import (
     encode_cluster_document,
     split_accept,
 )
-from repro.wire.conditional import (
-    NotModified,
-    TaggedXml,
-    next_epoch,
-    split_generation,
-)
 from repro.wire.model import GangliaDocument
-from repro.wire.writer import XmlWriter, _fmt_num, write_document
+from repro.wire.writer import write_document
+
+#: seconds between soft-state expiry sweeps (metric DMAX, host_dmax)
+CLEANUP_INTERVAL = 180.0
 
 
 @dataclass
@@ -85,7 +82,7 @@ class GmondAgent:
         self.config = config
         self.source = source
         self.host = source.host
-        self.ip = ip or f"10.0.0.{abs(hash(self.host)) % 250 + 1}"
+        self.ip = ip or f"10.0.0.{stable_octet(self.host, 250) + 1}"
         fabric_host = channel.fabric.host(self.host)
         if not fabric_host.ip:
             fabric_host.ip = self.ip
@@ -96,13 +93,8 @@ class GmondAgent:
         self._tasks: List[PeriodicTask] = []
         self._started = False
         self.reports_sent = 0
-        self.not_modified_served = 0
         self.binary_served = 0
         self._binfmt_pool = None  # lazy: XML-only pollers never build one
-        # incremental serving state (only used when the config flag is on)
-        self._serve_epoch = next_epoch(f"gmond-{self.host}")
-        self._xml_cache: Optional[tuple[int, str]] = None
-        self._host_frags: Dict[str, tuple[int, str]] = {}
         # The agent's own TCP endpoint serving the full cluster report.
         self._server = tcp.listen(Address.gmond(self.host), self._serve_xml)
 
@@ -142,7 +134,7 @@ class GmondAgent:
         )
         self._tasks.append(
             self.engine.every(
-                self.config.cleanup_interval,
+                CLEANUP_INTERVAL,
                 lambda: self.state.expire(self.engine.now),
             )
         )
@@ -226,44 +218,19 @@ class GmondAgent:
     # -- serving ---------------------------------------------------------------
 
     def _serve_xml(self, client: str, request: object) -> Response:
-        """Serve the complete cluster report.
+        """Serve the complete cluster report, rendered fresh.
 
-        Plain gmond ignores the request entirely.  With
-        ``incremental_serving`` on, an ``ifgen`` query parameter is
-        honoured: an unchanged soft-state table answers NOT-MODIFIED,
-        and full answers are assembled from per-host fragments keyed by
-        each record's version.  The cached report freezes TN/LOCALTIME
-        at render time -- the documented staleness trade; with the flag
-        off (the default) every serve renders fresh, exactly as before.
+        Plain gmond ignores the request.  A poller that offers
+        ``accept=bin1`` gets the same report as one binary frame
+        (:mod:`repro.wire.binfmt`); XML-only pollers never see one.
         """
         now = self.engine.now
-        base, accept = split_accept(str(request))
-        wants_binary = (
-            self.config.binary_serving and accept == CODEC_BINARY
-        )
-        if not self.config.incremental_serving:
-            if wants_binary:
-                return Response(self._render_frame(now))
-            doc = GangliaDocument(version="2.5.4", source="gmond")
-            doc.add_cluster(self.state.to_cluster_element(now))
-            return Response(write_document(doc))
-        _, presented = split_generation(base)
-        current = f"{self._serve_epoch}:{self.state.version}"
-        if presented is not None and presented == current:
-            self.not_modified_served += 1
-            return Response(NotModified(generation=current, localtime=now))
-        if wants_binary:
-            # binary always renders fresh (plain-mode semantics): the
-            # fragment cache's TN/LOCALTIME freeze is an XML-layer trade
-            # the codec does not mirror
-            frame = self._render_frame(now)
-            if presented is not None:
-                return Response(BinaryFrame(frame.data, generation=current))
-            return Response(frame)
-        xml = self._render_cached(now)
-        if presented is not None:
-            return Response(TaggedXml(xml, current))
-        return Response(xml)
+        _, accept = split_accept(str(request))
+        if accept == CODEC_BINARY:
+            return Response(self._render_frame(now))
+        doc = GangliaDocument(version="2.5.4", source="gmond")
+        doc.add_cluster(self.state.to_cluster_element(now))
+        return Response(write_document(doc))
 
     def _render_frame(self, now: float) -> BinaryFrame:
         """Encode the live cluster report as one binary frame."""
@@ -286,40 +253,3 @@ class GmondAgent:
         )
         self.binary_served += 1
         return BinaryFrame(encode_cluster_document(doc))
-
-    def _render_cached(self, now: float) -> str:
-        """Assemble the report from memoized per-host fragments."""
-        version = self.state.version
-        if self._xml_cache is not None and self._xml_cache[0] == version:
-            return self._xml_cache[1]
-        w = XmlWriter()
-        w.raw('<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n')
-        w.open_tag("GANGLIA_XML", [("VERSION", "2.5.4"), ("SOURCE", "gmond")])
-        attrs = [("NAME", self.config.cluster_name)]
-        if self.config.owner:
-            attrs.append(("OWNER", self.config.owner))
-        attrs.append(("LOCALTIME", _fmt_num(now)))
-        if self.config.url:
-            attrs.append(("URL", self.config.url))
-        w.open_tag("CLUSTER", attrs)
-        live = set()
-        for name in sorted(self.state.hosts):
-            record = self.state.hosts[name]
-            live.add(name)
-            cached = self._host_frags.get(name)
-            if cached is not None and cached[0] == record.version:
-                w.raw(cached[1])
-                continue
-            sub = XmlWriter()
-            sub.host(self.state.to_host_element(record, now))
-            frag = sub.result()
-            self._host_frags[name] = (record.version, frag)
-            w.raw(frag)
-        for name in list(self._host_frags):
-            if name not in live:  # departed host: drop its fragment
-                del self._host_frags[name]
-        w.close_tag("CLUSTER")
-        w.close_tag("GANGLIA_XML")
-        xml = w.result()
-        self._xml_cache = (version, xml)
-        return xml

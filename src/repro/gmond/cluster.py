@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 from repro.gmond.agent import GmondAgent
 from repro.gmond.config import GmondConfig
 from repro.metrics.generators import MetricSource, RealisticHostModel
-from repro.net.address import Address
+from repro.net.address import Address, stable_octet
 from repro.net.fabric import Fabric
 from repro.net.tcp import TcpNetwork
 from repro.net.udp import MulticastChannel
@@ -66,6 +66,7 @@ class SimulatedCluster:
             rng=rngs.stream(f"mcast:{name}"),
         )
         agents: List[GmondAgent] = []
+        subnet = stable_octet(name, 200)
         for i in range(num_hosts):
             hostname = f"{name}-0-{i}"
             fabric.add_host(hostname, cluster=name)
@@ -79,7 +80,7 @@ class SimulatedCluster:
                 tcp,
                 config,
                 source,
-                ip=f"10.{abs(hash(name)) % 200}.0.{i + 1}",
+                ip=f"10.{subnet}.0.{i + 1}",
                 rng=rngs.stream(f"gmond:{hostname}"),
             )
             agents.append(agent)

@@ -27,21 +27,9 @@ class GmondConfig:
     multicast_group: str = "239.2.11.71:8649"
     heartbeat_interval: float = 20.0
     heartbeat_window: float = 80.0
-    cleanup_interval: float = 180.0
     host_dmax: float = 0.0
     #: de-synchronization jitter applied to periodic sends (fraction of period)
     send_jitter: float = 0.1
-    #: answer conditional (ifgen) polls with NOT-MODIFIED and serve from
-    #: a per-host fragment cache keyed by soft-state versions.  Off by
-    #: default: cached reports freeze TN/LOCALTIME at render time, a
-    #: staleness trade a live agent's own heartbeat makes moot anyway
-    #: (the soft state moves every ~20 s, so matches are rare).
-    incremental_serving: bool = False
-    #: honour ``accept=bin1`` on TCP polls by answering a binary frame
-    #: (:mod:`repro.wire.binfmt`) instead of XML.  On by default: a
-    #: capable agent only speaks binary when the poller asks, so
-    #: XML-only pollers are unaffected either way.
-    binary_serving: bool = True
     metric_defs: Sequence[MetricDef] = field(default_factory=builtin_catalog)
 
     def __post_init__(self) -> None:

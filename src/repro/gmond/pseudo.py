@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.metrics.catalog import STRING_DEFAULTS, MetricDef, builtin_catalog
 from repro.metrics.types import MetricType, format_value
-from repro.net.address import Address
+from repro.net.address import Address, stable_octet
 from repro.net.fabric import Fabric
 from repro.net.tcp import Response, TcpNetwork
 from repro.sim.engine import Engine
@@ -127,10 +127,11 @@ class PseudoGmond:
 
     def _build_skeleton(self) -> ClusterElement:
         cluster = ClusterElement(name=self.name, owner="pseudo", localtime=0.0)
+        subnet = stable_octet(self.name, 200)
         for i in range(self.num_hosts):
             host = HostElement(
                 name=f"{self.name}-0-{i}",
-                ip=f"10.{abs(hash(self.name)) % 200}.{i // 250}.{i % 250 + 1}",
+                ip=f"10.{subnet}.{i // 250}.{i % 250 + 1}",
                 reported=0.0,
                 tn=0.0,
                 tmax=20.0,
@@ -382,25 +383,3 @@ class PseudoGmond:
     @property
     def address(self) -> Address:
         return Address.gmond(self.server_host)
-
-    def listen_mirror(
-        self,
-        fabric: Fabric,
-        tcp: TcpNetwork,
-        server_host: Optional[str] = None,
-    ) -> Address:
-        """Serve the same cluster from a second fabric host.
-
-        A real deployment lists several cluster nodes in gmetad.conf,
-        each able to answer with the full multicast-shared state (the
-        Fig. 1 fail-over list).  The mirror binds this emulator's
-        handler to another host so resilience experiments have a
-        genuinely redundant endpoint -- same data, same generation
-        tokens, different failure domain.
-        """
-        host = server_host or f"{self.server_host}-m"
-        if not fabric.has_host(host):
-            fabric.add_host(host, cluster=self.name)
-        address = Address.gmond(host)
-        tcp.listen(address, self._serve)
-        return address

@@ -27,8 +27,6 @@ class HostRecord:
     first_heard: float = 0.0
     last_heard: float = 0.0
     metrics: Dict[str, MetricSample] = field(default_factory=dict)
-    #: bumped on every change; keys the agent's serve-side fragment cache
-    version: int = 0
 
     def tn(self, now: float) -> float:
         """Seconds since this host was last heard from."""
@@ -43,8 +41,6 @@ class ClusterState:
         self.hosts: Dict[str, HostRecord] = {}
         self.metrics_received = 0
         self.hosts_expired = 0
-        #: bumped on every table change; the serve-side content generation
-        self.version = 0
 
     # -- updates -----------------------------------------------------------
 
@@ -63,8 +59,6 @@ class ClusterState:
         stored.reported_at = now
         record.metrics[sample.name] = stored
         self.metrics_received += 1
-        record.version += 1
-        self.version += 1
         return record
 
     def expire(self, now: float) -> int:
@@ -75,7 +69,6 @@ class ClusterState:
         the table entirely.
         """
         removed = 0
-        changed = False
         dead_hosts = []
         for host, record in self.hosts.items():
             stale = [
@@ -85,9 +78,6 @@ class ClusterState:
             ]
             for name in stale:
                 del record.metrics[name]
-            if stale:
-                record.version += 1
-                changed = True
             if (
                 self.config.host_dmax > 0
                 and record.tn(now) > self.config.host_dmax
@@ -96,9 +86,6 @@ class ClusterState:
         for host in dead_hosts:
             del self.hosts[host]
             removed += 1
-            changed = True
-        if changed:
-            self.version += 1
         self.hosts_expired += removed
         return removed
 

@@ -10,12 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sim.rng import derive_seed
+
 #: Port on which every gmond agent serves its cluster's full XML state.
 GMOND_XML_PORT = 8649
 #: Port on which gmetad serves federation XML and path queries.
 GMETAD_XML_PORT = 8651
 #: Port on which a gmetad's pub-sub broker accepts subscriptions.
 GMETAD_PUBSUB_PORT = 8652
+
+
+def stable_octet(name: str, modulus: int) -> int:
+    """An address octet in ``[0, modulus)`` derived from ``name``.
+
+    Stable across processes, unlike the built-in ``hash()``, which
+    Python salts per process: the same seed must give the same bytes.
+    """
+    return derive_seed(0, f"ip:{name}") % modulus
 
 
 @dataclass(frozen=True, order=True)

@@ -233,10 +233,6 @@ class Fabric:
         """Drop every gray condition on the pair."""
         self._gray.pop(frozenset((a, b)), None)
 
-    def clear_all_gray(self) -> None:
-        """Drop gray conditions on every pair."""
-        self._gray.clear()
-
     # -- reachability ------------------------------------------------------
 
     def reachable(self, src: str, dst: str) -> bool:

@@ -19,7 +19,6 @@ SELF_SOURCE = "__gmetad__"
 class ObservabilityConfig:
     """Configuration for the self-observability layer (``repro.obs``)."""
 
-    enabled: bool = True
     #: seconds between refreshes of the in-band ``__gmetad__`` cluster
     #: (0 disables the mount; the registry and trace still run)
     self_cluster_interval: float = 15.0

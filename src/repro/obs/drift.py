@@ -64,9 +64,12 @@ def audit_gmetad(gmetad: "GmetadBase") -> DriftReport:
     summary came from a :class:`ColumnarSummaryTracker` and this is the
     incremental-vs-eager equivalence check; with it off the comparison
     is trivially clean (same code produced both sides).  Empty and
-    summary-form clusters have no full form to re-fold and are skipped.
+    summary-form clusters have no full form to re-fold and are skipped,
+    and a design that does not summarize has nothing to audit.
     """
     report = DriftReport()
+    if not gmetad.summarizes:
+        return report
     window = gmetad.config.heartbeat_window
     for name, snapshot in gmetad.datastore.sources.items():
         if name == SELF_SOURCE or snapshot.cluster is None:

@@ -74,8 +74,7 @@ def install_inband_cluster(
     )
     cluster.summary = summary
     gmetad.charge(gmetad.costs.summarize_metric * samples, "summarize")
-    if gmetad.config.archive_local_detail:
-        gmetad.archiver.archive_cluster_detail(source, cluster, now)
+    gmetad.archiver.archive_cluster_detail(source, cluster, now)
     gmetad.archiver.archive_summary(source, cluster.name, summary, now)
     gmetad.datastore.install(
         SourceSnapshot(

@@ -161,9 +161,3 @@ class SubscriptionRegistry:
     def subscriptions(self) -> List[Subscription]:
         """All live subscriptions, ordered by id (deterministic)."""
         return [self._subs[k] for k in sorted(self._subs)]
-
-    def exact_paths(self) -> List[str]:
-        """Canonical exact paths of all live non-regex subscriptions."""
-        return sorted(
-            s.path for s in self._subs.values() if s.segments is not None
-        )

@@ -74,19 +74,7 @@ class ReplicationFeed:
 
     def __init__(self, gmetad) -> None:
         self.gmetad = gmetad
-        query_engine = getattr(gmetad, "query_engine", None)
-        if query_engine is None:
-            # designs without a path query engine still get a feed; a
-            # private engine supplies the identical fragment logic
-            from repro.core.query import QueryEngine
-
-            query_engine = QueryEngine(
-                gmetad.datastore,
-                grid_name=gmetad.config.gridname,
-                authority=gmetad.config.authority_url,
-                version=gmetad.version,
-            )
-        self._query_engine = query_engine
+        self._query_engine = gmetad.query_engine
         self.fragments_serialized = 0
         self.fragments_cached = 0
 

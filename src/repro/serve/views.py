@@ -89,11 +89,6 @@ def host_metric_items(cols, h: int) -> Iterator[Tuple[str, str]]:
         yield strings[cols.name_ids[r]], cols.vals_raw[r]
 
 
-def host_is_up(cols, h: int, heartbeat_window: float) -> bool:
-    """The DOM's ``HostElement.is_up`` liveness rule, by row-slice."""
-    return float(cols.host_tn[h]) <= heartbeat_window
-
-
 def busiest_from_columns(
     cols,
     metric: str = "load_one",

@@ -30,8 +30,6 @@ class StorageTierConfig:
     shards: int = 16
     #: replica count for every shard
     replication: int = 1
-    #: root seed of the stable group -> shard hash
-    placement_seed: int = 20031201
     #: how often the shard rebalance spreads replica slots evenly over
     #: the live nodes (seconds of simulated time; 0 disables it)
     rebalance_interval: float = 120.0
@@ -44,8 +42,6 @@ class StorageTierConfig:
     #: simulated seconds of storage-node work per physical RRD update
     #: (defaults to the CostModel's rrd_update when left at 0)
     rrd_update_cost: float = 0.0
-    #: simulated seconds of storage-node work to re-replicate one series
-    repair_cost_per_series: float = 2.0e-5
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -62,6 +58,4 @@ class StorageTierConfig:
             raise ValueError("repair_deadline must be positive")
         if self.rrd_update_cost < 0:
             raise ValueError("rrd_update_cost must be >= 0")
-        if self.repair_cost_per_series < 0:
-            raise ValueError("repair_cost_per_series must be >= 0")
 

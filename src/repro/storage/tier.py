@@ -63,6 +63,11 @@ from repro.storage.config import StorageTierConfig
 from repro.storage.node import StorageNode, make_node_names
 from repro.storage.placement import ShardMap, group_shard
 
+#: root seed of the stable group -> shard hash
+PLACEMENT_SEED = 20031201
+#: simulated seconds of storage-node work to re-replicate one series
+REPAIR_COST_PER_SERIES = 2.0e-5
+
 
 class StorageUnavailable(RuntimeError):
     """Every replica of the shard holding the requested series is down."""
@@ -260,7 +265,7 @@ class StorageTier:
             s = group_shard(
                 (key.source, key.cluster, key.host),
                 self.config.shards,
-                self.config.placement_seed,
+                PLACEMENT_SEED,
             )
             self._key_shard[key] = s
             self._shard_keys[s].append(key)
@@ -512,7 +517,7 @@ class StorageTier:
         """
         keys = self._shard_keys[shard]
         dst.store.copy_series_from(src.store, keys)
-        dst.busy_seconds += len(keys) * self.config.repair_cost_per_series
+        dst.busy_seconds += len(keys) * REPAIR_COST_PER_SERIES
         self._applied[shard][dst.name] = self._versions[shard]
 
     def repair_sweep(self) -> int:

@@ -86,10 +86,6 @@ class SupermonServer:
             raise ValueError(f"{address} already registered")
         self.members.append(address)
 
-    def unregister(self, address: Address) -> None:
-        """Remove a member from the sweep list."""
-        self.members = [m for m in self.members if m != address]
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "SupermonServer":

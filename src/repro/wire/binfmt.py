@@ -420,12 +420,6 @@ def open_frame(data: bytes) -> Tuple[int, bytes]:
     return kind, body
 
 
-def frame_kind(data: bytes) -> int:
-    """The payload kind of a validated-enough header (for dispatch)."""
-    kind, _ = open_frame(data)
-    return kind
-
-
 # -- columnar cluster documents --------------------------------------------
 
 

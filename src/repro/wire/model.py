@@ -287,10 +287,3 @@ class GangliaDocument:
         return sum(c.host_count for c in self.clusters.values()) + sum(
             g.host_count for g in self.grids.values()
         )
-
-    @property
-    def metric_element_count(self) -> int:
-        """Full-form METRIC elements in the whole document."""
-        return sum(
-            c.metric_count for c in self.walk_clusters() if not c.is_summary
-        )

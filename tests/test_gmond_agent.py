@@ -9,6 +9,14 @@ from repro.metrics.generators import RandomMetricSource
 from repro.metrics.types import MetricSample, MetricType
 from repro.net.address import Address
 from repro.net.udp import MulticastChannel
+from repro.wire.binfmt import (
+    CLUSTER_DOC,
+    MAGIC,
+    BinaryFrame,
+    decode_document,
+    materialize_document,
+    with_accept,
+)
 from repro.wire.parser import parse_document
 
 
@@ -132,6 +140,45 @@ class TestServing:
         )
         engine.run_for(1.0)
         parse_document(response["xml"], validate=True)  # must not raise
+
+    def test_accept_bin1_answers_a_frame_of_the_same_report(
+        self, engine, fabric, tcp, rngs
+    ):
+        cluster = build_cluster(engine, fabric, tcp, rngs, n=3)
+        cluster.start()
+        engine.run_for(30.0)
+        agent = cluster.agents[0]
+        replies = {}
+        for key, request in (("xml", "/"), ("bin", with_accept("/"))):
+            tcp.request(
+                "meteor-0-1",
+                Address.gmond(agent.host),
+                request,
+                lambda p, rtt, key=key: replies.update({key: p}),
+            )
+        engine.run_for(1.0)
+        assert isinstance(replies["xml"], str)
+        frame = replies["bin"]
+        assert isinstance(frame, BinaryFrame)
+        assert frame.data.startswith(MAGIC)
+        assert agent.binary_served == 1
+        kind, columns = decode_document(frame.data)
+        assert kind == CLUSTER_DOC
+        decoded = materialize_document(columns)
+        served = parse_document(replies["xml"])
+
+        def report(doc):
+            (cluster_element,) = doc.clusters.values()
+            return cluster_element.name, cluster_element.localtime, {
+                host.name: {m.name: m.val for m in host.metrics.values()}
+                for host in cluster_element.hosts.values()
+            }
+
+        # same instant, same cluster, same hosts, metrics and values
+        name, localtime, hosts = report(served)
+        assert name == "meteor"
+        assert len(hosts) == 3 and all(hosts.values())
+        assert report(decoded) == (name, localtime, hosts)
 
 
 class TestDynamicMembership:

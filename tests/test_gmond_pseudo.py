@@ -1,5 +1,10 @@
 """Unit tests for the pseudo-gmond workload emulator."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.gmond.pseudo import PseudoGmond
@@ -116,3 +121,48 @@ class TestHostFailures:
         pseudo.set_host_down(1)
         pseudo.set_host_down(2)
         assert pseudo.down_hosts == {1, 2}
+
+
+SERVE_SCRIPT = """
+from repro.gmond.agent import GmondAgent
+from repro.gmond.cluster import SimulatedCluster
+from repro.gmond.pseudo import PseudoGmond
+from repro.metrics.generators import RandomMetricSource
+from repro.net.fabric import Fabric
+from repro.net.tcp import TcpNetwork
+from repro.sim.engine import Engine
+from repro.sim.rng import RngRegistry
+
+engine = Engine()
+fabric = Fabric()
+tcp = TcpNetwork(engine, fabric)
+rngs = RngRegistry(7)
+pseudo = PseudoGmond(engine, fabric, tcp, "nashi", 3, rngs.stream("pg"))
+cluster = SimulatedCluster.build(
+    engine, fabric, tcp, rngs, name="meteor", num_hosts=2
+)
+fabric.add_host("meteor-0-9", cluster="meteor")
+late = GmondAgent(
+    engine, cluster.channel, tcp, cluster.agents[0].config,
+    RandomMetricSource("meteor-0-9", rngs.stream("late")),
+)
+print(pseudo.current_xml())
+print([agent.ip for agent in cluster.agents], late.ip)
+"""
+
+
+class TestDeterminism:
+    def test_same_seed_same_bytes_under_any_hash_seed(self):
+        """Host IPs must not come from the per-process salted hash()."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", SERVE_SCRIPT],
+                    env=env, capture_output=True, text=True, check=True,
+                ).stdout
+            )
+        assert "<HOST" in outputs[0]
+        assert outputs[0] == outputs[1]

@@ -377,6 +377,26 @@ class TestDriftAuditorCatchesInjectedDrift:
         finally:
             federation.stop()
 
+    def test_one_level_design_has_nothing_to_audit(self):
+        # the 1-level design installs an empty SummaryInfo() by design:
+        # no reduction ran, so there is nothing to re-fold against
+        federation = build_paper_tree(
+            "1level",
+            hosts_per_cluster=5,
+            seed=3,
+            observability=ObservabilityConfig(),
+        ).start()
+        try:
+            federation.engine.run_for(120.0)
+            for gmetad in federation.gmetads.values():
+                auditor = gmetad.obs.auditor
+                assert auditor.sweeps > 0
+                assert auditor.last_report.checked == 0
+                assert auditor.last_report.clean
+                assert auditor.total_divergences == 0
+        finally:
+            federation.stop()
+
 
 class TestObservabilityIsInvisibleWhenServing:
     def test_ordinary_source_bytes_identical_with_obs_on(self):

@@ -400,9 +400,7 @@ class TestResilientPoller:
         assert poller.breaker.state == CLOSED
 
     def test_disabled_config_is_inert(self, engine, poller_world):
-        poller, _, _ = make_poller(
-            engine, poller_world, ResilienceConfig(enabled=False)
-        )
+        poller, _, _ = make_poller(engine, poller_world, None)
         assert poller.resilience is None
         assert poller.breaker is None
         assert poller.adaptive is None
@@ -665,7 +663,7 @@ class TestBaselineEquivalence:
         return federation
 
     def test_disabled_layer_is_byte_identical(self):
-        off = self.run_federation(ResilienceConfig(enabled=False))
+        off = self.run_federation(None)
         none = self.run_federation(None)
         for name in none.gmetads:
             xml_none, _ = none.gmetads[name].serve_query("/")
