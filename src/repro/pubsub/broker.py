@@ -52,6 +52,17 @@ from repro.pubsub.registry import (
 from repro.sim.engine import PeriodicTask
 
 
+def _is_repl_key(key: str) -> bool:
+    """Whether a flat key belongs to the read tier's hidden namespace."""
+    return key.startswith("__repl__/") or key == "__repl__"
+
+
+def _repl_rooted(subscription: Subscription) -> bool:
+    """Whether a subscription is rooted at ``/__repl__`` (a replica)."""
+    segments = subscription.segments
+    return segments is not None and segments[:1] == ("__repl__",)
+
+
 class SubscriberChannel:
     """Broker-side delivery state for one subscriber."""
 
@@ -475,17 +486,23 @@ class PubSubBroker:
         ``/__repl__``; a ``/``-rooted viewer (whose empty segment tuple
         prefix-matches everything) never sees the replication feed.
         """
-        if key.startswith("__repl__/") or key == "__repl__":
-            segments = subscription.segments
-            return segments is not None and segments[:1] == ("__repl__",)
+        if _is_repl_key(key):
+            return _repl_rooted(subscription)
         return subscription.matches_key(key)
 
     def _dispatch(self, ops: List[DeltaOp]) -> None:
         if not ops:
             return
         self.seq += 1
+        # split the ops once: a /__repl__ subscription can see only keys
+        # that start with the namespace's name, any other only public ones
+        hidden = [op for op in ops if op.path.startswith("__repl__")]
+        public = [op for op in ops if not _is_repl_key(op.path)]
         for subscription in self.registry.subscriptions():
-            scoped = [op for op in ops if self._sees(subscription, op.path)]
+            if _repl_rooted(subscription):
+                scoped = [op for op in hidden if self._sees(subscription, op.path)]
+            else:
+                scoped = [op for op in public if subscription.matches_key(op.path)]
             if not scoped:
                 continue
             channel = self.channels.get(subscription.sub_id)

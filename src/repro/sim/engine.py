@@ -4,7 +4,9 @@ The engine is intentionally small.  Events are ``(time, priority, seq)``
 ordered callbacks; ties are broken by insertion order so runs are fully
 deterministic.  Components schedule work with :meth:`Engine.call_later`
 (one-shot) or :meth:`Engine.every` (periodic), and the experiment driver
-advances simulated time with :meth:`Engine.run_until`.
+advances simulated time with :meth:`Engine.run_until`.  The heap holds
+``(time, priority, seq, event)`` tuples: ``seq`` is unique, so a heap
+compare is a tuple compare that never reaches the event itself.
 
 Simulated time is a ``float`` in seconds.  Nothing in the engine sleeps or
 touches wall-clock time: a one-hour measurement window (the paper uses
@@ -23,9 +25,9 @@ class SimulationError(RuntimeError):
     """Raised for engine misuse (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
-    """A scheduled callback.  Comparable by ``(time, priority, seq)``."""
+    """A scheduled callback, fired in ``(time, priority, seq)`` order."""
 
     time: float
     priority: int
@@ -126,7 +128,7 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
@@ -139,7 +141,7 @@ class Engine:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-fired (and not cancelled) events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     @property
     def processed_events(self) -> int:
@@ -170,8 +172,9 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {when}; current time is {self._now}"
             )
-        event = Event(when, priority, next(self._seq), callback, args)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(when, priority, seq, callback, args)
+        heapq.heappush(self._queue, (when, priority, seq, event))
         return event
 
     def every(
@@ -201,8 +204,9 @@ class Engine:
             raise SimulationError("engine is already running (reentrant run)")
         self._running = True
         try:
-            while self._queue and self._queue[0].time <= deadline:
-                event = heapq.heappop(self._queue)
+            queue = self._queue
+            while queue and queue[0][0] <= deadline:
+                event = heapq.heappop(queue)[3]
                 if event.cancelled:
                     continue
                 self._now = event.time
@@ -224,7 +228,7 @@ class Engine:
         """
         fired = 0
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 continue
             fired += 1

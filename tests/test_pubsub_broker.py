@@ -17,7 +17,7 @@ from repro.net.address import Address
 from repro.net.tcp import Response
 from repro.pubsub import messages
 from repro.pubsub.client import PushClient
-from repro.pubsub.delta import flatten_datastore
+from repro.pubsub.delta import DeltaOp, flatten_datastore
 
 
 @pytest.fixture
@@ -69,6 +69,45 @@ class TestSingleBroker:
         assert client.stream.gaps_detected == 0
         sub = broker.registry.get(client.sub_id)
         assert client.state == scoped_flatten(daemon, sub)
+
+    def test_dispatch_scopes_ops_exactly_as_sees(self, world, engine):
+        """Each subscription gets the ops ``_sees`` admits, in order: the
+        hidden namespace goes to ``/__repl__`` subscriptions only, and a
+        source literally named ``__repl__`` keeps its odd visibility."""
+        pseudo = world.pseudo("meteor")
+        daemon = world.gmetad("sdsc", {"meteor": [pseudo.address]})
+        broker = daemon.attach_pubsub()
+        paths = ["/", "/meteor", "/__repl__", "/__repl__/gen", r"~/.*/.*"]
+        captured = {}
+
+        class Capture:
+            def __init__(self, sub_id):
+                self.sub_id = sub_id
+
+            def enqueue_delta(self, seq, ops):
+                captured[self.sub_id] = ops
+
+        for i, path in enumerate(paths):
+            broker.registry.subscribe(
+                f"s{i}", path, Address("viewer", 9000 + i), engine.now
+            )
+            broker.channels[f"s{i}"] = Capture(f"s{i}")
+        ops = [
+            DeltaOp("set", path, "1")
+            for path in sorted([
+                "__repl__", "__repl__/gen", "__repl__/meta/meteor",
+                "__repl__?summary", "__repl__?summary/load_one",
+                "__replx", "meteor", "meteor/h0", "meteor/h0/load_one",
+                "meteor?summary", "zeta",
+            ])
+        ]
+        broker._dispatch(ops)
+        for i in range(len(paths)):
+            sub = broker.registry.get(f"s{i}")
+            expected = [op for op in ops if broker._sees(sub, op.path)]
+            assert captured.get(f"s{i}", []) == expected
+        assert captured["s2"][0].path == "__repl__"
+        assert not any(op.path.startswith("__repl__/") for op in captured["s0"])
 
     def test_frozen_values_send_no_deltas(self, world, engine):
         """Push volume tracks the change rate: with frozen metric

@@ -45,6 +45,26 @@ class TestScheduling:
         engine.run_until(2.0)
         assert order == ["high", "low"]
 
+    def test_same_time_events_fire_by_priority_then_insertion(self, engine):
+        order = []
+        cancelled = engine.call_later(1.0, lambda: order.append("x"), priority=0)
+        for tag, priority in [("c", 5), ("a", 0), ("d", 5), ("b", 0)]:
+            engine.call_later(1.0, lambda t=tag: order.append(t), priority=priority)
+        cancelled.cancel()
+        assert engine.pending_events == 4
+        engine.run_until(1.0)
+        assert order == ["a", "b", "c", "d"]
+        assert engine.pending_events == 0
+
+    def test_cancelled_event_never_fires_under_drain(self, engine):
+        seen = []
+        event = engine.call_later(1.0, lambda: seen.append("cancelled"))
+        engine.call_later(1.0, lambda: seen.append("kept"))
+        event.cancel()
+        engine.drain()
+        assert seen == ["kept"]
+        assert engine.processed_events == 1
+
     def test_callback_args_passed(self, engine):
         seen = []
         engine.call_later(1.0, lambda a, b: seen.append((a, b)), 1, "x")
