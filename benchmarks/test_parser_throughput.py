@@ -3,8 +3,12 @@
 Gmetad parses every source's XML every polling cycle "in the
 background"; these benchmarks measure the real wall-clock throughput of
 that pipeline -- the streaming parse, the tree build, the additive
-reduction, and serialization -- on a 100-host cluster document.
+reduction, and serialization -- on a 100-host cluster document, plus
+the columnar serve path's per-poll fragment re-render (an arena install
+of a 500-host cluster at 100 % churn).
 """
+
+import itertools
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.core.summarize import summarize_cluster
 from repro.gmond.pseudo import PseudoGmond
 from repro.net.fabric import Fabric
 from repro.net.tcp import TcpNetwork
+from repro.serve.arena import FragmentArena
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.wire.parser import (
@@ -40,7 +45,38 @@ def payload():
     return xml, builder.document
 
 
-def test_throughput_report(payload, save_report, benchmark):
+@pytest.fixture(scope="module")
+def churned_cluster():
+    """Two successive polls of a 500-host cluster, every host re-drawn
+    in between: (columns of each poll, XML bytes of the second)."""
+    engine = Engine()
+    fabric = Fabric()
+    tcp = TcpNetwork(engine, fabric)
+    pseudo = PseudoGmond(
+        engine, fabric, tcp, "meteor", num_hosts=500,
+        rng=RngRegistry(5).stream("pg"),
+    )
+    polls = [pseudo.current_xml(0.0)]
+    pseudo.mutate(fraction=1.0, now=7.0)
+    polls.append(pseudo.current_xml(15.0))
+    pool = InternPool()
+    cols = [parse_columnar(xml, pool=pool, validate=False).clusters[0] for xml in polls]
+    assert cols[1].same_layout(cols[0])
+    return cols, len(polls[1])
+
+
+def _churn_installs(cols):
+    """An arena and a callable installing the two polls alternately:
+    after the first, every install re-renders every host."""
+    arena = FragmentArena()
+    arena.install(cols[0])
+    polls = itertools.cycle([cols[1], cols[0]])
+    return arena, lambda: arena.install(next(polls))
+
+
+def test_throughput_report_columnar_and_tree(
+    payload, churned_cluster, save_report, benchmark
+):
     import time
 
     xml, doc = payload
@@ -71,6 +107,10 @@ def test_throughput_report(payload, save_report, benchmark):
     )
     cols = parse_columnar(xml, pool=pool, validate=False).clusters[0]
     columnar_summarize_rate = rate(lambda: summarize_columns(cols))
+    churned, churned_bytes = churned_cluster
+    arena, install = _churn_installs(churned)
+    install_rate = rate(install)
+    assert arena.templates_built == 1
     mb = len(xml) / 1e6
     save_report(
         "parser_throughput",
@@ -81,6 +121,11 @@ def test_throughput_report(payload, save_report, benchmark):
                 ("tokenize + tree build", build_rate, build_rate * mb),
                 ("tokenize + build + DTD validate", validate_rate, validate_rate * mb),
                 ("columnar parse (interned SAX)", columnar_rate, columnar_rate * mb),
+                (
+                    "columnar install (templated render), 500 hosts, 100% churn",
+                    install_rate,
+                    install_rate * churned_bytes / 1e6,
+                ),
                 ("summarize (3000 samples)", summarize_rate, summarize_rate * mb),
                 (
                     "columnar summarize (vectorized)",
@@ -130,6 +175,14 @@ def test_benchmark_columnar_parse(benchmark, payload):
     parse_columnar(xml, pool=pool, validate=False)  # warm the pool
     cdoc = benchmark(lambda: parse_columnar(xml, pool=pool, validate=False))
     assert cdoc.clusters[0].host_count == 100
+
+
+def test_benchmark_columnar_install(benchmark, churned_cluster):
+    cols, _ = churned_cluster
+    arena, install = _churn_installs(cols)
+    invalidated = arena.frag_invalidations
+    benchmark(install)
+    assert arena.frag_invalidations - invalidated >= 500  # every host, each time
 
 
 def test_benchmark_columnar_summarize(benchmark, payload):

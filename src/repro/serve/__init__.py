@@ -23,13 +23,13 @@ from repro.serve.fragments import (
     memoized_source_fragment,
     summary_cluster_element,
 )
-from repro.serve.render import render_cluster, render_host, render_metric_row
+from repro.serve.render import HostRenderer, render_cluster, render_host
 
 __all__ = [
     "FragmentArena",
+    "HostRenderer",
     "memoized_source_fragment",
     "summary_cluster_element",
     "render_cluster",
     "render_host",
-    "render_metric_row",
 ]

@@ -5,6 +5,8 @@ columnar-serve daemon.  At install time it renders (or incrementally
 re-renders) one byte fragment per host straight from the SoA columns;
 at serve time a detail reply is the CLUSTER open tag plus a join of the
 per-host strings -- no DOM, no re-serialization of unchanged hosts.
+A :class:`~repro.serve.render.HostRenderer` renders them from one row
+template per host layout (``templates_built`` counts the layouts).
 
 Invalidation reuses the columnar delta machinery: when the incoming
 poll has the same layout as the previous one
@@ -29,19 +31,15 @@ serving its last-good frame.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.columnar.layout import ColumnarDocument
-from repro.serve.render import (
-    EscapedPool,
-    NumFormatter,
-    cluster_open_tag,
-    render_host,
-    render_metric_row,
-)
+from repro.serve.render import HostRenderer, cluster_open_tag
 from repro.wire.binfmt import encode_cluster_document
+from repro.wire.escape import escape_attr
 
 
 class FragmentArena:
@@ -52,9 +50,7 @@ class FragmentArena:
         "_frags",
         "_order",
         "_open_tag",
-        "_fmt",
-        "_esc",
-        "_order_cache",
+        "_renderer",
         "_fresh_bytes",
         "_fresh_hosts",
         "_total_bytes",
@@ -71,9 +67,7 @@ class FragmentArena:
         self._frags: List[str] = []
         self._order: List[int] = []
         self._open_tag = ""
-        self._fmt = NumFormatter()
-        self._esc: Optional[EscapedPool] = None
-        self._order_cache: dict = {}
+        self._renderer: Optional[HostRenderer] = None
         self._fresh_bytes = 0
         self._fresh_hosts = 0
         self._total_bytes = 0
@@ -97,29 +91,22 @@ class FragmentArena:
         """Adopt one poll's columns, re-rendering only what changed."""
         prev = self.cols
         self._frame = None
-        if self._esc is None or self._esc._pool is not cols.pool:
-            self._esc = EscapedPool(cols.pool)
+        if self._renderer is None or self._renderer.pool is not cols.pool:
+            self._renderer = HostRenderer(cols.pool)
         if prev is not None and cols.same_layout(prev):
-            changed = self._changed_hosts(prev, cols)
+            changed = np.flatnonzero(self._changed_hosts(prev, cols)).tolist()
             frags = self._frags
-            for h in np.nonzero(changed)[0]:
-                h = int(h)
-                fragment = render_host(
-                    cols, h, self._fmt, self._esc, self._order_cache
-                )
+            for h, fragment in zip(changed, self._renderer.hosts(cols, changed)):
                 self._fresh_bytes += len(fragment)
                 frags[h] = fragment
-            count = int(changed.sum())
+            count = len(changed)
             self._fresh_hosts += count
             self.frag_invalidations += count
             self.frag_misses += count
             # host order is keyed by names, which same_layout guarantees
         else:
             names = cols.host_names
-            self._frags = [
-                render_host(cols, h, self._fmt, self._esc, self._order_cache)
-                for h in range(len(names))
-            ]
+            self._frags = self._renderer.hosts(cols, range(len(names)))
             self._order = sorted(range(len(names)), key=names.__getitem__)
             self.frag_misses += len(names)
             self._fresh_bytes += sum(map(len, self._frags))
@@ -141,7 +128,7 @@ class FragmentArena:
         # NaN placeholders make `values` useless for equality; the raw
         # VAL strings are what reach the wire anyway
         row_changed |= np.fromiter(
-            (a != b for a, b in zip(cols.vals_raw, prev.vals_raw)),
+            map(operator.ne, cols.vals_raw, prev.vals_raw),
             dtype=bool,
             count=len(cols.vals_raw),
         )
@@ -156,12 +143,17 @@ class FragmentArena:
         host_changed |= cols.host_dmax != prev.host_dmax
         if cols.host_ip != prev.host_ip:
             host_changed |= np.fromiter(
-                (a != b for a, b in zip(cols.host_ip, prev.host_ip)),
+                map(operator.ne, cols.host_ip, prev.host_ip),
                 dtype=bool,
                 count=host_count,
             )
         # host_location never serializes, so it cannot move the bytes
         return host_changed
+
+    @property
+    def templates_built(self) -> int:
+        """METRIC row templates built: one per distinct host layout."""
+        return 0 if self._renderer is None else self._renderer.templates_built
 
     # -- serve-time reads ---------------------------------------------------
 
@@ -221,21 +213,12 @@ class FragmentArena:
         return self._frags[h]
 
     def metric_line(self, host_name: str, metric_name: str) -> Optional[str]:
-        """One METRIC element rendered by row-slice, or None if unknown."""
+        """One METRIC element, cut from its host's fragment, or None."""
         cols = self.cols
-        if cols is None:
-            return None
-        h = cols.host_index.get(host_name)
+        h = None if cols is None else cols.host_index.get(host_name)
         if h is None:
             return None
-        name_id = cols.pool.lookup(metric_name)
-        if name_id is None:
-            return None
-        start = int(cols.host_row_start[h])
-        end = int(cols.host_row_start[h + 1])
-        rows = np.nonzero(cols.name_ids[start:end] == name_id)[0]
-        if len(rows) == 0:
-            return None
-        return render_metric_row(
-            cols, start + int(rows[0]), self._fmt, self._esc
-        )
+        fragment = self._frags[h]
+        # NAME then VAL open every row, and escaped values hold no "<>"
+        at = fragment.find(f'<METRIC NAME="{escape_attr(metric_name)}" VAL="')
+        return None if at < 0 else fragment[at : fragment.index("/>\n", at) + 3]

@@ -9,16 +9,24 @@ numeric attributes go through :func:`~repro.wire.writer._fmt_num`
 (including its ``-0`` normalization and its ValueError on NaN) and
 string attributes through :func:`~repro.wire.escape.escape_attr`.
 
-What makes this faster than materialize-then-serialize is memoization
-keyed on the columnar layout: numeric attribute texts are cached per
-float value (TN/TMAX/DMAX draw from tiny value sets), escaped strings
-are cached per intern-pool id, and per-host metric sort orders are
-cached per name-id segment (hosts of one cluster share a layout).
+What makes this faster than materialize-then-serialize is that a
+host's METRIC rows are mostly static text.  Hosts of one cluster share
+a *layout* -- the same metric names, TYPE/UNITS/SLOPE/SOURCE and
+TMAX/DMAX, row for row -- so a :class:`HostRenderer` builds each
+layout's rows once, sorted by name as the writer sorts them, as three
+static pieces per row around the two per-poll texts, VAL and TN.  A
+host is then one join of those pieces with its escaped VALs and
+formatted TNs.  The static texts and the host scalars go through a
+memo (:class:`NumFormatter`); TN is near-unique per row and is
+formatted straight through ``_fmt_num``.  Strings are escaped once per
+template.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.wire.escape import escape_attr
 from repro.wire.writer import _fmt_num
@@ -26,8 +34,8 @@ from repro.wire.writer import _fmt_num
 #: memo bound: numeric texts per formatter (REPORTED/LOCALTIME move every
 #: poll, so an unbounded cache would grow for the life of the daemon)
 _FMT_CACHE_LIMIT = 1 << 16
-#: memo bound: distinct per-host metric layouts
-_ORDER_CACHE_LIMIT = 4096
+#: memo bound: distinct host layouts per renderer
+_TEMPLATE_CACHE_LIMIT = 4096
 
 
 class NumFormatter:
@@ -54,100 +62,105 @@ class NumFormatter:
             return text
 
 
-class EscapedPool:
-    """``escape_attr(pool.strings[i])`` memoized parallel to the pool.
+#: the row columns a METRIC row's static text depends on; a host's
+#: layout key is their bytes over its rows (the column contract fixes
+#: their dtypes, int32 ids and float64 limits)
+_STATIC_COLUMNS = (
+    "name_ids", "type_ids", "units_ids", "slope_ids", "source_ids",
+    "metric_tmax", "metric_dmax",
+)
 
-    Pool strings are append-only, so the escaped list extends lazily and
-    never invalidates.
+
+class HostRenderer:
+    """Renders HOST elements from per-layout METRIC row templates.
+
+    One renderer serves one intern pool.  A template is the layout's row
+    order by metric name (the writer's ``sorted(host.metrics)``) and five
+    slots per row: ``<METRIC NAME=".." VAL="``, VAL, ``" TYPE=".."
+    UNITS=".." TN="``, TN, and the TMAX..SOURCE rest.  TYPE and SLOPE are
+    raw pool strings: their ids were validated against the DTD
+    vocabulary at intern time, so the pool text *is* the enum value.
     """
 
-    __slots__ = ("_pool", "_escaped")
+    __slots__ = ("pool", "_fmt", "_templates", "templates_built")
 
     def __init__(self, pool) -> None:
-        self._pool = pool
-        self._escaped: List[str] = []
+        self.pool = pool
+        self._fmt = NumFormatter()
+        self._templates: Dict[bytes, Tuple[Optional[List[int]], List[str]]] = {}
+        self.templates_built = 0
 
-    def __getitem__(self, i: int) -> str:
-        escaped = self._escaped
-        if i >= len(escaped):
-            strings = self._pool.strings
-            escaped.extend(escape_attr(s) for s in strings[len(escaped):])
-        return escaped[i]
+    def _template(self, cols, start: int, end: int, key: bytes):
+        template = self._templates.get(key)
+        if template is not None:
+            return template
+        strings, fmt = self.pool.strings, self._fmt
+        name_ids = cols.name_ids[start:end].tolist()
+        order = sorted(range(end - start), key=lambda j: strings[name_ids[j]])
+        pieces: List[str] = []
+        for r in (start + j for j in order):
+            units = escape_attr(strings[cols.units_ids[r]])
+            units = f' UNITS="{units}"' if units else ""
+            pieces += (
+                f'<METRIC NAME="{escape_attr(strings[cols.name_ids[r]])}" VAL="',
+                "",
+                f'" TYPE="{strings[cols.type_ids[r]]}"{units} TN="',
+                "",
+                f'" TMAX="{fmt(cols.metric_tmax[r])}" DMAX="{fmt(cols.metric_dmax[r])}"'
+                f' SLOPE="{strings[cols.slope_ids[r]]}"'
+                f' SOURCE="{escape_attr(strings[cols.source_ids[r]])}"/>\n',
+            )
+        if len(self._templates) >= _TEMPLATE_CACHE_LIMIT:
+            self._templates.clear()
+        # rows already in name order (the writer's own output) need no gather
+        if order == sorted(order):
+            order = None
+        self._templates[key] = template = (order, pieces)
+        self.templates_built += 1
+        return template
+
+    def hosts(self, cols, indices: Sequence[int]) -> List[str]:
+        """The HOST elements of ``indices``, as the writer emits them.
+
+        LOCATION is carried in the columns but never serialized -- same
+        as :meth:`XmlWriter.host`.
+        """
+        fmt, vals, tns = self._fmt, cols.vals_raw, cols.metric_tn
+        starts = cols.host_row_start.tolist()
+        static = [getattr(cols, name) for name in _STATIC_COLUMNS]
+        out = []
+        for h in indices:
+            ip = cols.host_ip[h]
+            ip_part = f' IP="{escape_attr(ip)}"' if ip else ""
+            head = (
+                f'<HOST NAME="{escape_attr(cols.host_names[h])}"{ip_part}'
+                f' REPORTED="{fmt(cols.host_reported[h])}" TN="{fmt(cols.host_tn[h])}"'
+                f' TMAX="{fmt(cols.host_tmax[h])}" DMAX="{fmt(cols.host_dmax[h])}"'
+            )
+            start, end = starts[h], starts[h + 1]
+            if start == end:
+                out.append(head + "/>\n")
+                continue
+            key = b"".join([column[start:end].tobytes() for column in static])
+            order, pieces = self._template(cols, start, end, key)
+            parts = pieces.copy()
+            host_vals, host_tns = vals[start:end], tns[start:end].tolist()
+            if order is not None:
+                host_vals = [host_vals[j] for j in order]
+                host_tns = map(host_tns.__getitem__, order)
+            # escaping is per character: if the host's VALs joined need
+            # none, no VAL does (the common case skips a call per row)
+            joined = "".join(host_vals)
+            escaped = escape_attr(joined) != joined
+            parts[1::5] = map(escape_attr, host_vals) if escaped else host_vals
+            parts[3::5] = map(_fmt_num, host_tns)
+            out.append(f"{head}>\n{''.join(parts)}</HOST>\n")
+        return out
 
 
-def metric_order(cols, start: int, end: int, cache: Optional[dict] = None) -> List[int]:
-    """Relative row order serializing host rows sorted by metric name.
-
-    Mirrors the writer's ``sorted(host.metrics)`` over the dict the tree
-    builder keys by name (rows are deduplicated per host, so names are
-    unique within a segment).
-    """
-    seg = cols.name_ids[start:end]
-    key = seg.tobytes() if cache is not None else None
-    if cache is not None:
-        order = cache.get(key)
-        if order is not None:
-            return order
-    strings = cols.pool.strings
-    order = sorted(range(end - start), key=lambda j: strings[seg[j]])
-    if cache is not None:
-        if len(cache) >= _ORDER_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = order
-    return order
-
-
-def render_metric_row(
-    cols, r: int, fmt: NumFormatter, esc: EscapedPool
-) -> str:
-    """One METRIC element, byte-identical to :meth:`XmlWriter.metric`.
-
-    TYPE and SLOPE are written as raw pool strings: their ids were
-    validated against the DTD vocabulary at intern time, so the pool
-    text *is* the enum value the writer emits (unescaped by both).
-    """
-    pool = cols.pool
-    units_id = cols.units_ids[r]
-    units = "" if units_id == pool.empty_id else f' UNITS="{esc[units_id]}"'
-    return (
-        f'<METRIC NAME="{esc[cols.name_ids[r]]}" VAL="{escape_attr(cols.vals_raw[r])}"'
-        f' TYPE="{pool.strings[cols.type_ids[r]]}"{units}'
-        f' TN="{fmt(cols.metric_tn[r])}" TMAX="{fmt(cols.metric_tmax[r])}"'
-        f' DMAX="{fmt(cols.metric_dmax[r])}" SLOPE="{pool.strings[cols.slope_ids[r]]}"'
-        f' SOURCE="{esc[cols.source_ids[r]]}"/>\n'
-    )
-
-
-def render_host(
-    cols,
-    h: int,
-    fmt: NumFormatter,
-    esc: EscapedPool,
-    order_cache: Optional[dict] = None,
-) -> str:
-    """One HOST element with its METRIC children, as the writer emits it.
-
-    LOCATION is carried in the columns but never serialized -- same as
-    :meth:`XmlWriter.host`.
-    """
-    starts = cols.host_row_start
-    start = int(starts[h])
-    end = int(starts[h + 1])
-    ip = cols.host_ip[h]
-    ip_part = f' IP="{escape_attr(ip)}"' if ip else ""
-    head = (
-        f'<HOST NAME="{escape_attr(cols.host_names[h])}"{ip_part}'
-        f' REPORTED="{fmt(cols.host_reported[h])}" TN="{fmt(cols.host_tn[h])}"'
-        f' TMAX="{fmt(cols.host_tmax[h])}" DMAX="{fmt(cols.host_dmax[h])}"'
-    )
-    if start == end:
-        return head + "/>\n"
-    parts = [head + ">\n"]
-    append = parts.append
-    for j in metric_order(cols, start, end, order_cache):
-        append(render_metric_row(cols, start + j, fmt, esc))
-    append("</HOST>\n")
-    return "".join(parts)
+def render_host(cols, h: int, renderer: Optional[HostRenderer] = None) -> str:
+    """One HOST element with its METRIC children, as the writer emits it."""
+    return (renderer or HostRenderer(cols.pool)).hosts(cols, [h])[0]
 
 
 def cluster_open_tag(cols) -> str:
@@ -162,25 +175,15 @@ def cluster_open_tag(cols) -> str:
     return "".join(parts)
 
 
-def render_cluster(
-    cols,
-    fmt: Optional[NumFormatter] = None,
-    esc: Optional[EscapedPool] = None,
-    order_cache: Optional[dict] = None,
-) -> str:
+def render_cluster(cols, renderer: Optional[HostRenderer] = None) -> str:
     """A full CLUSTER fragment (hosts sorted by name) from the columns.
 
     One-shot entry point for consumers without an arena (e.g. rendering
     a decoded binary frame to XML without materializing a DOM).
     """
-    fmt = fmt or NumFormatter()
-    esc = esc or EscapedPool(cols.pool)
-    if order_cache is None:
-        order_cache = {}
+    renderer = renderer or HostRenderer(cols.pool)
     names = cols.host_names
-    parts = [cluster_open_tag(cols)]
-    append = parts.append
-    for h in sorted(range(len(names)), key=names.__getitem__):
-        append(render_host(cols, h, fmt, esc, order_cache))
-    append("</CLUSTER>\n")
-    return "".join(parts)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return "".join(
+        [cluster_open_tag(cols), *renderer.hosts(cols, order), "</CLUSTER>\n"]
+    )

@@ -21,9 +21,10 @@ Three consumers exist:
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Sequence
 
 from repro.metrics.catalog import Slope
 from repro.metrics.types import MetricType
@@ -62,20 +63,6 @@ _TAG_RE = re.compile(r"<([^<>]*)>")
 _ATTR_RE = re.compile(r'([A-Za-z_][\w.:-]*)\s*=\s*"([^"]*)"')
 _NAME_RE = re.compile(r"[A-Za-z_][\w.:-]*")
 
-#: The exact METRIC shape our writer (and gmond) emits: fixed attribute
-#: order, self-closing, no entity escapes in the free-text values (the
-#: ``[^"&]`` classes punt escaped text to the generic path, which
-#: unescapes).  Handlers exposing ``fast_metric`` get the captured
-#: groups directly -- no per-attribute findall, no dict build -- on the
-#: >95% of elements this matches; anything else falls through to the
-#: ordinary ``start_element`` machinery unchanged.
-_METRIC_FAST_RE = re.compile(
-    r'METRIC NAME="([^"&]*)" VAL="([^"&]*)" TYPE="([^"&]*)"'
-    r'(?: UNITS="([^"&]*)")? TN="([^"&]*)" TMAX="([^"&]*)"'
-    r' DMAX="([^"&]*)" SLOPE="([^"&]*)" SOURCE="([^"&]*)"\s*/\Z'
-)
-
-
 class GangliaParser:
     """One-pass event parser.
 
@@ -86,16 +73,6 @@ class GangliaParser:
 
     def __init__(self, validate: bool = True) -> None:
         self.validate = validate
-        #: METRIC elements that missed the ``_METRIC_FAST_RE`` lane and
-        #: fell through to the generic path.  The fallback is correct
-        #: but silent -- a writer attribute-order drift would quietly
-        #: turn the whole parse O(slow), and the binary codec shares the
-        #: same canonical-order assumption -- so consumers surface this.
-        self.fast_lane_misses = 0
-        #: METRIC elements the fast lane took.  Zero when the lane is
-        #: off outright (``validate=True`` or a handler without
-        #: ``fast_metric``), which a miss count alone cannot show.
-        self.fast_lane_hits = 0
 
     def parse(self, text: str, handler: SaxHandler) -> int:
         """Feed ``text`` through ``handler``; returns the event count.
@@ -105,6 +82,11 @@ class GangliaParser:
         no text between tags, no junk between attributes, valid element
         names -- only run with ``validate=True``; structural errors
         (mismatched/unclosed tags, missing root) are always caught.
+
+        Without validation, a handler's ``bulk_cluster(text, start,
+        end)`` is offered each CLUSTER's span up to its first
+        ``</CLUSTER>``: an event count means it took the span, and the
+        scan resumes after the close tag; ``None`` leaves it to the loop.
         """
         validate = self.validate
         stack: List[str] = []
@@ -114,102 +96,103 @@ class GangliaParser:
         start_element = handler.start_element
         end_element = handler.end_element
         attr_findall = _ATTR_RE.findall
-        # the columnar builder's dict-free METRIC lane (never under
-        # validation: the DTD/gap checks need the generic path)
-        fast_metric = None if validate else getattr(handler, "fast_metric", None)
-        metric_fast_match = _METRIC_FAST_RE.match
-        hits = 0
-        for match in _TAG_RE.finditer(text):
-            if fast_metric is not None and stack:
-                fm = metric_fast_match(match.group(1))
-                if fm is not None:
-                    fast_metric(*fm.groups())
-                    events += 2  # start + end of a self-closing element
-                    hits += 1
+        # the columnar builder's per-cluster lane (never under validation:
+        # the DTD/gap checks need this loop)
+        bulk_cluster = None if validate else getattr(handler, "bulk_cluster", None)
+        resume = 0
+        while True:
+            for match in _TAG_RE.finditer(text, resume):
+                if validate:
+                    # Anything between tags must be whitespace (no text nodes).
+                    gap = text[pos : match.start()]
+                    if gap and not gap.isspace():
+                        raise ParseError(
+                            f"unexpected text content {gap.strip()[:40]!r}", pos
+                        )
+                    pos = match.end()
+                body = match.group(1).strip()
+                if not body:
+                    raise ParseError("empty tag", match.start())
+                head = body[0]
+                # prolog, comments, doctype
+                if head == "?" or head == "!":
                     continue
-                if match.group(1).startswith("METRIC "):
-                    # a real METRIC the fast lane could not take
-                    # ("METRICS " has no trailing space after "METRIC")
-                    self.fast_lane_misses += 1
-            if validate:
-                # Anything between tags must be whitespace (no text nodes).
-                gap = text[pos : match.start()]
-                if gap and not gap.isspace():
-                    raise ParseError(
-                        f"unexpected text content {gap.strip()[:40]!r}", pos
-                    )
-                pos = match.end()
-            body = match.group(1).strip()
-            if not body:
-                raise ParseError("empty tag", match.start())
-            head = body[0]
-            # prolog, comments, doctype
-            if head == "?" or head == "!":
-                continue
-            if head == "/":
-                name = body[1:].strip()
+                if head == "/":
+                    name = body[1:].strip()
+                    if not stack:
+                        raise ParseError(f"unmatched </{name}>", match.start())
+                    expected = stack.pop()
+                    if name != expected:
+                        raise ParseError(
+                            f"mismatched close tag </{name}>, expected </{expected}>",
+                            match.start(),
+                        )
+                    end_element(name)
+                    events += 1
+                    continue
+                self_closing = body.endswith("/")
+                if self_closing:
+                    body = body[:-1].rstrip()
+                space = body.find(" ")
+                if space < 0:
+                    name, attr_text = body, ""
+                else:
+                    name, attr_text = body[:space], body[space:]
+                attrs: Dict[str, str]
+                if validate:
+                    name_match = _NAME_RE.match(name)
+                    if name_match is None or name_match.end() != len(name):
+                        raise ParseError(f"bad tag {body[:40]!r}", match.start())
+                    attrs = {}
+                    consumed = 0
+                    for am in _ATTR_RE.finditer(attr_text):
+                        attrs[am.group(1)] = unescape_attr(am.group(2))
+                        consumed = am.end()
+                    if attr_text[consumed:].strip():
+                        raise ParseError(
+                            f"malformed attributes in <{name}>: "
+                            f"{attr_text[consumed:].strip()[:40]!r}",
+                            match.start(),
+                        )
+                else:
+                    attrs = {
+                        k: (unescape_attr(v) if "&" in v else v)
+                        for k, v in attr_findall(attr_text)
+                    }
                 if not stack:
-                    raise ParseError(f"unmatched </{name}>", match.start())
-                expected = stack.pop()
-                if name != expected:
-                    raise ParseError(
-                        f"mismatched close tag </{name}>, expected </{expected}>",
-                        match.start(),
-                    )
-                end_element(name)
+                    if seen_root:
+                        raise ParseError(
+                            f"content after document element: <{name}>",
+                            match.start(),
+                        )
+                    seen_root = True
+                    parent = None
+                else:
+                    parent = stack[-1]
+                if validate:
+                    try:
+                        dtd.check_element(name, attrs, parent)
+                    except dtd.DtdError as exc:
+                        raise ParseError(str(exc), match.start()) from None
+                start_element(name, attrs)
                 events += 1
-                continue
-            self_closing = body.endswith("/")
-            if self_closing:
-                body = body[:-1].rstrip()
-            space = body.find(" ")
-            if space < 0:
-                name, attr_text = body, ""
-            else:
-                name, attr_text = body[:space], body[space:]
-            attrs: Dict[str, str]
-            if validate:
-                name_match = _NAME_RE.match(name)
-                if name_match is None or name_match.end() != len(name):
-                    raise ParseError(f"bad tag {body[:40]!r}", match.start())
-                attrs = {}
-                consumed = 0
-                for am in _ATTR_RE.finditer(attr_text):
-                    attrs[am.group(1)] = unescape_attr(am.group(2))
-                    consumed = am.end()
-                if attr_text[consumed:].strip():
-                    raise ParseError(
-                        f"malformed attributes in <{name}>: "
-                        f"{attr_text[consumed:].strip()[:40]!r}",
-                        match.start(),
-                    )
-            else:
-                attrs = {
-                    k: (unescape_attr(v) if "&" in v else v)
-                    for k, v in attr_findall(attr_text)
-                }
-            if not stack:
-                if seen_root:
-                    raise ParseError(
-                        f"content after document element: <{name}>", match.start()
-                    )
-                seen_root = True
-                parent = None
-            else:
-                parent = stack[-1]
-            if validate:
-                try:
-                    dtd.check_element(name, attrs, parent)
-                except dtd.DtdError as exc:
-                    raise ParseError(str(exc), match.start()) from None
-            start_element(name, attrs)
-            events += 1
-            if self_closing:
-                end_element(name)
-                events += 1
-            else:
+                if self_closing:
+                    end_element(name)
+                    events += 1
+                    continue
                 stack.append(name)
-        self.fast_lane_hits += hits
+                if bulk_cluster is not None and name == "CLUSTER":
+                    close = text.find("</CLUSTER>", match.end())
+                    taken = (
+                        bulk_cluster(text, match.end(), close) if close >= 0 else None
+                    )
+                    if taken is not None:
+                        end_element(stack.pop())
+                        events += taken + 1
+                        resume = close + len("</CLUSTER>")
+                        break
+            else:
+                break
         if validate:
             tail = text[pos:]
             if tail and not tail.isspace():
@@ -419,20 +402,15 @@ _CTX_METRIC = 3
 
 
 class _ClusterAccumulator:
-    """Per-cluster append lists, bulk-converted at ``</CLUSTER>``."""
+    """Per-cluster append lists (or the bulk lane's finished arrays),
+    bulk-converted at ``</CLUSTER>``."""
 
     __slots__ = (
         "name",
         "owner",
         "localtime",
         "url",
-        "host_names",
-        "host_ip",
-        "host_location",
-        "host_reported",
-        "host_tn",
-        "host_tmax",
-        "host_dmax",
+        "hosts",
         "starts",
         "row_host",
         "name_ids",
@@ -454,13 +432,8 @@ class _ClusterAccumulator:
         self.owner = owner
         self.localtime = localtime
         self.url = url
-        self.host_names: List[str] = []
-        self.host_ip: List[str] = []
-        self.host_location: List[str] = []
-        self.host_reported: List[float] = []
-        self.host_tn: List[float] = []
-        self.host_tmax: List[float] = []
-        self.host_dmax: List[float] = []
+        #: one :func:`_host_fields` tuple per HOST
+        self.hosts: List[tuple] = []
         self.starts: List[int] = [0]
         self.row_host: List[int] = []
         self.name_ids: List[int] = []
@@ -479,23 +452,27 @@ class _ClusterAccumulator:
 
 
 def _bulk_float(
-    raws: List[Optional[str]], key: str, default: str
+    raws: Sequence[Optional[str]], key: str, default: str
 ) -> "np.ndarray":
     """Convert raw attribute strings; None/"" take the default.
 
     One vectorized conversion attempt; on failure a scalar sweep finds
     the culprit and raises the same message ``_opt_float`` would have.
     (The sweep also accepts the few spellings Python's ``float`` allows
-    but numpy's parser rejects, e.g. digit separators.)
+    but numpy's parser rejects, e.g. digit separators.)  An array -- the
+    bulk lane converts before the accumulator sees it -- passes through.
     """
     import numpy as np
 
-    norm = [default if (r is None or r == "") else r for r in raws]
+    if isinstance(raws, np.ndarray):
+        return raws
+    if None in raws or "" in raws:
+        raws = [default if (r is None or r == "") else r for r in raws]
     try:
-        return np.asarray(norm, dtype=np.float64)
+        return np.asarray(raws, dtype=np.float64)
     except ValueError:
-        out = np.empty(len(norm), dtype=np.float64)
-        for i, raw in enumerate(norm):
+        out = np.empty(len(raws), dtype=np.float64)
+        for i, raw in enumerate(raws):
             try:
                 out[i] = float(raw)
             except ValueError:
@@ -505,15 +482,44 @@ def _bulk_float(
         return out
 
 
+def _host_fields(attrs: Dict[str, str]) -> tuple:
+    """(NAME, IP, LOCATION, REPORTED, TN, TMAX, DMAX) of one HOST."""
+    get = attrs.get
+    return (
+        attrs["NAME"],
+        get("IP", ""),
+        get("LOCATION", ""),
+        _opt_float(attrs, "REPORTED"),
+        _opt_float(attrs, "TN"),
+        _opt_float(attrs, "TMAX", 20.0),
+        _opt_float(attrs, "DMAX"),
+    )
+
+
+#: one METRIC row in the writer's attribute order, cut into NAME, VAL,
+#: the TYPE/UNITS text, TN and the TMAX..SOURCE text.  ``[^"]*`` is the
+#: fastest class to scan; the bulk lane's span checks keep ``&<>'`` out
+#: of every value it takes, so the raw text is the value.
+_ROW_RE = re.compile(
+    r'<METRIC NAME="([^"]*)" VAL="([^"]*)" (TYPE="[^"]*"(?: UNITS="[^"]*")?)'
+    r' TN="([^"]*)" (TMAX="[^"]*" DMAX="[^"]*" SLOPE="[^"]*" SOURCE="[^"]*")\s*/>'
+)
+_HOST_TAG_RE = re.compile(r"<HOST ([^<>]*)>")
+
+
 class ColumnarBuilder:
     """Builds a :class:`~repro.columnar.layout.ColumnarDocument`.
 
-    The METRIC hot path appends to plain Python lists and resolves
-    strings through the shared :class:`InternPool`; numeric attribute
-    conversion is deferred to one vectorized pass per cluster.  Error
-    parity with :class:`TreeBuilder` on common malformations (unknown
-    element, bad TYPE/SLOPE, METRIC outside HOST, bad numerics) is
-    preserved message-for-message; structurally odd documents raise
+    Two lanes fill the same per-cluster accumulator.  The bulk lane
+    (:meth:`bulk_cluster`) cuts a whole CLUSTER span with C-level scans
+    and decodes each distinct static text once; whatever it declines
+    goes through the generic per-tag loop (:meth:`start_element`), which
+    appends to plain Python lists and resolves strings through the
+    shared :class:`InternPool`.  Numeric attribute conversion is one
+    vectorized pass per cluster either way.  Error parity with
+    :class:`TreeBuilder` on common malformations (unknown element, bad
+    TYPE/SLOPE, METRIC outside HOST, bad numerics) is preserved
+    message-for-message; structurally odd documents raise
     :class:`ColumnarFallback` instead so the tree path's behavior --
     whatever it is -- remains the single source of truth.
     """
@@ -530,64 +536,125 @@ class ColumnarBuilder:
         self._host_names: set = set()
         self._ctx: List[int] = []
         self._cur: Optional[_ClusterAccumulator] = None
+        #: ``<METRIC `` tags in declined spans the row pattern missed: a
+        #: drift from the writer's (and binary codec's) attribute order
+        self.fast_lane_misses = 0
+        #: METRIC rows installed by the bulk lane; zero under validation
+        self.fast_lane_hits = 0
+
+    # -- bulk lane -----------------------------------------------------------
+
+    def bulk_cluster(self, text: str, start: int, end: int) -> Optional[int]:
+        """Fill the open cluster from ``text[start:end]``: the span's event
+        count, or ``None`` (nothing touched) to leave it to the generic
+        loop, which then owns every error message."""
+        taken = self._cut(text, start, end)
+        if taken is None:
+            self.fast_lane_misses += text.count("<METRIC ", start, end) - sum(
+                1 for _ in _ROW_RE.finditer(text, start, end)
+            )
+        return taken
+
+    def _cut(self, text: str, start: int, end: int) -> Optional[int]:
+        """The bulk lane proper: ``None`` unless the whole span is taken.
+
+        Taken only when each HOST closes once before the next opens, or
+        self-closes empty; the span's ``<`` and ``>`` counts both equal
+        its rows plus HOST and ``</HOST>`` tags (no other tag, no row
+        outside a host, no ``<>`` in a value); it holds no ``&`` or
+        ``'``; host names, and metric names per host, are unique; and
+        every attribute decodes.  Rows are cut per host body: a span-wide
+        ``findall`` would hold a tuple per row alive at once and drive
+        the cyclic collector into full collections of the heap.
+        """
+        import numpy as np
+
+        hosts = []
+        rows = names, vals, heads, tns, tails = [], [], [], [], []
+        counts = []
+        closes = 0
+        after = start
+        for m in _HOST_TAG_RE.finditer(text, start, end):
+            if m.start() < after:
+                return None  # opened before the previous host closed
+            try:
+                hosts.append(_host_fields(dict(_ATTR_RE.findall(m.group(1)))))
+            except (KeyError, ParseError):
+                return None
+            after = m.end()
+            if m.group(1).rstrip().endswith("/"):
+                counts.append(0)
+                continue
+            close = text.find("</HOST>", after, end)
+            if close < 0:
+                return None
+            host_rows = _ROW_RE.findall(text, after, close)
+            if host_rows:
+                host_columns = list(zip(*host_rows))
+                if len(set(host_columns[0])) != len(host_rows):
+                    return None  # a duplicate NAME overwrites in place
+                for column, values in zip(rows, host_columns):
+                    column.extend(values)
+            counts.append(len(host_rows))
+            closes += 1
+            after = close + len("</HOST>")
+        n = len(names)
+        tags = n + len(hosts) + closes
+        host_names = {h[0] for h in hosts}
+        if (
+            text.count("<", start, end) != tags
+            or text.count(">", start, end) != tags
+            or text.find("&", start, end) >= 0
+            or text.find("'", start, end) >= 0
+            or len(host_names) != len(hosts)
+        ):
+            return None
+        # distinct (NAME, TYPE.., TMAX..) texts in first-sight order:
+        # interning along them allocates ids as the generic loop would
+        distinct = {t: i for i, t in enumerate(dict.fromkeys(zip(names, heads, tails)))}
+        decoded = []
+        for name, head, tail in distinct:
+            attrs = dict(_ATTR_RE.findall(f"{head} {tail}"))
+            if attrs["TYPE"] not in _MTYPE_BY_VALUE:
+                return None
+            if attrs["SLOPE"] not in _SLOPE_BY_VALUE:
+                return None
+            decoded.append((name, attrs))
+        try:
+            tn = _bulk_float(tns, "TN", "0")
+            tmax = _bulk_float([a["TMAX"] for _, a in decoded], "TMAX", "60")
+            dmax = _bulk_float([a["DMAX"] for _, a in decoded], "DMAX", "0")
+        except ParseError:
+            return None
+        # every check passed: only now may the pool grow
+        pool = self.pool
+        ids = []
+        for name, attrs in decoded:
+            # the generic loop's order: TYPE, SLOPE, NAME, UNITS, SOURCE
+            tid, sid = pool.mtype_id(attrs["TYPE"]), pool.slope_id(attrs["SLOPE"])
+            ids.append((pool.intern(name), tid, pool.intern(attrs.get("UNITS", "")),
+                        sid, pool.intern(attrs["SOURCE"]), pool.is_numeric_id(tid)))
+        code = np.fromiter(
+            map(distinct.__getitem__, zip(names, heads, tails)), np.intp, n
+        )
+        cur = self._cur
+        cur.hosts = hosts
+        cur.starts = list(itertools.accumulate(counts, initial=0))
+        cur.row_host = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        table = np.array(ids, dtype=np.int32).reshape(-1, 6).T
+        cur.name_ids, cur.type_ids, cur.units_ids, cur.slope_ids, cur.source_ids = (
+            column[code] for column in table[:5]
+        )
+        cur.numeric = table[5][code].astype(bool)
+        cur.vals_raw = vals
+        cur.tn_raw = tn
+        cur.tmax_raw = tmax[code]
+        cur.dmax_raw = dmax[code]
+        self._host_names = host_names
+        self.fast_lane_hits += n
+        return 2 * (n + len(hosts))
 
     # -- SaxHandler ---------------------------------------------------------
-
-    def fast_metric(
-        self,
-        mname: str,
-        val: str,
-        mtype: str,
-        units: Optional[str],
-        tn: str,
-        tmax: str,
-        dmax: str,
-        slope: str,
-        source: str,
-    ) -> None:
-        """Dict-free twin of the METRIC branch of :meth:`start_element`.
-
-        Receives the capture groups of ``_METRIC_FAST_RE`` -- the fixed
-        writer attribute order, already known self-closing -- so the per
-        -element dict build and lookups vanish.  Context checks, intern
-        semantics, dedup-in-place and error messages are identical to
-        the generic branch (pinned by the parser differential tests).
-        """
-        ctx = self._ctx
-        if ctx[-1] != _CTX_HOST:
-            raise ParseError("METRIC outside HOST")
-        pool = self.pool
-        tid = pool.mtype_id(mtype)
-        if tid is None:
-            raise ParseError(f"unknown metric TYPE {mtype!r}")
-        sid = pool.slope_id(slope)
-        if sid is None:
-            raise ParseError(f"bad SLOPE {slope!r}")
-        cur = self._cur
-        row = cur.metric_index.get(mname)
-        if row is None:
-            cur.metric_index[mname] = len(cur.name_ids)
-            cur.row_host.append(cur.host_ordinal)
-            cur.name_ids.append(pool.intern(mname))
-            cur.type_ids.append(tid)
-            cur.units_ids.append(pool.intern(units or ""))
-            cur.slope_ids.append(sid)
-            cur.source_ids.append(pool.intern(source))
-            cur.numeric.append(pool.is_numeric_id(tid))
-            cur.vals_raw.append(val)
-            cur.tn_raw.append(tn)
-            cur.tmax_raw.append(tmax)
-            cur.dmax_raw.append(dmax)
-        else:
-            cur.type_ids[row] = tid
-            cur.units_ids[row] = pool.intern(units or "")
-            cur.slope_ids[row] = sid
-            cur.source_ids[row] = pool.intern(source)
-            cur.numeric[row] = pool.is_numeric_id(tid)
-            cur.vals_raw[row] = val
-            cur.tn_raw[row] = tn
-            cur.tmax_raw[row] = tmax
-            cur.dmax_raw[row] = dmax
 
     def start_element(self, name: str, attrs: Dict[str, str]) -> None:
         ctx = self._ctx
@@ -653,14 +720,7 @@ class ColumnarBuilder:
                 raise ColumnarFallback(f"duplicate HOST {hname!r}")
             self._host_names.add(hname)
             cur = self._cur
-            get = attrs.get
-            cur.host_names.append(hname)
-            cur.host_ip.append(get("IP", ""))
-            cur.host_location.append(get("LOCATION", ""))
-            cur.host_reported.append(_opt_float(attrs, "REPORTED"))
-            cur.host_tn.append(_opt_float(attrs, "TN"))
-            cur.host_tmax.append(_opt_float(attrs, "TMAX", 20.0))
-            cur.host_dmax.append(_opt_float(attrs, "DMAX"))
+            cur.hosts.append(_host_fields(attrs))
             cur.host_ordinal += 1
             cur.metric_index = {}
             ctx.append(_CTX_HOST)
@@ -722,12 +782,15 @@ class ColumnarBuilder:
 
         cur = self._cur
         n = len(cur.name_ids)
+        host_columns = list(zip(*cur.hosts)) or [()] * 7
+        host_floats = [np.asarray(c, dtype=np.float64) for c in host_columns[3:]]
         numeric = np.asarray(cur.numeric, dtype=bool)
         values = np.full(n, np.nan, dtype=np.float64)
         valid = np.zeros(n, dtype=bool)
         idx = np.flatnonzero(numeric)
         if idx.size:
-            sub = [cur.vals_raw[i] for i in idx]
+            vals_raw = cur.vals_raw
+            sub = vals_raw if idx.size == n else [vals_raw[i] for i in idx.tolist()]
             try:
                 values[idx] = np.asarray(sub, dtype=np.float64)
                 valid[idx] = True
@@ -745,13 +808,13 @@ class ColumnarBuilder:
             owner=cur.owner,
             localtime=cur.localtime,
             url=cur.url,
-            host_names=cur.host_names,
-            host_ip=cur.host_ip,
-            host_location=cur.host_location,
-            host_reported=np.asarray(cur.host_reported, dtype=np.float64),
-            host_tn=np.asarray(cur.host_tn, dtype=np.float64),
-            host_tmax=np.asarray(cur.host_tmax, dtype=np.float64),
-            host_dmax=np.asarray(cur.host_dmax, dtype=np.float64),
+            host_names=list(host_columns[0]),
+            host_ip=list(host_columns[1]),
+            host_location=list(host_columns[2]),
+            host_reported=host_floats[0],
+            host_tn=host_floats[1],
+            host_tmax=host_floats[2],
+            host_dmax=host_floats[3],
             host_row_start=np.asarray(cur.starts, dtype=np.int64),
             row_host=np.asarray(cur.row_host, dtype=np.int32),
             name_ids=np.asarray(cur.name_ids, dtype=np.int32),
@@ -791,8 +854,8 @@ def parse_columnar(
         raise ColumnarFallback(f"missing attribute {exc}") from None
     if builder.document is None:
         raise ParseError("document produced no GANGLIA_XML root")
-    builder.document.fast_lane_misses = parser.fast_lane_misses
-    builder.document.fast_lane_hits = parser.fast_lane_hits
+    builder.document.fast_lane_misses = builder.fast_lane_misses
+    builder.document.fast_lane_hits = builder.fast_lane_hits
     return builder.document
 
 

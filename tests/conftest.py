@@ -14,11 +14,15 @@ from repro.bench.topology import Federation, build_paper_tree
 # exactly on every machine and every rerun: ``derandomize`` derives each
 # test's examples from its own source code instead of a random seed.
 # Set REPRO_HYPOTHESIS_PROFILE=random to restore randomized exploration
-# (e.g. on a scheduled fuzzing job).
+# (e.g. on a scheduled fuzzing job), or =thorough for ten times the
+# examples on tests that leave the count to the profile.
 hypothesis_settings.register_profile(
     "deterministic", derandomize=True, print_blob=True
 )
 hypothesis_settings.register_profile("random", derandomize=False)
+hypothesis_settings.register_profile(
+    "thorough", derandomize=True, print_blob=True, max_examples=1000
+)
 hypothesis_settings.load_profile(
     os.environ.get("REPRO_HYPOTHESIS_PROFILE", "deterministic")
 )
