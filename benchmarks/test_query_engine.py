@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.bench.reporting import format_table
+from repro.columnar import InternPool
 from repro.core.datastore import Datastore, SourceSnapshot
 from repro.core.query import GmetadQuery, QueryEngine
 from repro.core.summarize import summarize_cluster
@@ -28,6 +29,7 @@ from repro.wire.model import ClusterElement, HostElement, MetricElement
 
 def build_datastore(num_sources: int, hosts_per_cluster: int) -> Datastore:
     datastore = Datastore()
+    pool = InternPool()
     for s in range(num_sources):
         cluster = ClusterElement(name=f"c{s}", localtime=0.0)
         for h in range(hosts_per_cluster):
@@ -40,8 +42,8 @@ def build_datastore(num_sources: int, hosts_per_cluster: int) -> Datastore:
         summary, _ = summarize_cluster(cluster)
         cluster.summary = summary
         datastore.install(
-            SourceSnapshot(
-                name=f"c{s}", kind="cluster", summary=summary, cluster=cluster
+            SourceSnapshot.from_cluster(
+                cluster, pool, name=f"c{s}", summary=summary
             ),
             now=0.0,
         )

@@ -136,7 +136,7 @@ def test_gmond_answers_from_local_state_instantly(comparison):
     holds the whole cluster without further communication."""
     gmetad = comparison["gmetad"]
     snapshot = gmetad.datastore.source("meteor")
-    assert len(snapshot.cluster.hosts) == HOSTS
+    assert snapshot.columns.host_count == HOSTS
 
 
 def test_supermon_sweep_time_grows_with_failures(comparison):

@@ -95,7 +95,7 @@ def main() -> None:
     snapshot = gmetad.datastore.source("meteor")
     print(f"  during partition: source up={snapshot.up} "
           f"(consecutive failures: {snapshot.consecutive_failures}); "
-          f"stale state kept: {len(snapshot.cluster.hosts)} hosts")
+          f"stale state kept: {snapshot.columns.host_count} hosts")
     engine.run_for(90.0)  # heal + resume
     snapshot = gmetad.datastore.source("meteor")
     print(f"  after healing:    source up={snapshot.up} -- "

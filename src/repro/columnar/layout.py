@@ -10,10 +10,15 @@ arrays over the host axis.  The :class:`InternPool` maps the closed
 vocabularies to dense integer ids so layout comparisons and summary
 grouping are integer array ops instead of string work.
 
-The DOM is not gone -- :meth:`ColumnarCluster.materialize_into` rebuilds
-the exact :class:`~repro.wire.model.HostElement` tree the tree parser
-would have produced, and is invoked lazily the first time a query needs
-full-form detail (see ``SourceSnapshot.ensure_hosts``).
+These columns are the only place a datastore keeps a cluster's hosts:
+every ingest path installs them (a cluster that arrives as a tree goes
+through :func:`columns_from_cluster`) and every reader slices them.
+:meth:`ColumnarCluster.materialize_host` / :meth:`~ColumnarCluster.metric_at`
+rebuild single elements for consumers that want model objects (regex
+matches, VO slices, salvage carry-forward), and
+:meth:`ColumnarCluster.materialize_into` rebuilds the exact host tree
+the tree parser would have produced -- the DOM survives only as that
+bridge, for the 1-level design's binary ingest and for test oracles.
 """
 
 from __future__ import annotations
@@ -241,9 +246,9 @@ class ColumnarCluster:
     def shell_cluster(self) -> ClusterElement:
         """A hostless ClusterElement carrying the CLUSTER attributes.
 
-        The datastore installs this as the snapshot's element; summary
-        serving works off it directly and full-form serving triggers
-        :meth:`materialize_into` first.
+        The datastore installs this as the snapshot's element: it
+        carries the summary, and full-form serving renders the hosts
+        from the columns.
         """
         return ClusterElement(
             name=self.name,
@@ -252,24 +257,28 @@ class ColumnarCluster:
             url=self.url,
         )
 
+    def metric_at(self, r: int) -> MetricElement:
+        """Rebuild the METRIC element of one row."""
+        pool = self.pool
+        strings = pool.strings
+        return MetricElement(
+            name=strings[self.name_ids[r]],
+            val=self.vals_raw[r],
+            mtype=pool.mtype_at(self.type_ids[r]),
+            units=strings[self.units_ids[r]],
+            tn=float(self.metric_tn[r]),
+            tmax=float(self.metric_tmax[r]),
+            dmax=float(self.metric_dmax[r]),
+            slope=pool.slope_at(self.slope_ids[r]),
+            source=strings[self.source_ids[r]],
+        )
+
     def materialize_host(self, h: int) -> HostElement:
         """Rebuild one host's exact element subtree by row-slice.
 
         Lets consumers that need only a few hosts (VO-filtered views,
-        single-host tools) avoid materializing the whole cluster.
+        regex matches, salvage carry-forward) build just those.
         """
-        pool = self.pool
-        strings = pool.strings
-        starts = self.host_row_start
-        name_ids = self.name_ids
-        type_ids = self.type_ids
-        units_ids = self.units_ids
-        slope_ids = self.slope_ids
-        source_ids = self.source_ids
-        vals = self.vals_raw
-        tn = self.metric_tn
-        tmax = self.metric_tmax
-        dmax = self.metric_dmax
         host = HostElement(
             name=self.host_names[h],
             ip=self.host_ip[h],
@@ -280,18 +289,8 @@ class ColumnarCluster:
             location=self.host_location[h],
         )
         metrics = host.metrics
-        for r in range(starts[h], starts[h + 1]):
-            metric = MetricElement(
-                name=strings[name_ids[r]],
-                val=vals[r],
-                mtype=pool.mtype_at(type_ids[r]),
-                units=strings[units_ids[r]],
-                tn=float(tn[r]),
-                tmax=float(tmax[r]),
-                dmax=float(dmax[r]),
-                slope=pool.slope_at(slope_ids[r]),
-                source=strings[source_ids[r]],
-            )
+        for r in range(self.host_row_start[h], self.host_row_start[h + 1]):
+            metric = self.metric_at(r)
             metrics[metric.name] = metric
         return host
 
@@ -327,11 +326,11 @@ def columns_from_cluster(
 ) -> ColumnarCluster:
     """Convert an already-built full-form DOM cluster to columns.
 
-    Feeds every tree-parsed cluster to the one incremental summarizer
-    (:class:`~repro.columnar.summarize.ColumnarSummaryTracker`), and on
-    a columnar-mode daemon to the archive-plan state machine too, so
-    each source keeps a single state machine regardless of which parser
-    ran.
+    Every cluster that arrives as a tree -- from the tree parser,
+    salvage, the 1-level design or an in-band cluster -- goes through
+    here before install, so the datastore holds hosts one way only, and
+    each source keeps one summarizer and one archive-plan state machine
+    regardless of which parser ran.
     """
     if cluster.is_summary:
         raise ValueError(

@@ -6,12 +6,18 @@ design where each XML tag name keys into a hash table. ... A node must
 search at most three hash table levels to find the desired subtree: data
 sources, summaries and cluster nodes, and node metrics."
 
-The three levels here are ordinary dicts:
+The three levels here are:
 
 1. ``Datastore.sources`` -- data-source name -> :class:`SourceSnapshot`;
-2. ``snapshot.cluster.hosts`` (full local clusters) or
+2. ``snapshot.columns.host_index`` (full local clusters) or
    ``snapshot.grid.clusters``/``snapshot.grid.grids`` (remote summaries);
-3. ``host.metrics`` / ``summary.metrics``.
+3. the host's metric rows in the columns / ``summary.metrics``.
+
+A local cluster's hosts live only in its
+:class:`~repro.columnar.layout.ColumnarCluster`; ``snapshot.cluster``
+is always a hostless shell carrying the CLUSTER attributes and the
+summary.  :class:`SourceSnapshot` refuses an element that holds hosts,
+so no reader has a second copy of the cluster to walk.
 
 Snapshots are replaced atomically at the end of each background parse,
 so "queries [sic] results are based only on the latest fully-parsed
@@ -43,14 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.columnar.layout import columns_from_cluster
 from repro.core.summarize import merge_summaries
-from repro.wire.model import (
-    ClusterElement,
-    GridElement,
-    HostElement,
-    MetricElement,
-    SummaryInfo,
-)
+from repro.wire.model import ClusterElement, GridElement, SummaryInfo
 
 
 @dataclass
@@ -60,13 +61,11 @@ class SourceSnapshot:
     name: str
     kind: str  # "cluster" (local gmond) or "grid" (child gmetad)
     summary: SummaryInfo
-    cluster: Optional[ClusterElement] = None  # full form, cluster sources
+    cluster: Optional[ClusterElement] = None  # hostless shell, cluster sources
     grid: Optional[GridElement] = None        # summary form, grid sources
-    #: columnar ingest installs the raw columns plus a *hostless* shell
-    #: cluster; full-form readers call :meth:`ensure_hosts` first, which
-    #: materializes the DOM from the columns exactly once.  Polls that
-    #: are never read at full resolution never build a DOM at all.
-    columns: Optional[object] = None  # ColumnarCluster, duck-typed
+    #: the cluster's hosts (ColumnarCluster, duck-typed); None for
+    #: summary-form clusters and failure placeholders, which have none
+    columns: Optional[object] = None
     authority: str = ""                        # URL of the full-resolution view
     up: bool = True
     last_success: float = 0.0
@@ -88,11 +87,8 @@ class SourceSnapshot:
     )
     #: columnar-serve fragment arena (duck-typed FragmentArena); installed
     #: alongside the columns so the query engine can splice pre-rendered
-    #: per-host fragments instead of materializing
+    #: per-host fragments
     arena: Optional[object] = field(default=None, repr=False, compare=False)
-    #: owning datastore (set by install/mark_failure) so ensure_hosts can
-    #: account materializations; repr=False also breaks the repr cycle
-    owner: Optional["Datastore"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("cluster", "grid"):
@@ -101,26 +97,27 @@ class SourceSnapshot:
             raise ValueError("cluster snapshot requires a cluster element")
         if self.kind == "grid" and self.grid is None:
             raise ValueError("grid snapshot requires a grid element")
+        if self.cluster is not None and self.cluster.hosts:
+            raise ValueError(
+                f"cluster {self.cluster.name!r}: hosts belong in the "
+                "snapshot's columns, the element must be a hostless shell"
+            )
 
-    def ensure_hosts(self) -> None:
-        """Materialize the full-form DOM from held columns, if any.
+    @classmethod
+    def from_cluster(
+        cls, cluster: ClusterElement, pool, **fields
+    ) -> "SourceSnapshot":
+        """A cluster source's snapshot from a full-form element.
 
-        Idempotent and cheap to re-call: once the shell cluster has
-        hosts, the guard short-circuits.  Every read site that walks
-        ``snapshot.cluster.hosts`` (or branches on ``is_summary``) must
-        call this first -- a columnar shell is summary-form *until*
-        materialized.
+        The hosts move into columns interned in ``pool``; the snapshot
+        keeps a hostless shell carrying the element's attributes and
+        summary.  ``fields`` are the other snapshot fields (``name``,
+        ``summary``, ``authority``, ...).
         """
-        if (
-            self.columns is not None
-            and self.cluster is not None
-            and not self.cluster.hosts
-        ):
-            self.columns.materialize_into(self.cluster)
-            owner = self.owner
-            if owner is not None:
-                # the count the columnar serve fast path drives to zero
-                owner.materializations += 1
+        columns = columns_from_cluster(cluster, pool)
+        shell = columns.shell_cluster()
+        shell.summary = cluster.summary
+        return cls(kind="cluster", cluster=shell, columns=columns, **fields)
 
 
 class Datastore:
@@ -134,9 +131,9 @@ class Datastore:
         self._stamp = 0           # per-snapshot serialization stamp source
         self._rollup: Optional[SummaryInfo] = None
         self._rollup_generation = -1
-        #: lazy DOM builds (``SourceSnapshot.ensure_hosts`` doing real
-        #: work); 0 on a columnar-serve daemon means no query ever paid
-        #: for a host tree
+        #: host-tree builds: a snapshot holds its hosts only as columns,
+        #: so nothing builds one and this reads 0.  Kept because the
+        #: end-to-end harness reads it.
         self.materializations = 0
 
     def _next_stamp(self) -> int:
@@ -165,7 +162,6 @@ class Datastore:
             snapshot.corrupt_polls = previous.corrupt_polls
         snapshot.up = True
         snapshot.last_success = now
-        snapshot.owner = self
         self.sources[snapshot.name] = snapshot
         self.generation += 1
         self._content_changed(snapshot)
@@ -200,7 +196,6 @@ class Datastore:
                     summary=SummaryInfo(),
                     cluster=ClusterElement(name=name),
                 )
-            snapshot.owner = self
             self.sources[name] = snapshot
             self._content_changed(snapshot)  # a new (empty) element appears
         snapshot.up = False
@@ -281,7 +276,7 @@ class Datastore:
         self._content_changed(None)
         return True
 
-    # -- level-1/2/3 lookups (query timescale) -----------------------------
+    # -- lookups (query timescale) ------------------------------------------
 
     def source(self, name: str) -> Optional[SourceSnapshot]:
         """The snapshot for one data source, or None."""
@@ -290,49 +285,6 @@ class Datastore:
     def source_names(self) -> List[str]:
         """All source names, sorted (the level-1 keys)."""
         return sorted(self.sources)
-
-    def find_cluster(self, source: str) -> Optional[ClusterElement]:
-        """Full or summary form cluster for a source-level path segment.
-
-        For grid sources this also reaches one level into the child grid,
-        so ``/childgrid`` resolves even when the child was folded into a
-        grid snapshot.
-        """
-        snapshot = self.sources.get(source)
-        if snapshot is not None:
-            if snapshot.cluster is not None:
-                snapshot.ensure_hosts()
-                return snapshot.cluster
-            if snapshot.grid is not None:
-                # the source is a grid; a same-named nested cluster is
-                # the folded child the docstring promises to resolve
-                return snapshot.grid.clusters.get(source)
-            return None
-        # not a top-level source: reach one level into each grid source
-        # for a cluster that was folded into a child gmetad's report
-        for snap in self.sources.values():
-            if snap.grid is not None:
-                found = snap.grid.clusters.get(source)
-                if found is not None:
-                    return found
-        return None
-
-    def find_host(self, source: str, host: str) -> Optional[HostElement]:
-        """Level-2 lookup: one host of a cluster source."""
-        snapshot = self.sources.get(source)
-        if snapshot is None or snapshot.cluster is None:
-            return None
-        snapshot.ensure_hosts()
-        return snapshot.cluster.hosts.get(host)
-
-    def find_metric(
-        self, source: str, host: str, metric: str
-    ) -> Optional[MetricElement]:
-        """Level-3 lookup: one metric of one host."""
-        host_element = self.find_host(source, host)
-        if host_element is None:
-            return None
-        return host_element.metrics.get(metric)
 
     def find_nested(self, source: str, child: str):
         """Resolve the second path segment inside a *grid* source.

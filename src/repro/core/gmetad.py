@@ -61,10 +61,8 @@ class Gmetad(GmetadBase):
             authority=self.config.authority_url,
             version=self.version,
             memoize=self.config.incremental,
-            columnar_serve=self.config.columnar_serve,
         )
-        #: per-source delta summarizers (cluster sources, incremental);
-        #: tree-parsed polls reach them through ``columns_from_cluster``
+        #: per-source delta summarizers (cluster sources, incremental)
         self._summary_trackers: Dict[str, ColumnarSummaryTracker] = {}
 
     # -- polling ------------------------------------------------------------
@@ -81,35 +79,25 @@ class Gmetad(GmetadBase):
         already in summary form.
         """
         for cluster in doc.clusters.values():
-            # a summary-form CLUSTER (a ``/<cluster>?filter=summary``
-            # answer) was already reduced by its authority: it passes
-            # through summarize_cluster at zero cost and has no detail
-            summary_form = cluster.is_summary
-            if self.config.columnar and not summary_form:
-                # tree-parsed cluster under a columnar config (salvage,
-                # or a shape the fast parser fell back on): convert so
-                # one tracker and one scatter-plan state machine exist
-                # per source no matter which parser ran
+            if not cluster.is_summary:
+                # a tree-parsed cluster (tree parser, salvage, or a shape
+                # the fast parser fell back on) becomes columns, so one
+                # summarizer and one archive plan exist per source no
+                # matter which parser ran
                 self._ingest_columns(
                     source,
                     columns_from_cluster(cluster, self._intern_pool),
                     now,
                 )
                 continue
-            if self.config.incremental and not summary_form:
-                # subtract-old/add-new: work scales with the k hosts
-                # that changed, not the H hosts in the cluster
-                summary, samples = self._summary_tracker(source).update(
-                    columns_from_cluster(cluster, self._intern_pool)
-                )
-            else:
-                summary, samples = summarize_cluster(
-                    cluster, self.config.heartbeat_window
-                )
-            cluster.summary = summary  # element carries both resolutions
+            # a summary-form CLUSTER (a ``/<cluster>?filter=summary``
+            # answer) was already reduced by its authority: it passes
+            # through summarize_cluster at zero cost and has no detail
+            summary, samples = summarize_cluster(
+                cluster, self.config.heartbeat_window
+            )
+            cluster.summary = summary
             self.charge(self.costs.summarize_metric * samples, "summarize")
-            if not summary_form:
-                self.archiver.archive_cluster_detail(source, cluster, now)
             self.archiver.archive_summary(source, cluster.name, summary, now)
             self.datastore.install(
                 SourceSnapshot(
@@ -174,14 +162,14 @@ class Gmetad(GmetadBase):
         return tracker
 
     def _ingest_columns(self, source: str, cols, now: float) -> None:
-        """Columnar twin of the cluster branch of :meth:`ingest`.
+        """Summarize, archive and install one full-form cluster poll.
 
-        Summarization runs on the value column (vectorized, bit-identical
-        totals and op counts); the archiver scatters the whole poll in
-        one plan update; the datastore gets a hostless *shell* cluster
-        plus the columns themselves -- full-form reads materialize the
-        DOM lazily via :meth:`SourceSnapshot.ensure_hosts`, so polls that
-        are never queried at full resolution never pay for a DOM.
+        Every full-form cluster lands here, whichever parser or codec
+        delivered it.  Summarization runs on the value column
+        (vectorized, the scalar fold's totals and op counts bit for
+        bit); the archiver scatters the whole poll in one plan update;
+        the datastore gets a hostless *shell* cluster plus the columns
+        themselves, and readers slice the columns.
         """
         if self.config.incremental:
             summary, samples = self._summary_tracker(source).update(cols)
@@ -281,11 +269,7 @@ class Gmetad(GmetadBase):
         super().remove_data_source(name)
         self._summary_trackers.pop(name, None)
 
-    # -- convenience for tools/alarms -----------------------------------------
-
-    def resolve(self, query_text: str):
-        """Resolve a query to model elements without serialization."""
-        return self.query_engine.resolve(GmetadQuery.parse(query_text))
+    # -- pub-sub ---------------------------------------------------------------
 
     def attach_pubsub(self, **kwargs):
         """Create and start a pub-sub broker riding on this daemon.

@@ -26,6 +26,7 @@ from typing import Dict
 from repro.core.datastore import SourceSnapshot
 from repro.core.gmetad_base import GmetadBase
 from repro.core.query import FULL_DUMP_QUERY
+from repro.serve.fragments import DetailRenderer
 from repro.wire.model import GangliaDocument, SummaryInfo
 from repro.wire.writer import XmlWriter
 
@@ -40,6 +41,8 @@ class OneLevelGmetad(GmetadBase):
         super().__init__(*args, **kwargs)
         #: cluster name -> data source that delivered it (for diagnostics)
         self.cluster_origin: Dict[str, str] = {}
+        #: renders each cluster's dump fragment from its columns
+        self._detail = DetailRenderer()
 
     # -- polling -----------------------------------------------------------
 
@@ -59,15 +62,16 @@ class OneLevelGmetad(GmetadBase):
             if cluster.is_summary:
                 # 2.5.1 predates summaries; ignore foreign summary data.
                 continue
+            # the paper's baseline archive: one scalar update per value,
+            # walked off the parsed tree
             self.archiver.archive_cluster_detail(cluster.name, cluster, now)
             self.cluster_origin[cluster.name] = source
             self.datastore.install(
-                SourceSnapshot(
+                SourceSnapshot.from_cluster(
+                    cluster,
+                    self._intern_pool,
                     name=cluster.name,
-                    kind="cluster",
                     summary=SummaryInfo(),  # no reduction in this design
-                    cluster=cluster,
-                    authority="",
                 ),
                 now,
             )
@@ -122,7 +126,14 @@ class OneLevelGmetad(GmetadBase):
         cached_bytes = 0
         for name in self.datastore.source_names():
             snapshot = self.datastore.sources[name]
-            if snapshot.cluster is None or snapshot.cluster.is_summary:
+            if snapshot.cluster is None:
+                continue
+            cols = snapshot.columns
+            if (cols is None or not cols.host_count) and (
+                snapshot.cluster.summary is not None
+            ):
+                # summary form: no hosts in the columns, a rollup attached
+                # (the in-band clusters' shells carry a rollup too)
                 continue
             if self.config.incremental:
                 cached = snapshot.frag_cache.get("full")
@@ -130,13 +141,10 @@ class OneLevelGmetad(GmetadBase):
                     writer.raw(cached[1])
                     cached_bytes += len(cached[1])
                     continue
-                sub = XmlWriter()
-                sub.cluster(snapshot.cluster)
-                fragment = sub.result()
+            fragment, _ = self._detail.cluster(snapshot)
+            if self.config.incremental:
                 snapshot.frag_cache["full"] = (snapshot.detail_stamp, fragment)
-                writer.raw(fragment)
-            else:
-                writer.cluster(snapshot.cluster)
+            writer.raw(fragment)
         writer.close_tag("GANGLIA_XML")
         xml = writer.result()
         seconds = self.charge(

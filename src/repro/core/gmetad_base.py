@@ -340,7 +340,8 @@ class GmetadBase(QueryServer):
     """Common daemon machinery; see :class:`Gmetad` / :class:`OneLevelGmetad`."""
 
     #: whether this design implements :meth:`ingest_columnar`; the
-    #: ``config.columnar`` switch is a no-op on designs that don't.
+    #: ``config.columnar`` parser switch is a no-op on designs that
+    #: don't, and their decoded binary clusters go through a tree.
     supports_columnar = False
     #: whether ingest reduces cluster sources to summaries (the drift
     #: auditor has nothing to re-fold on a design that doesn't)
@@ -370,17 +371,15 @@ class GmetadBase(QueryServer):
         self.cpu = CpuAccount(config.name, capacity)
         self.datastore = Datastore()
         self.validate_xml = validate_xml
-        #: shared string-interning pool for the columnar parse fast path
-        #: and the delta summarizers; metric names repeat across every
-        #: host and every poll, so ids stabilize after the first poll and
-        #: stay comparable across polls
-        self._intern_pool = InternPool() if self.supports_columnar else None
-        #: pool binary frames decode into: the columnar pool where the
-        #: design has one (ids stay stable across polls, so the delta
-        #: trackers keep working), a dedicated one otherwise
-        self._decode_pool = self._intern_pool
-        if config.binary_wire and self._decode_pool is None:
-            self._decode_pool = InternPool()
+        #: shared string-interning pool for every cluster's columns (the
+        #: columnar parse, binary decode and tree-to-column conversion);
+        #: metric names repeat across every host and every poll, so ids
+        #: stabilize after the first poll and stay comparable across polls
+        self._intern_pool = InternPool()
+        #: the in-band clusters' pool (``__gmetad__``, ``__analytics__``):
+        #: their metric names stay out of the ingest pool, so its ids
+        #: are the same with observability on or off
+        self._inband_pool = InternPool()
         if not fabric.has_host(config.host):
             fabric.add_host(config.host)
         if rra_specs is None:
@@ -634,9 +633,10 @@ class GmetadBase(QueryServer):
     def _on_frame(self, source: str, frame: BinaryFrame, rtt: float) -> None:
         """Ingest one binary-codec poll response.
 
-        Decode feeds the same pipeline as XML -- the columnar ingest
-        when that path is on, a materialized document tree otherwise --
-        so datastore contents are identical whichever codec the link
+        Decode feeds the same pipeline as XML -- a decoded cluster is
+        already columns, so it goes to the columnar ingest on a design
+        that has one and through a materialized tree otherwise -- so
+        datastore contents are identical whichever codec the link
         negotiated.  A frame that fails validation is quarantined whole:
         decode happens entirely before any install, so a truncated or
         bit-flipped frame can never leave partial state behind.
@@ -647,15 +647,11 @@ class GmetadBase(QueryServer):
         self.charge(self.costs.tcp_connect, "network")
         self.charge(self.costs.binfmt_byte * len(frame.data), "parse")
         try:
-            kind, document = decode_document(frame.data, self._decode_pool)
+            kind, document = decode_document(frame.data, self._intern_pool)
         except FrameError as exc:
             self._on_frame_error(source, frame, exc, now, busy0)
             return
-        columnar = (
-            kind == CLUSTER_DOC
-            and self.config.columnar
-            and self.supports_columnar
-        )
+        columnar = kind == CLUSTER_DOC and self.supports_columnar
         if kind == CLUSTER_DOC:
             element_count = document.element_count
             if not columnar:
@@ -799,24 +795,15 @@ class GmetadBase(QueryServer):
         silent host), not vanish from the cluster.
         """
         snapshot = self.datastore.source(source)
-        if snapshot is None or snapshot.cluster is None:
+        columns = None if snapshot is None else snapshot.columns
+        if columns is None:
             return 0
-        columns = snapshot.columns
-        if columns is not None and not snapshot.cluster.hosts:
-            # columnar snapshot: materialize only the hosts the damage
-            # swallowed, by row-slice, instead of the whole cluster
-            carried = 0
-            for cluster in doc.clusters.values():
-                for i, name in enumerate(columns.host_names):
-                    if name not in cluster.hosts:
-                        cluster.hosts[name] = columns.materialize_host(i)
-                        carried += 1
-            return carried
+        # build only the hosts the damage swallowed, by row-slice
         carried = 0
         for cluster in doc.clusters.values():
-            for name, host in snapshot.cluster.hosts.items():
+            for i, name in enumerate(columns.host_names):
                 if name not in cluster.hosts:
-                    cluster.hosts[name] = host
+                    cluster.hosts[name] = columns.materialize_host(i)
                     carried += 1
         return carried
 

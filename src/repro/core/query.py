@@ -18,6 +18,12 @@ summary, O(H·m) for a full cluster -- which the engine reports via
 ``bytes_serialized`` so the host gmetad can charge CPU and compute the
 service time viewers observe.
 
+A cluster's hosts are held as columns, so full-form cluster output is
+rendered from them (:mod:`repro.serve.render`), or spliced from the
+source's fragment arena when the daemon keeps one; summary forms and
+grid sources serialize their elements through
+:class:`~repro.wire.writer.XmlWriter`.
+
 Whole-tree queries with ``filter=summary`` are how N-level parents poll
 their children: the reply contains every local cluster and every remote
 grid in summary form, each tagged with the AUTHORITY URL holding the
@@ -31,8 +37,13 @@ from dataclasses import dataclass
 from typing import Deque, List, Tuple
 
 from repro.core.datastore import Datastore
-from repro.serve.fragments import memoized_source_fragment, summary_cluster_element
-from repro.wire.model import ClusterElement, GridElement, HostElement
+from repro.serve.fragments import (
+    DetailRenderer,
+    memoized_source_fragment,
+    summary_cluster_element,
+)
+from repro.serve.render import cluster_open_tag, metric_line
+from repro.wire.model import ClusterElement, GridElement
 from repro.wire.writer import XmlWriter
 
 #: Query string every N-level gmetad sends to its children when polling.
@@ -101,8 +112,8 @@ class QueryStats:
     hash_lookups: int = 0
     bytes_serialized: int = 0
     #: of bytes_serialized, how many were spliced from memoized source
-    #: fragments (a memcpy, charged at serve_byte_cached instead of the
-    #: full per-byte DOM-walk cost)
+    #: fragments or reused arena fragments (a memcpy, charged at
+    #: serve_byte_cached instead of the full per-byte serialization cost)
     bytes_from_cache: int = 0
     found: bool = True
 
@@ -115,7 +126,11 @@ class QueryEngine:
     stamps: a dump after k of S sources changed re-serializes k
     fragments and memcpys the rest.  The cache lives on the
     :class:`SourceSnapshot` itself, so removing a source drops its
-    fragments with it.
+    fragments with it.  A snapshot that carries a fragment arena
+    answers its full-form and path replies from the arena's
+    pre-rendered per-host fragments; replies are byte-identical either
+    way, and reused arena bytes are reported via
+    ``QueryStats.bytes_from_cache``.
     """
 
     def __init__(
@@ -125,22 +140,18 @@ class QueryEngine:
         authority: str,
         version: str = "2.5.4",
         memoize: bool = False,
-        columnar_serve: bool = False,
     ) -> None:
         self.datastore = datastore
         self.grid_name = grid_name
         self.authority = authority
         self.version = version
         self.memoize = memoize
-        #: serve detail and path replies off each snapshot's fragment
-        #: arena (pre-rendered per-host bytes) instead of materializing
-        #: the DOM; replies stay byte-identical, reused fragment bytes
-        #: are reported via ``QueryStats.bytes_from_cache``
-        self.columnar_serve = columnar_serve
         #: the last whole-tree summary reply, ``((LOCALTIME, content
         #: version), xml, spliced fragment bytes)``; a repeat of it would
         #: only re-join cached fragments, so it is handed back whole
         self._summary_reply: tuple = ((), "", 0)
+        #: full-form cluster fragments for sources without an arena
+        self._detail = DetailRenderer()
 
     # -- public API ---------------------------------------------------------
 
@@ -159,50 +170,6 @@ class QueryEngine:
             xml = self._empty_document(query)
         stats.bytes_serialized = len(xml)
         return xml, stats
-
-    def resolve(self, query: GmetadQuery):
-        """Python-level resolution (no serialization); for alarms/tools.
-
-        Returns a model element: GridElement / ClusterElement /
-        HostElement / MetricElement / SummaryInfo.  Raises
-        :class:`QueryNotFound`.
-        """
-        stats = QueryStats()
-        return self._resolve(query, stats)
-
-    # -- resolution ---------------------------------------------------------
-
-    def _resolve(self, query: GmetadQuery, stats: QueryStats):
-        path = query.path
-        if not path:
-            return None  # whole-tree: handled structurally by _execute
-        stats.hash_lookups += 1
-        snapshot = self.datastore.source(path[0])
-        if snapshot is None:
-            raise QueryNotFound(path)
-        if len(path) == 1:
-            if snapshot.kind == "cluster":
-                snapshot.ensure_hosts()  # callers walk .hosts directly
-                return snapshot.cluster
-            return snapshot.grid
-        if snapshot.kind == "cluster":
-            stats.hash_lookups += 1
-            host = self.datastore.find_host(path[0], path[1])
-            if host is None:
-                raise QueryNotFound(path)
-            if len(path) == 2:
-                return host
-            stats.hash_lookups += 1
-            metric = host.metrics.get(path[2])
-            if metric is None:
-                raise QueryNotFound(path)
-            return metric
-        # grid source: one more level of nested summaries is addressable
-        stats.hash_lookups += 1
-        nested = self.datastore.find_nested(path[0], path[1])
-        if nested is None or len(path) > 2:
-            raise QueryNotFound(path)
-        return nested
 
     # -- serialization --------------------------------------------------------
 
@@ -265,19 +232,12 @@ class QueryEngine:
 
     def _source_fragment(self, snapshot, summary: bool, stats=None) -> str:
         """Serialize one source's element(s) exactly as the tree dump does."""
+        if snapshot.kind == "cluster" and not summary:
+            return self._cluster_detail(snapshot, stats)
         sub = XmlWriter()
         if snapshot.kind == "cluster":
-            if summary:
-                # summary form serves straight off the (possibly still
-                # hostless) columnar shell; the synthesized-shell case
-                # lives in the shared helper
-                sub.cluster(summary_cluster_element(snapshot), summary_only=True)
-            else:
-                fragment = self._arena_detail(snapshot, stats)
-                if fragment is not None:
-                    return fragment
-                snapshot.ensure_hosts()  # full form walks hosts
-                sub.cluster(snapshot.cluster, summary_only=False)
+            # the synthesized-shell case lives in the shared helper
+            sub.cluster(summary_cluster_element(snapshot), summary_only=True)
         elif summary:
             merged = GridElement(
                 name=snapshot.grid.name,
@@ -289,24 +249,9 @@ class QueryEngine:
             sub.grid(snapshot.grid)
         return sub.result()
 
-    def _arena_detail(self, snapshot, stats=None):
-        """Full-form cluster fragment from the arena, or None to fall back.
-
-        Falls back for sources without columns/arena and for empty
-        clusters (whose detail form writes summary info when a rollup is
-        attached -- the writer's ``is_summary`` rule -- which the arena
-        does not model).
-        """
-        if not self.columnar_serve:
-            return None
-        arena = snapshot.arena
-        if (
-            arena is None
-            or snapshot.columns is None
-            or snapshot.columns.host_count == 0
-        ):
-            return None
-        fragment, reused = arena.detail_fragment()
+    def _cluster_detail(self, snapshot, stats=None) -> str:
+        """A cluster source's full-form fragment (arena or columns)."""
+        fragment, reused = self._detail.cluster(snapshot)
         if stats is not None:
             stats.bytes_from_cache += reused
         return fragment
@@ -326,115 +271,83 @@ class QueryEngine:
         snapshot = self.datastore.source(path[0])
         if snapshot is None:
             raise QueryNotFound(path)
-        if snapshot.kind == "grid":
-            if len(path) == 1:
-                if query.summary or snapshot.grid.is_summary:
-                    merged = GridElement(
-                        name=snapshot.grid.name,
-                        authority=snapshot.authority or snapshot.grid.authority,
-                        summary=snapshot.summary,
-                    )
-                    writer.grid(merged, summary_only=True)
-                else:
-                    writer.grid(snapshot.grid)
-                return
-            stats.hash_lookups += 1
-            nested = self.datastore.find_nested(path[0], path[1])
-            if nested is None or len(path) > 2:
-                raise QueryNotFound(path)
-            shell = GridElement(
-                name=snapshot.grid.name,
-                authority=snapshot.authority or snapshot.grid.authority,
-            )
-            writer.open_tag(
-                "GRID",
-                [("NAME", shell.name), ("AUTHORITY", shell.authority)],
-            )
-            if isinstance(nested, ClusterElement):
-                writer.cluster(nested, summary_only=nested.is_summary)
+        if snapshot.kind == "cluster":
+            self._write_cluster_path(writer, query, snapshot, stats)
+            return
+        if len(path) == 1:
+            if query.summary or snapshot.grid.is_summary:
+                merged = GridElement(
+                    name=snapshot.grid.name,
+                    authority=snapshot.authority or snapshot.grid.authority,
+                    summary=snapshot.summary,
+                )
+                writer.grid(merged, summary_only=True)
             else:
-                writer.grid(nested, summary_only=nested.is_summary)
-            writer.close_tag("GRID")
-            return
-        # cluster source
-        if not query.summary and self.columnar_serve:
-            arena = snapshot.arena
-            if (
-                arena is not None
-                and snapshot.columns is not None
-                and snapshot.columns.host_count > 0
-            ):
-                self._write_path_columnar(writer, path, snapshot, arena, stats)
-                return
-        if len(path) > 1 or not query.summary:
-            snapshot.ensure_hosts()  # anything below needs the full form
-        cluster = snapshot.cluster
-        if len(path) == 1:
-            writer.cluster(cluster, summary_only=query.summary)
+                writer.grid(snapshot.grid)
             return
         stats.hash_lookups += 1
-        host = cluster.hosts.get(path[1])
-        if host is None:
+        nested = self.datastore.find_nested(path[0], path[1])
+        if nested is None or len(path) > 2:
             raise QueryNotFound(path)
-        if len(path) == 3:
-            stats.hash_lookups += 1
-            metric = host.metrics.get(path[2])
-            if metric is None:
-                raise QueryNotFound(path)
-            host = HostElement(
-                name=host.name,
-                ip=host.ip,
-                reported=host.reported,
-                tn=host.tn,
-                tmax=host.tmax,
-                dmax=host.dmax,
-                metrics={metric.name: metric},
-            )
-        shell = ClusterElement(
-            name=cluster.name,
-            owner=cluster.owner,
-            localtime=cluster.localtime,
-            url=cluster.url,
-            hosts={host.name: host},
+        writer.open_tag(
+            "GRID",
+            [
+                ("NAME", snapshot.grid.name),
+                ("AUTHORITY", snapshot.authority or snapshot.grid.authority),
+            ],
         )
-        writer.cluster(shell)
+        if isinstance(nested, ClusterElement):
+            writer.cluster(nested, summary_only=nested.is_summary)
+        else:
+            writer.grid(nested, summary_only=nested.is_summary)
+        writer.close_tag("GRID")
 
-    def _write_path_columnar(
-        self, writer: XmlWriter, path, snapshot, arena, stats: QueryStats
+    def _write_cluster_path(
+        self, writer: XmlWriter, query: GmetadQuery, snapshot, stats: QueryStats
     ) -> None:
-        """Path-query replies spliced from the arena (no ``ensure_hosts``).
+        """``/source``, ``/source/host`` and ``/source/host/metric``.
 
-        Byte-identical to the DOM branch: the same shell CLUSTER (and
-        HOST) envelopes, with the matched subtree coming from the
-        pre-rendered per-host fragments by row-slice.  The hash-lookup
-        counts mirror the DOM branch level for level so the fixed query
-        charges stay comparable.
+        The matched host comes from the arena's pre-rendered fragment
+        when the source has one, else it is rendered from the columns;
+        a metric reply is that fragment's HOST opening line plus the
+        one METRIC line, in the shell CLUSTER envelope.  Below the
+        source level the summary filter changes nothing.
         """
+        path = query.path
         if len(path) == 1:
-            fragment, reused = arena.detail_fragment()
-            stats.bytes_from_cache += reused
-            writer.raw(fragment)
+            if query.summary:
+                writer.cluster(snapshot.cluster, summary_only=True)
+            else:
+                writer.raw(self._cluster_detail(snapshot, stats))
             return
         stats.hash_lookups += 1
-        host_fragment = arena.host_fragment(path[1])
-        if host_fragment is None:
+        cols = snapshot.columns
+        h = None if cols is None else cols.host_index.get(path[1])
+        if h is None:
             raise QueryNotFound(path)
+        arena = snapshot.arena
+        if arena is None:
+            host_fragment = self._detail.host_renderer(cols).hosts(cols, [h])[0]
+            open_tag = cluster_open_tag(cols)
+        else:
+            host_fragment = arena.host_fragment(path[1])
+            open_tag = arena.open_tag
         if len(path) == 2:
-            writer.raw(arena.open_tag)
+            writer.raw(open_tag)
             writer.raw(host_fragment)
-            stats.bytes_from_cache += len(host_fragment)
             writer.raw("</CLUSTER>\n")
+            if arena is not None:
+                stats.bytes_from_cache += len(host_fragment)
             return
         stats.hash_lookups += 1
-        metric_line = arena.metric_line(path[1], path[2])
-        if metric_line is None:
+        line = metric_line(host_fragment, path[2])
+        if line is None:
             raise QueryNotFound(path)
         # a host owning a metric never self-closes, so its fragment's
         # first line is exactly the HOST opening tag the shell needs
-        host_open = host_fragment[: host_fragment.index("\n") + 1]
-        writer.raw(arena.open_tag)
-        writer.raw(host_open)
-        writer.raw(metric_line)
+        writer.raw(open_tag)
+        writer.raw(host_fragment[: host_fragment.index("\n") + 1])
+        writer.raw(line)
         writer.raw("</HOST>\n")
         writer.raw("</CLUSTER>\n")
 

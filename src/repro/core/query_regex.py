@@ -12,7 +12,10 @@ introduced by ``~``::
 Each segment pattern is matched against the corresponding hash-table
 level (sources, hosts/nested summaries, metrics).  The result is a list
 of concrete matches, each with its full path -- what the alarm engine
-iterates over.
+iterates over.  A cluster's hosts are held as columns, so the search
+walks host names and row slices and builds an element only for what
+matched: the host (:meth:`ColumnarCluster.materialize_host`) or the
+one metric row (:meth:`ColumnarCluster.metric_at`).
 """
 
 from __future__ import annotations
@@ -107,7 +110,6 @@ class RegexQueryEngine:
             if not p_source.match(source_name):
                 continue
             snapshot = self.datastore.sources[source_name]
-            snapshot.ensure_hosts()  # matches walk the full form
             if query.depth == 1:
                 element = (
                     snapshot.cluster
@@ -123,22 +125,33 @@ class RegexQueryEngine:
     def _search_level2(self, query, source_name, snapshot) -> List[RegexMatch]:
         p_node = query.patterns[1]
         results: List[RegexMatch] = []
-        if snapshot.kind == "cluster" and snapshot.cluster is not None:
-            for host_name, host in snapshot.cluster.hosts.items():
+        if snapshot.kind == "cluster":
+            cols = snapshot.columns
+            if cols is None:
+                return results
+            strings = cols.pool.strings
+            starts = cols.host_row_start.tolist()
+            name_ids = cols.name_ids.tolist()
+            for h, host_name in enumerate(cols.host_names):
                 if not p_node.match(host_name):
                     continue
                 if query.depth == 2:
-                    results.append(RegexMatch((source_name, host_name), host))
-                else:
-                    p_metric = query.patterns[2]
-                    for metric_name, metric in host.metrics.items():
-                        if p_metric.match(metric_name):
-                            results.append(
-                                RegexMatch(
-                                    (source_name, host_name, metric_name),
-                                    metric,
-                                )
+                    results.append(
+                        RegexMatch(
+                            (source_name, host_name), cols.materialize_host(h)
+                        )
+                    )
+                    continue
+                p_metric = query.patterns[2]
+                for r in range(starts[h], starts[h + 1]):
+                    metric_name = strings[name_ids[r]]
+                    if p_metric.match(metric_name):
+                        results.append(
+                            RegexMatch(
+                                (source_name, host_name, metric_name),
+                                cols.metric_at(r),
                             )
+                        )
         elif snapshot.grid is not None:
             # grid sources expose one nested level of summaries
             nested = dict(snapshot.grid.clusters)

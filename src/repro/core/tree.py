@@ -82,19 +82,18 @@ class GmetadConfig:
     #: ``__gmetad__`` cluster, drift auditor).  None keeps the daemon
     #: uninstrumented and its output byte-identical to the baseline.
     observability: Optional[ObservabilityConfig] = None
-    #: columnar ingest fast path: interned streaming parse straight into
-    #: structure-of-arrays columns, vectorized summarization, and one
-    #: batched RRD scatter per poll.  Off by default; turning it on is a
-    #: pure performance change -- wire output, CPU charges and archive
-    #: contents stay byte-identical to the tree path.
+    #: which XML parser cluster polls take: the interned streaming
+    #: parse straight into structure-of-arrays columns, or the tree
+    #: parser (whose clusters are then converted to columns).  Every
+    #: cluster is held as columns either way, and wire output, CPU
+    #: charges and archive contents are byte-identical.
     columnar: bool = False
-    #: columnar serve fast path (``repro.serve``): answer detail and
-    #: ``/source/host`` path queries by splicing pre-rendered per-host
-    #: fragments from a per-source arena, invalidated per host on delta
-    #: updates -- no DOM materialization on the serve side.  Requires
-    #: ``columnar`` (sources without held columns fall back to the DOM
-    #: engine).  Off by default; replies stay byte-identical either way,
-    #: reused fragment bytes are charged at the memcpy rate.
+    #: whether each cluster source keeps a fragment arena
+    #: (``repro.serve``): detail and ``/source/host`` replies splice
+    #: pre-rendered per-host fragments, re-rendered per changed host on
+    #: install, instead of rendering every host from the columns per
+    #: reply.  Replies are byte-identical either way; reused fragment
+    #: bytes are charged at the memcpy rate.
     columnar_serve: bool = False
     #: compact binary wire codec (``repro.wire.binfmt``): offer
     #: ``accept=bin1`` on every poll, answer binary to peers that offer

@@ -27,14 +27,9 @@ from repro.frontend.views import (
     HostRow,
     HostView,
     MetaView,
-    _cluster_rows,
     _summary_row,
 )
-from repro.serve.views import (
-    has_live_columns,
-    host_metric_items,
-    host_statuses,
-)
+from repro.serve.views import host_metric_items, host_statuses
 
 
 def _safe(name: str) -> str:
@@ -82,67 +77,44 @@ def generate_gmetad_pages(
 
     for source_name in gmetad.datastore.source_names():
         snapshot = gmetad.datastore.sources[source_name]
-        if snapshot.kind != "cluster" or snapshot.cluster is None:
-            continue
-        if has_live_columns(snapshot):
-            pages += _columnar_cluster_pages(
-                snapshot.columns, directory, heartbeat_window
+        if snapshot.kind == "cluster":
+            pages += _cluster_pages(
+                snapshot.cluster.name, snapshot.columns, directory,
+                heartbeat_window,
             )
-            continue
-        snapshot.ensure_hosts()  # tree-built snapshots keep the DOM path
-        cluster = snapshot.cluster
-        if cluster.is_summary:
-            continue
-        cluster_view = ClusterView(
-            name=cluster.name,
-            hosts=_cluster_rows(cluster, heartbeat_window),
-        )
-        (directory / f"cluster-{_safe(cluster.name)}.html").write_text(
-            render_cluster_view(cluster_view)
-        )
-        pages += 1
-        for host in cluster.hosts.values():
-            host_view = HostView(
-                cluster=cluster.name,
-                name=host.name,
-                up=host.is_up(heartbeat_window),
-                metrics={m.name: m.val for m in host.metrics.values()},
-            )
-            page_name = f"host-{_safe(cluster.name)}-{_safe(host.name)}.html"
-            (directory / page_name).write_text(render_host_view(host_view))
-            pages += 1
     return pages
 
 
-def _columnar_cluster_pages(
-    cols, directory: pathlib.Path, heartbeat_window: float
+def _cluster_pages(
+    name: str, cols, directory: pathlib.Path, heartbeat_window: float
 ) -> int:
-    """Cluster + host pages by row-slice -- no DOM materialization.
+    """One cluster page and one page per host, by row-slice.
 
-    Emits the same pages the DOM branch writes for the same state: the
-    cluster view's rows sort by host name (as ``_cluster_rows`` does)
-    and each host page's metric dict keeps row (= parse) order, which
-    is what the DOM's insertion-ordered metric dict iterates.
+    Every cluster row of the meta view links to its page, so a cluster
+    without hosts (``cols`` None: a failure placeholder or a
+    summary-form cluster) gets an empty one.  The cluster view's rows
+    sort by host name, and each host page's metrics keep row (= parse)
+    order.
     """
-    statuses = host_statuses(cols, heartbeat_window)
+    statuses = [] if cols is None else host_statuses(cols, heartbeat_window)
     rows = [
         HostRow(name=s.name, up=s.up, load_one=s.load_one, cpu_num=s.cpu_num)
         for s in statuses
     ]
     rows.sort(key=lambda r: r.name)
-    cluster_view = ClusterView(name=cols.name, hosts=rows)
-    (directory / f"cluster-{_safe(cols.name)}.html").write_text(
+    cluster_view = ClusterView(name=name, hosts=rows)
+    (directory / f"cluster-{_safe(name)}.html").write_text(
         render_cluster_view(cluster_view)
     )
     pages = 1
     for h, status in enumerate(statuses):
         host_view = HostView(
-            cluster=cols.name,
+            cluster=name,
             name=status.name,
             up=status.up,
             metrics=dict(host_metric_items(cols, h)),
         )
-        page_name = f"host-{_safe(cols.name)}-{_safe(status.name)}.html"
+        page_name = f"host-{_safe(name)}-{_safe(status.name)}.html"
         (directory / page_name).write_text(render_host_view(host_view))
         pages += 1
     return pages

@@ -8,12 +8,9 @@ have caught it in production: on a sampling cadence it re-folds each
 cluster source eagerly, serializes both summaries, and records any
 byte-level divergence to the registry (and a ``drift_audit`` span).
 
-The re-fold reads whatever the snapshot holds: a columnar snapshot is
-reduced straight off its columns with :func:`summarize_columns`, a DOM
-snapshot with :func:`summarize_cluster`.  Both kernels are bit-identical
-eager folds, and neither builds an element tree -- the audit never
-materializes a host, so the serve path's zero-materialization invariant
-holds with the auditor on.
+The re-fold reads the snapshot's columns with
+:func:`summarize_columns`, the bit-identical twin of the scalar eager
+fold; it builds no element tree.
 
 The audit is an *observer* diagnostic: the eager re-fold is not charged
 to the daemon's CPU account, so enabling it never perturbs the numbers
@@ -26,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.columnar import summarize_columns
-from repro.core.summarize import summarize_cluster
 from repro.obs.config import SELF_SOURCE
 from repro.wire.model import SummaryInfo
 from repro.wire.writer import XmlWriter
@@ -72,17 +68,10 @@ def audit_gmetad(gmetad: "GmetadBase") -> DriftReport:
         return report
     window = gmetad.config.heartbeat_window
     for name, snapshot in gmetad.datastore.sources.items():
-        if name == SELF_SOURCE or snapshot.cluster is None:
-            continue
         cols = snapshot.columns
-        if cols is not None:
-            if cols.host_count == 0:
-                continue
-            eager, _ = summarize_columns(cols, window)
-        elif snapshot.cluster.is_summary:
+        if name == SELF_SOURCE or cols is None or cols.host_count == 0:
             continue
-        else:
-            eager, _ = summarize_cluster(snapshot.cluster, window)
+        eager, _ = summarize_columns(cols, window)
         report.checked += 1
         incremental = snapshot.summary
         incremental_wire = summary_wire_form(incremental)

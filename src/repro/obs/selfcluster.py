@@ -65,9 +65,12 @@ def install_inband_cluster(
     The exact pipeline a polled source goes through (minus download and
     parse -- the data was never serialized).  Summarize and archive
     charges are real: keeping histories of your own metrics costs the
-    same simulated CPU as anyone else's.  Shared by the ``__gmetad__``
+    same simulated CPU as anyone else's.  The freshly built element is
+    summarized and archived as a tree; the datastore then gets its
+    shell plus columns in the daemon's in-band pool, like every other
+    cluster, and no fragment arena.  Shared by the ``__gmetad__``
     self-cluster and the ``__analytics__`` signal cluster
-    (:mod:`repro.analytics`).  Returns the installed cluster.
+    (:mod:`repro.analytics`).  Returns the element, summary attached.
     """
     summary, samples = summarize_cluster(
         cluster, gmetad.config.heartbeat_window
@@ -77,11 +80,11 @@ def install_inband_cluster(
     gmetad.archiver.archive_cluster_detail(source, cluster, now)
     gmetad.archiver.archive_summary(source, cluster.name, summary, now)
     gmetad.datastore.install(
-        SourceSnapshot(
+        SourceSnapshot.from_cluster(
+            cluster,
+            gmetad._inband_pool,
             name=source,
-            kind="cluster",
             summary=summary,
-            cluster=cluster,
             authority=gmetad.config.authority_url,
         ),
         now,

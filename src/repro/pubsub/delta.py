@@ -25,14 +25,13 @@ Two ways to the same map
 ------------------------
 
 :func:`flatten_datastore` / :func:`flatten_snapshot` build the map from
-scratch, walking (and, for a columnar source, materializing) each
-source's host tree.  They are the reference the tests hold the engine
-to.  :class:`DeltaEngine` -- what a broker runs on every publish --
+scratch, walking a host tree each builds from a cluster's columns.
+They are the reference the tests hold the engine to.  :class:`DeltaEngine` -- what a broker runs on every publish --
 keeps one view per source instead and works in proportion to what
 changed: a source whose snapshot is untouched costs a token compare,
-and a re-polled columnar source is diffed row by row off its held
+and a re-polled cluster source is diffed row by row off its held
 columns (raw ``VAL`` strings and the per-host up mask) without ever
-building a DOM.  Both produce the same ops and the same key order.
+building a tree.  Both produce the same ops and the same key order.
 """
 
 from __future__ import annotations
@@ -123,14 +122,12 @@ def _head_items(snapshot: SourceSnapshot) -> Dict[str, str]:
     return head
 
 
-def _tree_body(
-    snapshot: SourceSnapshot, heartbeat_window: float
-) -> Dict[str, str]:
-    """The keys below a source's header, read off its element tree."""
-    if snapshot.kind == "cluster" and snapshot.cluster is not None:
-        return dict(
-            _cluster_items(snapshot.name, snapshot.cluster, heartbeat_window)
-        )
+def _grid_body(snapshot: SourceSnapshot) -> Dict[str, str]:
+    """The keys below a grid source's header: its nested summaries.
+
+    A cluster source without columns (a failure placeholder or a
+    summary-form cluster) has no keys below its header.
+    """
     body: Dict[str, str] = {}
     if snapshot.grid is not None:
         nested: Dict[str, object] = dict(snapshot.grid.clusters)
@@ -145,11 +142,18 @@ def _tree_body(
 def flatten_snapshot(
     snapshot: SourceSnapshot, heartbeat_window: float = 80.0
 ) -> Dict[str, str]:
-    """Flatten one source snapshot into delta paths."""
+    """Flatten one source snapshot into delta paths.
+
+    The reference the engine is held to: a cluster's keys are read off
+    a host tree built here from its columns.
+    """
     state = _head_items(snapshot)
-    if snapshot.kind == "cluster" and snapshot.cluster is not None:
-        snapshot.ensure_hosts()  # columnar shells materialize on read
-    state.update(_tree_body(snapshot, heartbeat_window))
+    cols = snapshot.columns
+    if cols is None:
+        state.update(_grid_body(snapshot))
+    else:
+        cluster = cols.materialize_into(cols.shell_cluster())
+        state.update(_cluster_items(snapshot.name, cluster, heartbeat_window))
     return state
 
 
@@ -209,10 +213,10 @@ class _SourceView:
     """One source's published keys, and the snapshot they were read from.
 
     ``head`` holds the header keys (liveness and summary).  The keys
-    below it live in ``body`` for a tree-parsed snapshot; for a columnar
-    one they are implied by ``cols`` plus the key lists built once per
-    layout (``host_keys`` per host, ``row_keys`` per metric row), and
-    ``body`` stays ``None``.
+    below it live in ``body`` for a snapshot without columns; for a
+    cluster with columns they are implied by ``cols`` plus the key lists
+    built once per layout (``host_keys`` per host, ``row_keys`` per
+    metric row), and ``body`` stays ``None``.
     """
 
     __slots__ = (
@@ -286,11 +290,11 @@ class DeltaEngine:
       differs and hosts whose up bit flipped become ``set`` ops; the
       per-layout key lists are reused.
     - Columnar snapshot on a new layout: the keys are rebuilt straight
-      from the columns and diffed against the old ones.  No path here
-      calls :meth:`SourceSnapshot.ensure_hosts`, so a broker never
-      builds a DOM.
-    - Tree-parsed snapshot (no columns: grid sources, non-columnar
-      daemons): re-flattened from its tree and diffed.
+      from the columns and diffed against the old ones.  A broker
+      never builds a host tree.
+    - Snapshot without columns (grid sources, failure placeholders,
+      summary-form clusters): its nested summaries re-flattened and
+      diffed.
     - Removed or now-excluded source: every key of its view is deleted.
 
     The ``augment`` namespace is diffed on its own, and the ops of all
@@ -379,7 +383,7 @@ class DeltaEngine:
         view.head = head
         cols = snapshot.columns
         if cols is None:
-            body = _tree_body(snapshot, self.heartbeat_window)
+            body = _grid_body(snapshot)
             _diff_into(view.body_items(self.heartbeat_window), body, ops)
             view.body, view.cols = body, None
             view.host_keys, view.row_keys = [], []

@@ -136,17 +136,10 @@ def viewer_paths(
     for name in names:
         paths.append(f"/{name}")
     for name in names:
-        snapshot = daemon.datastore.sources[name]
-        if snapshot.cluster is None:
+        columns = daemon.datastore.sources[name].columns
+        if columns is None:
             continue
-        if snapshot.columns is not None:
-            # host names ride in the columns; sampling the catalog must
-            # not force a DOM materialization on a columnar daemon
-            hosts = sorted(snapshot.columns.host_names)
-        else:
-            snapshot.ensure_hosts()
-            hosts = sorted(snapshot.cluster.hosts)
-        for host in hosts[:per_source_hosts]:
+        for host in sorted(columns.host_names)[:per_source_hosts]:
             paths.append(f"/{name}/{host}")
     return paths
 

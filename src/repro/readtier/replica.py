@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Tuple
 
-from repro.columnar import InternPool
+from repro.columnar import InternPool, columns_from_cluster
 from repro.core.datastore import Datastore, SourceSnapshot
 from repro.core.gmetad_base import (
     QueryServer,
@@ -134,7 +134,6 @@ class ReadReplica(QueryServer):
             authority=ingest.config.authority_url,
             version=self.version,
             memoize=True,
-            columnar_serve=self.columnar_serve,
         )
         #: the pool shipped cluster fragments parse into; ids stay
         #: stable across installs, so arena diffs see the same layout
@@ -251,7 +250,7 @@ class ReadReplica(QueryServer):
             # splice the ingest daemon's exact bytes
             snapshot.frag_cache["full"] = (snapshot.detail_stamp, detail)
             snapshot.frag_cache["summary"] = (snapshot.summary_stamp, summary)
-            if snapshot.columns is not None:
+            if snapshot.columns is not None and snapshot.columns.host_count:
                 # the arena is shared across installs, so it only moves
                 # once the barrier holds
                 snapshot.arena = self._install_arena(source, snapshot.columns)
@@ -276,7 +275,9 @@ class ReadReplica(QueryServer):
         A cluster's detail fragment goes through the ingest daemon's
         columnar parse into this replica's intern pool and stages as a
         hostless shell plus columns; shapes the columnar builder
-        declines (summary-form clusters) keep the tree parser's element.
+        declines convert their tree into the same pool, except a
+        summary-form cluster, which has no hosts and stays the tree
+        parser's element.
         All three records parse under the ingest daemon's
         ``validate_xml`` (see "Validation" above).  The last element of
         the result is the parse's ``(METRIC rows, fast-lane hits)``,
@@ -309,13 +310,11 @@ class ReadReplica(QueryServer):
             if cdoc is not None and cdoc.clusters:
                 columns = cdoc.clusters[0]
                 cluster = columns.shell_cluster()
-                if not columns.host_count:
-                    # a hostless cluster's shell is its whole tree;
-                    # held columns would only make full reads count a
-                    # materialization
-                    columns = None
             elif detail_doc is not None and detail_doc.clusters:
                 cluster = next(iter(detail_doc.clusters.values()))
+                if not cluster.is_summary:
+                    columns = columns_from_cluster(cluster, self._intern_pool)
+                    cluster = columns.shell_cluster()
             if cluster is None or not summary_doc.clusters:
                 raise FeedError(f"feed for {source!r} lost its cluster")
             element = next(iter(summary_doc.clusters.values()))

@@ -39,7 +39,6 @@ import numpy as np
 from repro.columnar.layout import ColumnarDocument
 from repro.serve.render import HostRenderer, cluster_open_tag
 from repro.wire.binfmt import encode_cluster_document
-from repro.wire.escape import escape_attr
 
 
 class FragmentArena:
@@ -212,13 +211,3 @@ class FragmentArena:
         self.frag_hits += 1
         return self._frags[h]
 
-    def metric_line(self, host_name: str, metric_name: str) -> Optional[str]:
-        """One METRIC element, cut from its host's fragment, or None."""
-        cols = self.cols
-        h = None if cols is None else cols.host_index.get(host_name)
-        if h is None:
-            return None
-        fragment = self._frags[h]
-        # NAME then VAL open every row, and escaped values hold no "<>"
-        at = fragment.find(f'<METRIC NAME="{escape_attr(metric_name)}" VAL="')
-        return None if at < 0 else fragment[at : fragment.index("/>\n", at) + 3]

@@ -1,14 +1,56 @@
 """Per-source fragment helpers shared by the query engine, the binary
-summary answer and the replication feed: the element a cluster's
-summary form serializes from, and the stamp-keyed ``frag_cache`` splice.
+summary answer, the replication feed and the 1-level dump: the element
+a cluster's summary form serializes from, a cluster's full form from
+its arena or columns, and the stamp-keyed ``frag_cache`` splice.
 Callers keep their own CPU charging and stats accounting.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.serve.render import HostRenderer, render_cluster
 from repro.wire.model import ClusterElement
+from repro.wire.writer import XmlWriter
+
+
+class DetailRenderer:
+    """Full-form cluster fragments, from a snapshot's arena or columns.
+
+    Keeps one set of row templates (:class:`HostRenderer`) per intern
+    pool it has rendered from -- a daemon's ingest pool and its in-band
+    pool -- so both stay warm across replies.
+    """
+
+    __slots__ = ("_hosts",)
+
+    def __init__(self) -> None:
+        self._hosts: Dict[object, HostRenderer] = {}
+
+    def host_renderer(self, cols) -> HostRenderer:
+        """The row-template renderer for ``cols``' intern pool."""
+        renderer = self._hosts.get(cols.pool)
+        if renderer is None:
+            renderer = self._hosts[cols.pool] = HostRenderer(cols.pool)
+        return renderer
+
+    def cluster(self, snapshot) -> Tuple[str, int]:
+        """``(CLUSTER fragment, bytes reused from the arena)``.
+
+        Spliced from the arena when the source has one, else rendered
+        from the columns.  A cluster without hosts (a failure
+        placeholder, a summary-form cluster, an empty poll) is its
+        shell, written by the writer's own rule: with a rollup attached
+        the element is summary-form.
+        """
+        cols = snapshot.columns
+        if cols is None or cols.host_count == 0:
+            sub = XmlWriter()
+            sub.cluster(snapshot.cluster)
+            return sub.result(), 0
+        if snapshot.arena is not None:
+            return snapshot.arena.detail_fragment()
+        return render_cluster(cols, self.host_renderer(cols)), 0
 
 
 def summary_cluster_element(snapshot) -> ClusterElement:

@@ -158,9 +158,13 @@ class HostRenderer:
         return out
 
 
-def render_host(cols, h: int, renderer: Optional[HostRenderer] = None) -> str:
-    """One HOST element with its METRIC children, as the writer emits it."""
-    return (renderer or HostRenderer(cols.pool)).hosts(cols, [h])[0]
+def metric_line(host_fragment: str, metric_name: str) -> Optional[str]:
+    """One METRIC element cut from a rendered HOST fragment, or None."""
+    # NAME then VAL open every row, and escaped values hold no "<>"
+    at = host_fragment.find(f'<METRIC NAME="{escape_attr(metric_name)}" VAL="')
+    if at < 0:
+        return None
+    return host_fragment[at : host_fragment.index("/>\n", at) + 3]
 
 
 def cluster_open_tag(cols) -> str:
@@ -178,8 +182,9 @@ def cluster_open_tag(cols) -> str:
 def render_cluster(cols, renderer: Optional[HostRenderer] = None) -> str:
     """A full CLUSTER fragment (hosts sorted by name) from the columns.
 
-    One-shot entry point for consumers without an arena (e.g. rendering
-    a decoded binary frame to XML without materializing a DOM).
+    The entry point for sources without an arena: every full-form reply
+    on a daemon that does not reuse fragments, the 1-level design's
+    dump, and the in-band clusters.
     """
     renderer = renderer or HostRenderer(cols.pool)
     names = cols.host_names

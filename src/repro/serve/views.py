@@ -1,23 +1,22 @@
-"""Columnar read views: ``ensure_hosts``-free accessors for consumers.
+"""Columnar read views: per-host figures for consumers, by row-slice.
 
-Several read-side consumers (the static frontend, the ``gstat`` tools,
-the VO directory) used to force a whole-cluster DOM materialization
-just to look at a handful of per-host values.  On a columnar daemon
-those reads can be answered by row-slice (the drift auditor needs no
-view at all: it re-folds the held columns with ``summarize_columns``):
+A cluster snapshot keeps its hosts only as columns, so the read-side
+consumers (the static frontend, the ``gstat`` tools) take their
+per-host values from these accessors (the drift auditor needs no view
+at all: it re-folds the held columns with ``summarize_columns``):
 
-- :func:`has_live_columns` is the dispatch test -- columns held, DOM
-  not yet built, at least one host (empty clusters keep the DOM path,
-  mirroring the serve engine's empty-cluster fallback);
 - :func:`host_statuses` extracts the (name, up, load_one, cpu_num)
   tuples the cluster views and status lines consume, vectorized over
   the host axis;
 - :func:`host_metric_items` yields one host's (metric name, raw VAL)
-  pairs in row order -- the same order the DOM's insertion-ordered
+  pairs in row order -- document order, the order a parsed host's
   metric dict iterates;
-- :func:`busiest_from_columns` is the columnar twin of
-  :func:`repro.analysis.loadstats.busiest_hosts` (same liveness gate,
-  same stable-sort tie-breaking by host order).
+- :func:`busiest_from_columns` ranks live hosts by one metric, the
+  column form of :func:`repro.analysis.loadstats.busiest_hosts` (same
+  liveness gate, same stable-sort tie-breaking by host order).
+
+A value that does not parse as a number (``VAL="x"`` on a numeric
+TYPE) reads as absent, the way a non-numeric metric does.
 """
 
 from __future__ import annotations
@@ -38,25 +37,14 @@ class HostStatus:
     cpu_num: Optional[int]
 
 
-def has_live_columns(snapshot) -> bool:
-    """Whether reads on this snapshot should slice columns, not the DOM."""
-    cols = getattr(snapshot, "columns", None)
-    cluster = getattr(snapshot, "cluster", None)
-    return (
-        cols is not None
-        and cluster is not None
-        and not cluster.hosts
-        and cols.host_count > 0
-    )
-
-
 def _per_host_numeric(cols, metric_name: str) -> List[Optional[float]]:
-    """One metric's numeric value per host (None where absent/non-numeric)."""
+    """One metric's numeric value per host (None where absent, non-numeric
+    or unparseable)."""
     out: List[Optional[float]] = [None] * cols.host_count
     name_id = cols.pool.lookup(metric_name)
     if name_id is None:
         return out
-    rows = np.nonzero((cols.name_ids == name_id) & cols.numeric)[0]
+    rows = np.nonzero((cols.name_ids == name_id) & cols.valid)[0]
     row_host = cols.row_host
     values = cols.values
     for r in rows:
@@ -97,9 +85,9 @@ def busiest_from_columns(
 ) -> List[Tuple[str, float]]:
     """Top-N live hosts by a numeric metric, straight from the columns.
 
-    Mirrors :func:`repro.analysis.loadstats.busiest_hosts` exactly:
-    only live hosts compete, non-numeric carriers are skipped, and ties
-    keep host (insertion) order via the stable sort.
+    Mirrors :func:`repro.analysis.loadstats.busiest_hosts`: only live
+    hosts compete, non-numeric and unparseable carriers are skipped, and
+    ties keep host (insertion) order via the stable sort.
     """
     values = _per_host_numeric(cols, metric)
     up = cols.host_tn <= heartbeat_window

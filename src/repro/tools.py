@@ -10,78 +10,35 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.analysis.loadstats import busiest_hosts
+from repro.columnar import InternPool, columns_from_cluster
 from repro.core.gmetad_base import GmetadBase
 from repro.gmond.agent import GmondAgent
-from repro.serve.views import (
-    busiest_from_columns,
-    has_live_columns,
-    host_statuses,
-)
-from repro.wire.model import ClusterElement
+from repro.serve.views import busiest_from_columns, host_statuses
 
 
-def _cluster_status_lines(
-    cluster: ClusterElement,
-    heartbeat_window: float,
-    show_hosts: bool,
-) -> List[str]:
-    up = sum(1 for h in cluster.hosts.values() if h.is_up(heartbeat_window))
-    down = len(cluster.hosts) - up
-    total_cpus = 0
-    load_sum = 0.0
-    load_count = 0
-    for host in cluster.hosts.values():
-        if not host.is_up(heartbeat_window):
-            continue
-        cpu_metric = host.metrics.get("cpu_num")
-        if cpu_metric is not None and cpu_metric.is_numeric:
-            total_cpus += int(cpu_metric.numeric())
-        load_metric = host.metrics.get("load_one")
-        if load_metric is not None and load_metric.is_numeric:
-            load_sum += load_metric.numeric()
-            load_count += 1
-    lines = [
-        f"CLUSTER {cluster.name} -- {up} up, {down} down, "
-        f"{total_cpus} CPUs, mean load "
-        f"{(load_sum / load_count) if load_count else 0.0:.2f}"
-    ]
-    if show_hosts:
-        for name in sorted(cluster.hosts):
-            host = cluster.hosts[name]
-            state = "up  " if host.is_up(heartbeat_window) else "DOWN"
-            load = host.metrics.get("load_one")
-            load_text = f"{load.numeric():5.2f}" if load and load.is_numeric else "  ?  "
-            lines.append(f"  {state} {name:24s} load {load_text}")
-        top = busiest_hosts(cluster, count=3, heartbeat_window=heartbeat_window)
-        if top:
-            hot = ", ".join(f"{n}({v:.2f})" for n, v in top)
-            lines.append(f"  busiest: {hot}")
-    return lines
-
-
-def _columnar_status_lines(
+def _status_lines(
+    name: str,
     cols,
     heartbeat_window: float,
     show_hosts: bool,
 ) -> List[str]:
-    """The exact ``_cluster_status_lines`` report, by row-slice.
+    """One cluster's status report, by row-slice over its columns.
 
-    Serving a status report must not force a columnar daemon to
-    materialize the whole cluster DOM; every figure here comes from
-    :mod:`repro.serve.views` accessors over the held columns.
+    ``cols`` is None for a cluster with no hosts (a failure placeholder
+    or a summary-form cluster): zero up, zero down.  A value that does
+    not parse as a number reads as absent (``?``).
     """
-    statuses = host_statuses(cols, heartbeat_window)
+    statuses = [] if cols is None else host_statuses(cols, heartbeat_window)
     up = sum(1 for s in statuses if s.up)
     down = len(statuses) - up
     total_cpus = sum(s.cpu_num for s in statuses if s.up and s.cpu_num is not None)
     loads = [s.load_one for s in statuses if s.up and s.load_one is not None]
     mean_load = (sum(loads) / len(loads)) if loads else 0.0
     lines = [
-        f"CLUSTER {cols.name} -- {up} up, {down} down, "
+        f"CLUSTER {name} -- {up} up, {down} down, "
         f"{total_cpus} CPUs, mean load {mean_load:.2f}"
     ]
-    if show_hosts:
+    if show_hosts and cols is not None:
         for status in sorted(statuses, key=lambda s: s.name):
             state = "up  " if status.up else "DOWN"
             load_text = (
@@ -105,8 +62,11 @@ def gstat_from_agent(
     """Cluster status from one gmond agent's redundant soft state."""
     cluster = agent.state.to_cluster_element(agent.engine.now)
     return "\n".join(
-        _cluster_status_lines(
-            cluster, agent.config.heartbeat_window, show_hosts
+        _status_lines(
+            cluster.name,
+            columns_from_cluster(cluster, InternPool()),
+            agent.config.heartbeat_window,
+            show_hosts,
         )
     )
 
@@ -125,22 +85,11 @@ def gstat_from_gmetad(
             lines.append(f"SOURCE {name} -- unknown")
             continue
         flag = "" if snapshot.up else "  [UNREACHABLE, stale data]"
-        if snapshot.kind == "cluster" and has_live_columns(snapshot):
+        if snapshot.kind == "cluster":
             lines.extend(
-                _columnar_status_lines(
+                _status_lines(
+                    snapshot.cluster.name,
                     snapshot.columns,
-                    gmetad.config.heartbeat_window,
-                    show_hosts,
-                )
-            )
-            if flag:
-                lines[-1] += flag
-            continue
-        snapshot.ensure_hosts()  # tree-built snapshots keep the DOM path
-        if snapshot.kind == "cluster" and snapshot.cluster is not None:
-            lines.extend(
-                _cluster_status_lines(
-                    snapshot.cluster,
                     gmetad.config.heartbeat_window,
                     show_hosts,
                 )

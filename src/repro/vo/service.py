@@ -18,7 +18,6 @@ from typing import List, Tuple
 
 from repro.core.gmetad_base import GmetadBase
 from repro.core.summarize import merge_summaries, summarize_cluster
-from repro.serve.views import has_live_columns
 from repro.vo.policy import VoPolicy
 from repro.wire.model import ClusterElement, SummaryInfo
 from repro.wire.writer import XmlWriter
@@ -45,38 +44,17 @@ class VoDirectory:
         if cluster_name not in vo.slices:
             raise VoError(f"VO {vo_name!r} has no grant on {cluster_name!r}")
         snapshot = self.gmetad.datastore.source(cluster_name)
-        if snapshot is not None and has_live_columns(snapshot):
-            # columnar shell: materialize only the admitted hosts by
-            # row-slice instead of forcing the whole-cluster DOM
-            cols = snapshot.columns
-            source = snapshot.cluster
-            filtered = ClusterElement(
-                name=source.name,
-                owner=source.owner,
-                localtime=source.localtime,
-                url=source.url,
-            )
-            for h, host_name in enumerate(cols.host_names):
-                if vo.admits(cluster_name, host_name):
-                    filtered.hosts[host_name] = cols.materialize_host(h)
-            return filtered
-        if snapshot is not None:
-            snapshot.ensure_hosts()  # shell is summary-form until built
-        if snapshot is None or snapshot.cluster is None or snapshot.cluster.is_summary:
+        cols = None if snapshot is None else snapshot.columns
+        if cols is None:
             raise VoError(
                 f"cluster {cluster_name!r} not available at full resolution "
                 "on this gmetad (query its authority)"
             )
-        source = snapshot.cluster
-        filtered = ClusterElement(
-            name=source.name,
-            owner=source.owner,
-            localtime=source.localtime,
-            url=source.url,
-        )
-        for host_name, host in source.hosts.items():
+        # build only the admitted hosts, by row-slice
+        filtered = cols.shell_cluster()
+        for h, host_name in enumerate(cols.host_names):
             if vo.admits(cluster_name, host_name):
-                filtered.hosts[host_name] = host
+                filtered.hosts[host_name] = cols.materialize_host(h)
         return filtered
 
     def vo_summary(self, vo_name: str) -> Tuple[SummaryInfo, List[str]]:

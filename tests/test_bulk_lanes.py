@@ -29,7 +29,7 @@ from repro.gmond.pseudo import PseudoGmond
 from repro.metrics.catalog import Slope
 from repro.metrics.types import MetricType
 from repro.serve.arena import FragmentArena
-from repro.serve.render import render_cluster
+from repro.serve.render import metric_line, render_cluster
 from repro.sim.rng import RngRegistry
 from repro.wire.model import (
     ClusterElement,
@@ -366,7 +366,10 @@ def test_templates_render_what_the_writer_writes(cluster, plan, data):
             for m in host.metrics.values():
                 writer = XmlWriter()
                 writer.metric(m)
-                assert arena.metric_line(host.name, m.name) == writer.result()
+                assert (
+                    metric_line(arena.host_fragment(host.name), m.name)
+                    == writer.result()
+                )
         # parsed columns of the same bytes render the same bytes
         document = GangliaDocument(version="2.5.4", source="gmond")
         document.add_cluster(cluster)

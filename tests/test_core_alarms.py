@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.alarms import AlarmEngine, AlarmRule, AlarmState, standard_rules
-from repro.core.datastore import SourceSnapshot
 from repro.core.gmetad import Gmetad
 from repro.core.query_regex import (
     RegexQuery,
@@ -22,6 +21,7 @@ from repro.net.fabric import Fabric
 from repro.net.tcp import TcpNetwork
 from repro.sim.engine import Engine
 from repro.wire.model import ClusterElement, HostElement, MetricElement
+from tests.helpers import cluster_snapshot
 
 
 def _cluster_snapshot(name, hosts, now, load=0.5):
@@ -38,9 +38,7 @@ def _cluster_snapshot(name, hosts, now, load=0.5):
         cluster.add_host(host)
     summary, _ = summarize_cluster(cluster, 80.0)
     cluster.summary = summary
-    return SourceSnapshot(
-        name=name, kind="cluster", summary=summary, cluster=cluster
-    )
+    return cluster_snapshot(cluster, name=name, summary=summary)
 
 
 def _solo_daemon(engine, fabric, tcp):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.columnar import InternPool
 from repro.core.datastore import Datastore, SourceSnapshot
+from repro.core.query import GmetadQuery, QueryEngine
 from repro.metrics.types import MetricType
 from repro.wire.model import (
     ClusterElement,
@@ -12,6 +14,7 @@ from repro.wire.model import (
     MetricSummary,
     SummaryInfo,
 )
+from repro.wire.parser import parse_document
 
 
 def cluster_snapshot(name="meteor", load=1.0):
@@ -23,10 +26,25 @@ def cluster_snapshot(name="meteor", load=1.0):
     summary.add_metric(
         MetricSummary("load_one", total=load, num=1, mtype=MetricType.FLOAT)
     )
-    return SourceSnapshot(
-        name=name, kind="cluster", summary=summary, cluster=cluster,
+    return SourceSnapshot.from_cluster(
+        cluster, InternPool(), name=name, summary=summary,
         authority="http://me:8651/",
     )
+
+
+def lookup(store, path):
+    """The parsed reply to one path query, or None when not found."""
+    xml, stats = QueryEngine(store, "G", "http://g:8651/").execute(
+        GmetadQuery.parse(path), now=0.0
+    )
+    return parse_document(xml) if stats.found else None
+
+
+def lookup_metric(store, source, host, metric):
+    doc = lookup(store, f"/{source}/{host}/{metric}")
+    if doc is None:
+        return None
+    return doc.clusters[source].hosts[host].metrics[metric]
 
 
 def grid_snapshot(name="attic"):
@@ -54,6 +72,20 @@ class TestSnapshotValidation:
         with pytest.raises(ValueError):
             SourceSnapshot(name="x", kind="grid", summary=SummaryInfo())
 
+    def test_cluster_element_holding_hosts_rejected(self):
+        tree = cluster_snapshot().columns
+        cluster = tree.materialize_into(tree.shell_cluster())
+        with pytest.raises(ValueError, match="hostless shell"):
+            SourceSnapshot(
+                name="meteor", kind="cluster", summary=SummaryInfo(),
+                cluster=cluster,
+            )
+
+    def test_from_cluster_keeps_hosts_in_columns(self):
+        snapshot = cluster_snapshot()
+        assert snapshot.cluster.hosts == {}
+        assert snapshot.columns.host_names == ["meteor-h0"]
+
 
 class TestInstallAndLookup:
     def test_install_and_level_lookups(self):
@@ -61,24 +93,24 @@ class TestInstallAndLookup:
         store.install(cluster_snapshot(), now=10.0)
         assert store.source("meteor").up
         assert store.source("meteor").last_success == 10.0
-        assert store.find_cluster("meteor").name == "meteor"
-        assert store.find_host("meteor", "meteor-h0") is not None
-        metric = store.find_metric("meteor", "meteor-h0", "load_one")
+        assert list(lookup(store, "/meteor").clusters) == ["meteor"]
+        assert lookup(store, "/meteor/meteor-h0") is not None
+        metric = lookup_metric(store, "meteor", "meteor-h0", "load_one")
         assert metric.numeric() == 1.0
 
     def test_missing_lookups_return_none(self):
         store = Datastore()
         store.install(cluster_snapshot(), now=0.0)
         assert store.source("nope") is None
-        assert store.find_cluster("nope") is None
-        assert store.find_host("meteor", "ghost") is None
-        assert store.find_metric("meteor", "meteor-h0", "ghost") is None
+        assert lookup(store, "/nope") is None
+        assert lookup(store, "/meteor/ghost") is None
+        assert lookup_metric(store, "meteor", "meteor-h0", "ghost") is None
 
     def test_reinstall_replaces_atomically(self):
         store = Datastore()
         store.install(cluster_snapshot(load=1.0), now=0.0)
         store.install(cluster_snapshot(load=7.0), now=15.0)
-        metric = store.find_metric("meteor", "meteor-h0", "load_one")
+        metric = lookup_metric(store, "meteor", "meteor-h0", "load_one")
         assert metric.numeric() == 7.0
         assert store.source("meteor").last_success == 15.0
 
@@ -110,7 +142,7 @@ class TestFailures:
         assert not snapshot.up
         assert snapshot.last_error == "timeout"
         # stale data still answerable (forensics)
-        assert store.find_host("meteor", "meteor-h0") is not None
+        assert lookup(store, "/meteor/meteor-h0") is not None
 
     def test_consecutive_failures_accumulate(self):
         store = Datastore()
@@ -256,13 +288,13 @@ class TestFindClusterFallThrough:
         store.install(grid_snapshot(), now=0.0)
         # "attic-c0" is not a top-level source; it lives one level down
         # inside the "attic" grid snapshot
-        found = store.find_cluster("attic-c0")
+        found = lookup(store, "/attic/attic-c0")
         assert found is not None
-        assert found.summary.hosts_up == 3
+        assert found.grids["ATTIC"].clusters["attic-c0"].summary.hosts_up == 3
 
     def test_direct_sources_still_win(self):
         store = Datastore()
         store.install(grid_snapshot(), now=0.0)
         store.install(cluster_snapshot(), now=0.0)
-        assert store.find_cluster("meteor").name == "meteor"
-        assert store.find_cluster("nope") is None
+        assert list(lookup(store, "/meteor").clusters) == ["meteor"]
+        assert lookup(store, "/nope") is None

@@ -9,6 +9,7 @@ from repro.core.tree import GmetadConfig
 from repro.gmond.pseudo import PseudoGmond
 from repro.rrd.store import SUMMARY_HOST
 from repro.wire.parser import parse_document
+from tests.helpers import host_tree
 
 
 @pytest.fixture
@@ -42,7 +43,7 @@ class TestNLevelIngest:
         engine.run_for(40.0)
         snapshot = daemon.datastore.source("meteor")
         assert snapshot.kind == "cluster"
-        assert len(snapshot.cluster.hosts) == 6
+        assert snapshot.columns.host_count == 6
         # summary attached and consistent with host count
         assert snapshot.summary.hosts_total == 6
         assert snapshot.summary.metrics["load_one"].num == 6
@@ -54,7 +55,7 @@ class TestNLevelIngest:
         snapshot = daemon.datastore.source("meteor")
         expected = sum(
             host.metrics["load_one"].numeric()
-            for host in snapshot.cluster.hosts.values()
+            for host in host_tree(snapshot).hosts.values()
         )
         assert snapshot.summary.metrics["load_one"].total == pytest.approx(
             expected, rel=1e-6
@@ -128,7 +129,7 @@ class TestNLevelIngest:
         assert not snapshot.up
         assert snapshot.consecutive_failures >= 1
         # stale data kept for forensics
-        assert len(snapshot.cluster.hosts) == 6
+        assert snapshot.columns.host_count == 6
 
 
 class TestNLevelHierarchy:
@@ -226,8 +227,8 @@ class TestNLevelServing:
         daemon = world.gmetad(sources={"meteor": [world.pseudo.address]})
         daemon.start()
         engine.run_for(40.0)
-        host = daemon.resolve("/meteor/meteor-0-2")
-        assert host.name == "meteor-0-2"
+        xml, _ = daemon.serve_query("/meteor/meteor-0-2")
+        assert list(parse_document(xml).clusters["meteor"].hosts) == ["meteor-0-2"]
 
 
 class TestOneLevel:
@@ -248,8 +249,8 @@ class TestOneLevel:
         engine.run_for(60.0)
         # the parent has BOTH clusters at full detail, keyed by cluster
         assert parent.datastore.source_names() == ["meteor", "nashi"]
-        assert len(parent.datastore.source("meteor").cluster.hosts) == 6
-        assert len(parent.datastore.source("nashi").cluster.hosts) == 4
+        assert parent.datastore.source("meteor").columns.host_count == 6
+        assert parent.datastore.source("nashi").columns.host_count == 4
         assert parent.cluster_origin["meteor"] == "sdsc"
 
     def test_duplicate_archives_at_every_level(self, world, engine):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.columnar import InternPool
 from repro.core.datastore import Datastore, SourceSnapshot
 from repro.core.query import (
     FULL_DUMP_QUERY,
@@ -9,7 +10,6 @@ from repro.core.query import (
     GmetadQuery,
     QueryEngine,
     QueryError,
-    QueryNotFound,
 )
 from repro.metrics.types import MetricType
 from repro.wire.model import (
@@ -79,8 +79,8 @@ def store():
     summary.add_metric(MetricSummary("cpu_num", 6, 3, MetricType.UINT16))
     cluster.summary = summary
     datastore.install(
-        SourceSnapshot(
-            name="meteor", kind="cluster", summary=summary, cluster=cluster,
+        SourceSnapshot.from_cluster(
+            cluster, InternPool(), name="meteor", summary=summary,
             authority="http://gmeta-sdsc:8651/",
         ),
         now=100.0,
@@ -251,17 +251,16 @@ class TestNotFound:
         assert "not found" in xml
 
     def test_resolve_raises_not_found(self, engine_under_test):
-        with pytest.raises(QueryNotFound):
-            engine_under_test.resolve(GmetadQuery.parse("/nope"))
+        _, stats = engine_under_test.execute(GmetadQuery.parse("/nope"), 0.0)
+        assert not stats.found
 
 
 class TestResolve:
     def test_resolve_levels(self, engine_under_test, store):
-        cluster = engine_under_test.resolve(GmetadQuery.parse("/meteor"))
-        assert cluster.name == "meteor"
-        host = engine_under_test.resolve(GmetadQuery.parse("/meteor/compute-0-2"))
-        assert host.name == "compute-0-2"
-        metric = engine_under_test.resolve(
-            GmetadQuery.parse("/meteor/compute-0-2/cpu_num")
-        )
+        doc, _, _ = run(engine_under_test, "/meteor")
+        assert list(doc.clusters) == ["meteor"]
+        doc, _, _ = run(engine_under_test, "/meteor/compute-0-2")
+        assert list(doc.clusters["meteor"].hosts) == ["compute-0-2"]
+        doc, _, _ = run(engine_under_test, "/meteor/compute-0-2/cpu_num")
+        metric = doc.clusters["meteor"].hosts["compute-0-2"].metrics["cpu_num"]
         assert metric.val == "2"

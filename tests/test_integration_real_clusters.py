@@ -17,6 +17,7 @@ from repro.net.tcp import TcpNetwork
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.wire.parser import parse_document
+from tests.helpers import host_tree
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +59,8 @@ def world():
 class TestEndToEnd:
     def test_leaf_sees_both_clusters_full(self, world):
         leaf = world["leaf"]
-        assert len(leaf.datastore.source("meteor").cluster.hosts) == 5
-        assert len(leaf.datastore.source("nashi").cluster.hosts) == 4
+        assert leaf.datastore.source("meteor").columns.host_count == 5
+        assert leaf.datastore.source("nashi").columns.host_count == 4
 
     def test_root_rollup_counts_real_agents(self, world):
         rollup, _ = world["root"].datastore.root_summary()
@@ -80,7 +81,7 @@ class TestEndToEnd:
         snapshot = leaf.datastore.source("meteor")
         values = [
             host.metrics["load_one"].numeric()
-            for host in snapshot.cluster.hosts.values()
+            for host in host_tree(snapshot).hosts.values()
         ]
         mean = snapshot.summary.metrics["load_one"].mean()
         assert min(values) <= mean <= max(values)

@@ -348,7 +348,7 @@ class TestDriftAuditorCatchesInjectedDrift:
             federation.engine.run_for(60.0)
             gmetad = federation.gmetad("sdsc")
             snapshot = gmetad.datastore.sources["sdsc-c0"]
-            assert (snapshot.columns is not None) == bool(gates)
+            assert snapshot.columns is not None  # every parser's ingest
             # the audit re-folds held columns: it never builds a host tree
             from repro.columnar import ColumnarCluster
 

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.datastore import Datastore, SourceSnapshot
+from repro.core.datastore import Datastore
 from repro.core.query import GmetadQuery, QueryEngine
 from repro.core.query_regex import RegexQueryEngine
 from repro.core.summarize import summarize_cluster
@@ -29,6 +29,7 @@ from repro.rrd.consolidate import ConsolidationFunction
 from repro.rrd.database import RraSpec, RrdDatabase
 from repro.wire.model import ClusterElement, HostElement, MetricElement
 from repro.wire.parser import parse_document
+from tests.helpers import cluster_snapshot, host_tree
 
 short_names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=4)
 
@@ -55,9 +56,7 @@ def datastores(draw):
         summary, _ = summarize_cluster(cluster)
         cluster.summary = summary
         store.install(
-            SourceSnapshot(
-                name=f"c{s}", kind="cluster", summary=summary, cluster=cluster
-            ),
+            cluster_snapshot(cluster, name=f"c{s}", summary=summary),
             now=0.0,
         )
     return store
@@ -76,7 +75,7 @@ def test_path_queries_match_naive_filter(store, s, h, metric_name):
     snapshot = store.source(source)
     expected = None
     if snapshot is not None and snapshot.cluster is not None:
-        host_element = snapshot.cluster.hosts.get(host)
+        host_element = host_tree(snapshot).hosts.get(host)
         if host_element is not None:
             expected = host_element.metrics.get(metric_name)
     if expected is None:
@@ -103,7 +102,7 @@ def test_regex_engine_matches_brute_force(store, host_pat, metric_pat):
         snapshot = store.sources[source_name]
         if not re.fullmatch(r"c\d", source_name):
             continue
-        for host_name, host in snapshot.cluster.hosts.items():
+        for host_name, host in host_tree(snapshot).hosts.items():
             if not host_name.startswith(host_pat):
                 continue
             for metric_name in host.metrics:

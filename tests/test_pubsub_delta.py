@@ -1,8 +1,6 @@
 """Unit tests for delta encoding: flatten, diff, apply, DeltaStream,
 and the per-source delta engine held to the whole-datastore re-flatten."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,25 +144,6 @@ def build_cluster(name, hosts):
     return cluster
 
 
-def materialized_twin(datastore):
-    """A datastore whose columnar snapshots carry a built host tree.
-
-    The engine under test reads the original datastore, so the oracle's
-    DOM builds never touch it (its ``materializations`` stays 0).
-    """
-    twin = Datastore()
-    for name, snapshot in datastore.sources.items():
-        cols = snapshot.columns
-        if cols is not None:
-            snapshot = dataclasses.replace(
-                snapshot,
-                cluster=cols.materialize_into(cols.shell_cluster()),
-                owner=None,
-            )
-        twin.sources[name] = snapshot
-    return twin
-
-
 class Scripted:
     """One datastore driven by hand, one engine on it, checked per step."""
 
@@ -191,11 +170,13 @@ class Scripted:
         ))
 
     def install_tree(self, name, hosts):
+        """A cluster that arrives as a tree, converted into a pool of
+        its own (so the engine sees a new layout)."""
         cluster = build_cluster(name, hosts)
         summary, _ = summarize_cluster(cluster, HW)
         cluster.summary = summary
-        return self._install(SourceSnapshot(
-            name=name, kind="cluster", summary=summary, cluster=cluster,
+        return self._install(SourceSnapshot.from_cluster(
+            cluster, InternPool(), name=name, summary=summary,
         ))
 
     def install_grid(self, name, nested):
@@ -216,7 +197,7 @@ class Scripted:
         """Advance the engine; it must equal the oracle, op for op."""
         ops = self.engine.advance(exclude_sources=exclude)
         expected = flatten_datastore(
-            materialized_twin(self.datastore), HW, exclude
+            self.datastore, HW, exclude
         )
         assert ops == diff_states(self.published, expected)
         assert list(self.engine.state.items()) == list(expected.items())
@@ -345,7 +326,7 @@ class TestEngineEqualsOracle:
         world.install_columns("alpha", alpha)
         world.step()
         state = world.engine.state
-        oracle = flatten_datastore(materialized_twin(world.datastore), HW)
+        oracle = flatten_datastore(world.datastore, HW)
         frame = binfmt.encode_message(messages.full_sync("s1", 7, state))
         assert frame == binfmt.encode_message(messages.full_sync("s1", 7, oracle))
 
@@ -464,7 +445,7 @@ class TestBrokerNeverBuildsADom:
         assert daemon.obs.registry.snapshot()["serve_materializations"] == 0
         # the published state is still the re-flatten of a built tree
         oracle = flatten_datastore(
-            materialized_twin(daemon.datastore),
+            daemon.datastore,
             daemon.config.heartbeat_window,
         )
         oracle.update(broker.feed.state())

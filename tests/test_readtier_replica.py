@@ -291,6 +291,25 @@ class TestGenerationBarrier:
         assert replica.datastore.sources["meteor"] is meteor_before
         assert "zulu" not in replica.datastore.sources
 
+    def test_declined_full_form_fragment_stages_columns(self, world, engine):
+        """A full-form fragment the columnar builder declines (a repeated
+        HOST) is converted into the replica's pool, not staged as a tree."""
+        world.build()
+        replica = world.replica()
+        engine.run_for(60.0)
+        mirror = replica.client.stream.mirror
+        meta = '{"a":"","cs":0,"k":"cluster","u":1}'
+        detail = mirror[detail_key("meteor")]
+        start = detail.index("<HOST ")
+        first_host = detail[start: detail.index("</HOST>") + len("</HOST>\n")]
+        detail = detail[:start] + first_host + detail[start:]
+        snapshot, *_ = replica._build_snapshot(
+            "meteor", meta, detail, mirror[summary_key("meteor")]
+        )
+        assert snapshot.cluster.hosts == {}
+        assert snapshot.columns.pool is replica._intern_pool
+        assert snapshot.columns.host_count == 3
+
 
 class TestFeedParseLane:
     """Validation sits at trust boundaries: the feed is the ingest

@@ -449,7 +449,7 @@ class TestSalvageIngest:
         snap = world.gmetad.datastore.source("meteor")
         assert snap.quarantined
         assert snap.corrupt_polls > 0
-        assert len(snap.cluster.hosts) > 0
+        assert snap.columns.host_count > 0
 
     def test_baseline_marks_the_same_corruption_down(self):
         world = build_leaf(resilience=None)
@@ -466,14 +466,14 @@ class TestSalvageIngest:
         world = build_leaf(resilience=ResilienceConfig(), hosts=8)
         world.engine.run_for(35.0)
         before = set(
-            world.gmetad.datastore.source("meteor").cluster.hosts
+            world.gmetad.datastore.source("meteor").columns.host_names
         )
         world.fabric.set_gray(
             "gmeta-leaf", "pgmond-meteor", corrupt_probability=1.0
         )
         world.engine.run_for(150.0)
         snap = world.gmetad.datastore.source("meteor")
-        assert set(snap.cluster.hosts) == before  # nobody vanished
+        assert set(snap.columns.host_names) == before  # nobody vanished
         assert 0 < snap.salvaged_hosts <= len(before)
         assert snap.quarantined
 
@@ -516,7 +516,7 @@ class TestSalvageIngest:
         assert world.gmetad.polls_salvaged > 0
         snap = world.gmetad.datastore.source("meteor")
         assert snap.up
-        assert len(snap.cluster.hosts) == 10  # salvaged + carried forward
+        assert snap.columns.host_count == 10  # salvaged + carried forward
 
 
 class TestGridQuarantine:

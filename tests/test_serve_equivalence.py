@@ -1,14 +1,14 @@
-"""Byte-identical equivalence: columnar serve fast path vs DOM serving.
+"""Byte-identical equivalence: fragment arenas vs per-reply rendering.
 
 Twin Fig. 2 federations are built from the same seed -- both running
-the columnar ingest pipeline, one serving through the tree engine
-(``columnar_serve=False``), one through :mod:`repro.serve`'s fragment
-arenas (``columnar_serve=True``) -- and driven through identical event
-sequences.  At every checkpoint every gmetad in both trees must serve
-**byte-identical** XML for every request form (whole-tree, summary
-filter, source / host / metric paths), while the fast-path side holds
-``datastore.materializations == 0``: no query ever forced a snapshot's
-lazy shell into a full DOM.
+the columnar ingest pipeline, one rendering every reply from the
+columns (``columnar_serve=False``), one splicing :mod:`repro.serve`'s
+fragment arenas (``columnar_serve=True``) -- and driven through
+identical event sequences.  At every checkpoint every gmetad in both
+trees must serve **byte-identical** XML for every request form
+(whole-tree, summary filter, source / host / metric paths), while the
+fast-path side holds ``datastore.materializations == 0``: no host tree
+was ever built.
 
 CPU charges are deliberately *not* compared: the optimisation's whole
 point is that reused fragments bill at the cached serve rate, so the
