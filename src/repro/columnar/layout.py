@@ -17,8 +17,12 @@ through :func:`columns_from_cluster`) and every reader slices them.
 rebuild single elements for consumers that want model objects (regex
 matches, VO slices, salvage carry-forward), and
 :meth:`ColumnarCluster.materialize_into` rebuilds the exact host tree
-the tree parser would have produced -- the DOM survives only as that
-bridge, for the 1-level design's binary ingest and for test oracles.
+the tree parser would have produced (the 1-level design's binary ingest
+and the pub-sub reference flattener use it).  Besides those bridges, a
+host tree is built only by the tree parser (its clusters reach the
+datastore through :func:`columns_from_cluster`), the small in-band
+clusters, the gmond agent's soft state and test oracles; the
+pseudo-gmond emulator holds its cluster as columns.
 """
 
 from __future__ import annotations

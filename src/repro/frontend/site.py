@@ -79,19 +79,20 @@ def generate_gmetad_pages(
         snapshot = gmetad.datastore.sources[source_name]
         if snapshot.kind == "cluster":
             pages += _cluster_pages(
-                snapshot.cluster.name, snapshot.columns, directory,
-                heartbeat_window,
+                source_name, snapshot.cluster.name, snapshot.columns,
+                directory, heartbeat_window,
             )
     return pages
 
 
 def _cluster_pages(
-    name: str, cols, directory: pathlib.Path, heartbeat_window: float
+    source: str, name: str, cols, directory: pathlib.Path, heartbeat_window: float
 ) -> int:
     """One cluster page and one page per host, by row-slice.
 
-    Every cluster row of the meta view links to its page, so a cluster
-    without hosts (``cols`` None: a failure placeholder or a
+    Every cluster row of the meta view links to its page, named by the
+    row's source key (a source's CLUSTER NAME may differ from it), so a
+    cluster without hosts (``cols`` None: a failure placeholder or a
     summary-form cluster) gets an empty one.  The cluster view's rows
     sort by host name, and each host page's metrics keep row (= parse)
     order.
@@ -103,7 +104,7 @@ def _cluster_pages(
     ]
     rows.sort(key=lambda r: r.name)
     cluster_view = ClusterView(name=name, hosts=rows)
-    (directory / f"cluster-{_safe(name)}.html").write_text(
+    (directory / f"cluster-{_safe(source)}.html").write_text(
         render_cluster_view(cluster_view)
     )
     pages = 1

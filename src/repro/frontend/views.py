@@ -100,17 +100,26 @@ def _summary_row(name: str, kind: str, info: SummaryInfo, authority: str = "") -
     )
 
 
+def _numeric_val(host: HostElement, metric_name: str) -> Optional[float]:
+    """None where the metric is absent, non-numeric or unparseable
+    (``VAL="x"``): the rule ``serve.views`` applies."""
+    metric = host.metrics.get(metric_name)
+    try:
+        return float(metric.val) if metric and metric.is_numeric else None
+    except ValueError:
+        return None
+
+
 def _cluster_rows(cluster: ClusterElement, heartbeat_window: float) -> List[HostRow]:
     rows = []
     for host in cluster.hosts.values():
-        load = host.metrics.get("load_one")
-        cpus = host.metrics.get("cpu_num")
+        cpus = _numeric_val(host, "cpu_num")
         rows.append(
             HostRow(
                 name=host.name,
                 up=host.is_up(heartbeat_window),
-                load_one=float(load.val) if load else None,
-                cpu_num=int(float(cpus.val)) if cpus else None,
+                load_one=_numeric_val(host, "load_one"),
+                cpu_num=None if cpus is None else int(cpus),
             )
         )
     rows.sort(key=lambda r: r.name)

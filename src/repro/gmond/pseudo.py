@@ -7,26 +7,32 @@ values are chosen randomly.  Their XML output conforms to the Ganglia
 DTD, and therefore requires the same processing effort by the gmeta
 system under study." (§3)
 
-The emulator keeps a full cluster element tree and re-randomizes the
-volatile metric values every ``refresh_interval`` of simulated time
-(matching a real cluster's churn between gmetad polls), re-serializing
-lazily on the first request after a refresh boundary.  Service latency
-is a small constant regardless of cluster size -- the paper notes "care
-was taken to ensure the gmon cluster simulators had similar query
-latencies for all sizes" so that gmond-side effects stay out of the
-gmetad measurements.
+The emulator holds its cluster as one :class:`ColumnarCluster` (host
+``i`` owns rows ``i*D .. i*D+D-1``, one per metric definition) and
+re-randomizes the volatile values in place every ``refresh_interval`` of
+simulated time (matching a real cluster's churn between gmetad polls).
+A reply is rendered from the columns on request, at most once per
+content generation: XML through the gmetad's own row templates, a GBF1
+frame by encoding the columns.  Service latency is a small constant
+regardless of cluster size -- the paper notes "care was taken to ensure
+the gmon cluster simulators had similar query latencies for all sizes"
+so that gmond-side effects stay out of the gmetad measurements.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+import numpy as np
+
+from repro.columnar.layout import ColumnarCluster, ColumnarDocument, InternPool
 from repro.metrics.catalog import STRING_DEFAULTS, MetricDef, builtin_catalog
 from repro.metrics.types import MetricType, format_value
 from repro.net.address import Address, stable_octet
 from repro.net.fabric import Fabric
 from repro.net.tcp import Response, TcpNetwork
+from repro.serve.render import HostRenderer, render_cluster
 from repro.sim.engine import Engine
 from repro.wire.binfmt import (
     CODEC_BINARY,
@@ -40,8 +46,6 @@ from repro.wire.conditional import (
     next_epoch,
     split_generation,
 )
-from repro.wire.model import ClusterElement, HostElement, MetricElement
-from repro.wire.writer import XmlWriter, _fmt_num
 
 
 class PseudoGmond:
@@ -72,38 +76,25 @@ class PseudoGmond:
         self._defs: List[MetricDef] = (
             list(metric_defs) if metric_defs is not None else builtin_catalog()
         )
+        #: volatile metric name -> (row offset within a host, definition)
+        self._offsets = {
+            d.name: (j, d) for j, d in enumerate(self._defs) if not d.is_constant
+        }
         self.server_host = server_host or f"pgmond-{name}"
         if not fabric.has_host(self.server_host):
             fabric.add_host(self.server_host, cluster=name)
         self._down: Set[int] = set()
         self._last_alive: Dict[int, float] = {}
-        self._cluster = self._build_skeleton()
-        self._volatile: List[tuple[HostElement, List[tuple[MetricElement, MetricDef]]]] = [
-            (
-                host,
-                [
-                    (host.metrics[d.name], d)
-                    for d in self._defs
-                    if not d.is_constant
-                ],
-            )
-            for host in self._cluster.hosts.values()
-        ]
-        self._cached_xml: Optional[str] = None
+        self._cols = self._build_columns(InternPool())
+        self._renderer = HostRenderer(self._cols.pool)
         self._built_at = float("-inf")
         #: a gmond that predates the binary codec: ignores ``accept=``
         #: and always answers XML (the mixed-fleet test lever)
         self.binary_capable = binary_capable
-        #: per-generation encoded binary frame + the instance-local
-        #: intern pool feeding it (lazy: XML-only fleets never build one)
-        self._pool = None
-        self._cached_frame: Optional[bytes] = None
-        self._frame_gen = -1
+        #: (content generation, reply) per format, rendered on request
+        self._xml: tuple = (-1, None)
+        self._frame: tuple = (-1, None)
         self.binary_served = 0
-        #: per-host serialized fragments; an entry is dropped whenever
-        #: its host's values move, so a k-host mutation re-renders k
-        #: fragments and memcpys the other H-k
-        self._host_frags: Dict[str, str] = {}
         #: content generation: epoch scopes the counter to this emulator
         #: instance so a restarted emulator never falsely matches
         self._epoch = next_epoch(f"pgmond-{name}")
@@ -125,107 +116,122 @@ class PseudoGmond:
             return str(int(value))
         return format_value(value, mdef.mtype)
 
-    def _build_skeleton(self) -> ClusterElement:
-        cluster = ClusterElement(name=self.name, owner="pseudo", localtime=0.0)
+    def _build_columns(self, pool: InternPool) -> ColumnarCluster:
+        """Every host with every metric, values drawn host by host.
+
+        The vocabulary is interned in the first host's row order, the
+        order a frame's string table lists it in.
+        """
+        defs, hosts = self._defs, self.num_hosts
+
+        def tile(per_def, dtype):
+            return np.tile(np.array(per_def, dtype=dtype), hosts)
+
+        ids = [
+            (pool.intern(d.name), pool.id_for_mtype(d.mtype), pool.intern(d.units),
+             pool.id_for_slope(d.slope), pool.intern("gmond"))
+            for d in defs
+        ]
+        name_ids, type_ids, units_ids, slope_ids, source_ids = (
+            tile([row[k] for row in ids], np.int32) for k in range(5)
+        )
+        vals_raw = [self._draw(d) for _ in range(hosts) for d in defs]
+        numeric = tile([d.mtype.is_numeric for d in defs], bool)
+        values = np.full(len(vals_raw), np.nan)
+        values[numeric] = [float(t) for t, n in zip(vals_raw, numeric) if n]
         subnet = stable_octet(self.name, 200)
-        for i in range(self.num_hosts):
-            host = HostElement(
-                name=f"{self.name}-0-{i}",
-                ip=f"10.{subnet}.{i // 250}.{i % 250 + 1}",
-                reported=0.0,
-                tn=0.0,
-                tmax=20.0,
-            )
-            for mdef in self._defs:
-                host.add_metric(
-                    MetricElement(
-                        name=mdef.name,
-                        val=self._draw(mdef),
-                        mtype=mdef.mtype,
-                        units=mdef.units,
-                        tn=0.0,
-                        tmax=mdef.tmax,
-                        dmax=mdef.dmax,
-                        slope=mdef.slope,
-                    )
-                )
-            cluster.add_host(host)
-        return cluster
+        return ColumnarCluster(
+            name=self.name,
+            owner="pseudo",
+            localtime=0.0,
+            url="",
+            host_names=[f"{self.name}-0-{i}" for i in range(hosts)],
+            host_ip=[f"10.{subnet}.{i // 250}.{i % 250 + 1}" for i in range(hosts)],
+            host_location=[""] * hosts,
+            host_reported=np.zeros(hosts),
+            host_tn=np.zeros(hosts),
+            host_tmax=np.full(hosts, 20.0),
+            host_dmax=np.zeros(hosts),
+            host_row_start=np.arange(hosts + 1, dtype=np.int64) * len(defs),
+            row_host=np.repeat(np.arange(hosts, dtype=np.int32), len(defs)),
+            name_ids=name_ids,
+            type_ids=type_ids,
+            units_ids=units_ids,
+            slope_ids=slope_ids,
+            source_ids=source_ids,
+            values=values,
+            numeric=numeric,
+            valid=numeric.copy(),  # every drawn number parses
+            metric_tn=np.zeros(len(vals_raw)),
+            metric_tmax=tile([d.tmax for d in defs], np.float64),
+            metric_dmax=tile([d.dmax for d in defs], np.float64),
+            vals_raw=vals_raw,
+            pool=pool,
+        )
 
     # -- host up/down control (used by the fault injector) --------------------
 
-    def set_host_down(self, index: int, down: bool = True) -> None:
-        """Silence (or revive) the ``index``-th simulated host."""
+    def _check_index(self, index: int) -> None:
         if not (0 <= index < self.num_hosts):
             raise IndexError(f"host index {index} out of range")
+
+    def set_host_down(self, index: int, down: bool = True) -> None:
+        """Silence (or revive) the ``index``-th simulated host."""
+        self._check_index(index)
         if down:
             self._last_alive.setdefault(index, self.engine.now)
             self._down.add(index)
         else:
             self._down.discard(index)
             self._last_alive.pop(index, None)
-        self._built_at = float("-inf")  # force re-serialize
+        self._built_at = float("-inf")  # re-draw every host on the next request
 
     @property
     def down_hosts(self) -> Set[int]:
         return set(self._down)
 
-    # -- serving -----------------------------------------------------------
+    # -- churn -------------------------------------------------------------
 
-    def _update_host(self, index: int, now: float) -> None:
-        """Re-randomize (or age, if down) one host; drops its fragment."""
-        host, volatiles = self._volatile[index]
-        if index in self._down:
-            # A dead host reports nothing: TN keeps growing.
-            silent_since = self._last_alive.get(index, now)
-            host.tn = max(0.0, now - silent_since)
-            host.reported = silent_since
-        else:
-            host.tn = self._rng.uniform(0.0, 10.0)
-            host.reported = now - host.tn
-            for element, mdef in volatiles:
-                element.val = self._draw(mdef)
-                element.tn = self._rng.uniform(0.0, mdef.collect_every)
-        self._host_frags.pop(host.name, None)
+    def _write_rows(self, rows: List[int], texts: List[str], tns: List[float]) -> None:
+        """Store new raw VALs and TNs; numeric values are read back from
+        the text, as a parse of the served reply would read them."""
+        cols = self._cols
+        for r, text in zip(rows, texts):
+            cols.vals_raw[r] = text
+        cols.metric_tn[rows] = tns
+        numeric = [r for r in rows if cols.numeric[r]]
+        cols.values[numeric] = [float(cols.vals_raw[r]) for r in numeric]
+        cols._up_cache = None
 
-    def _assemble(self) -> str:
-        """Serialize the cluster document, splicing memoized host fragments.
+    def _redraw(self, indices: Iterable[int], now: float) -> None:
+        """Re-randomize (or age, if down) the hosts ``indices``, in order."""
+        cols, rng, width = self._cols, self._rng, len(self._defs)
+        rows: List[int] = []
+        texts: List[str] = []
+        tns: List[float] = []
+        for i in indices:
+            if i in self._down:
+                # A dead host reports nothing: TN keeps growing.
+                silent_since = self._last_alive.get(i, now)
+                cols.host_tn[i] = max(0.0, now - silent_since)
+                cols.host_reported[i] = silent_since
+                continue
+            cols.host_tn[i] = tn = rng.uniform(0.0, 10.0)
+            cols.host_reported[i] = now - tn
+            for j, mdef in self._offsets.values():
+                rows.append(i * width + j)
+                texts.append(self._draw(mdef))
+                tns.append(rng.uniform(0.0, mdef.collect_every))
+        self._write_rows(rows, texts, tns)
 
-        Byte-identical to ``write_document`` on an equivalent document
-        (the memoization test pins this); only hosts whose fragment was
-        invalidated are re-rendered.
-        """
-        w = XmlWriter()
-        w.raw('<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n')
-        w.open_tag("GANGLIA_XML", [("VERSION", "2.5.4"), ("SOURCE", "gmond")])
-        c = self._cluster
-        attrs = [("NAME", c.name)]
-        if c.owner:
-            attrs.append(("OWNER", c.owner))
-        attrs.append(("LOCALTIME", _fmt_num(c.localtime)))
-        if c.url:
-            attrs.append(("URL", c.url))
-        w.open_tag("CLUSTER", attrs)
-        for name in sorted(c.hosts):
-            frag = self._host_frags.get(name)
-            if frag is None:
-                sub = XmlWriter()
-                sub.host(c.hosts[name])
-                frag = sub.result()
-                self._host_frags[name] = frag
-            w.raw(frag)
-        w.close_tag("CLUSTER")
-        w.close_tag("GANGLIA_XML")
-        return w.result()
-
-    def _refresh(self, now: float) -> None:
-        self.refreshes += 1
-        self._cluster.localtime = now
-        for i in range(self.num_hosts):
-            self._update_host(i, now)
-        self._cached_xml = self._assemble()
-        self._built_at = now
-        self._gen += 1  # every host re-drew: content changed
+    def _tick(self, at: float) -> None:
+        """Re-draw every host when a refresh is due (or was forced)."""
+        if at - self._built_at >= self.refresh_interval:
+            self.refreshes += 1
+            self._redraw(range(self.num_hosts), at)
+            self._cols.localtime = at
+            self._built_at = at
+            self._gen += 1  # every host re-drew: content changed
 
     def mutate(
         self,
@@ -237,9 +243,9 @@ class PseudoGmond:
 
         Pass either ``fraction`` (0..1 of the cluster, sampled with the
         emulator's own RNG) or an explicit list of host indices.  A
-        mutation of zero hosts changes nothing -- the cached XML and the
-        content generation stay put, so conditional pollers keep getting
-        NOT-MODIFIED.  Returns the number of hosts touched.
+        mutation of zero hosts changes nothing -- the cached replies and
+        the content generation stay put, so conditional pollers keep
+        getting NOT-MODIFIED.  Returns the number of hosts touched.
         """
         at = self.engine.now if now is None else now
         if hosts is None:
@@ -251,14 +257,11 @@ class PseudoGmond:
             indices = sorted(set(hosts))
         if not indices:
             return 0
-        # make sure the skeleton is built before partial invalidation
-        self.current_xml(at)
+        self._tick(at)
         for i in indices:
-            if not (0 <= i < self.num_hosts):
-                raise IndexError(f"host index {i} out of range")
-            self._update_host(i, at)
-        self._cluster.localtime = at
-        self._cached_xml = self._assemble()
+            self._check_index(i)
+        self._redraw(indices, at)
+        self._cols.localtime = at
         self._gen += 1
         self.mutations += 1
         return len(indices)
@@ -274,39 +277,40 @@ class PseudoGmond:
         :meth:`mutate`, touched values are *chosen*, not drawn -- the
         lever fault-replay schedules use to script ramps and step
         changes while everything else about the wire document (format,
-        generation tokens, fragment memoization) behaves exactly like
-        organic churn.  Touched hosts report fresh (``TN=0``); untouched
-        hosts keep their memoized fragments.  Returns hosts touched.
+        generation tokens) behaves exactly like organic churn.  Touched
+        hosts report fresh (``TN=0``).  Returns hosts touched.
         """
         at = self.engine.now if now is None else now
         if not updates:
             return 0
-        # make sure the skeleton is built before partial invalidation
-        self.current_xml(at)
+        self._tick(at)
+        width = len(self._defs)
+        rows: List[int] = []
+        texts: List[str] = []
         for index, metrics in sorted(updates.items()):
-            if not (0 <= index < self.num_hosts):
-                raise IndexError(f"host index {index} out of range")
-            host, volatiles = self._volatile[index]
-            named = {element.name: (element, mdef) for element, mdef in volatiles}
-            host.tn = 0.0
-            host.reported = at
+            self._check_index(index)
             for metric_name, value in metrics.items():
-                if metric_name not in named:
+                if metric_name not in self._offsets:
                     raise KeyError(
                         f"{metric_name!r} is not a volatile metric of {self.name}"
                     )
-                element, mdef = named[metric_name]
+                j, mdef = self._offsets[metric_name]
+                rows.append(index * width + j)
                 if mdef.mtype.is_integral:
-                    element.val = str(int(value))
+                    texts.append(str(int(value)))
                 else:
-                    element.val = format_value(float(value), mdef.mtype)
-                element.tn = 0.0
-            self._host_frags.pop(host.name, None)
-        self._cluster.localtime = at
-        self._cached_xml = self._assemble()
+                    texts.append(format_value(float(value), mdef.mtype))
+        # every update checked: write them all
+        cols = self._cols
+        self._write_rows(rows, texts, [0.0] * len(rows))
+        cols.host_tn[list(updates)] = 0.0
+        cols.host_reported[list(updates)] = at
+        cols.localtime = at
         self._gen += 1
         self.mutations += 1
         return len(updates)
+
+    # -- serving -----------------------------------------------------------
 
     @property
     def generation(self) -> str:
@@ -315,70 +319,46 @@ class PseudoGmond:
 
     def current_xml(self, now: Optional[float] = None) -> str:
         """The XML the emulator would serve right now (refreshing if due)."""
-        at = self.engine.now if now is None else now
-        if at - self._built_at >= self.refresh_interval or self._cached_xml is None:
-            self._refresh(at)
-        return self._cached_xml
+        self._tick(self.engine.now if now is None else now)
+        if self._xml[0] != self._gen:
+            self._xml = (self._gen, (
+                '<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n'
+                '<GANGLIA_XML VERSION="2.5.4" SOURCE="gmond">\n'
+                f"{render_cluster(self._cols, self._renderer)}</GANGLIA_XML>\n"
+            ))
+        return self._xml[1]
 
     def current_frame(self, now: Optional[float] = None) -> bytes:
         """The binary frame the emulator would serve right now.
 
-        Encoded once per content generation from the same cluster tree
-        the XML serializer reads, so a binary poller and an XML poller
+        Encoded once per content generation from the same columns the
+        XML is rendered from, so a binary poller and an XML poller
         asking at the same instant install identical state.
         """
-        self.current_xml(now)  # refresh on the same schedule as XML
-        if self._cached_frame is None or self._frame_gen != self._gen:
-            from repro.columnar.layout import (
-                ColumnarDocument,
-                InternPool,
-                columns_from_cluster,
-            )
-
-            if self._pool is None:
-                self._pool = InternPool()
-            doc = ColumnarDocument(
-                version="2.5.4",
-                source="gmond",
-                clusters=[columns_from_cluster(self._cluster, self._pool)],
-            )
-            self._cached_frame = encode_cluster_document(doc)
-            self._frame_gen = self._gen
-        return self._cached_frame
+        self._tick(self.engine.now if now is None else now)
+        if self._frame[0] != self._gen:
+            document = ColumnarDocument("2.5.4", "gmond", [self._cols])
+            self._frame = (self._gen, encode_cluster_document(document))
+        return self._frame[1]
 
     def _serve(self, client: str, request: object) -> Response:
         self.requests += 1
         base, presented = split_generation(str(request))
         base, accept = split_accept(base)
-        xml = self.current_xml()  # refresh BEFORE comparing generations
-        wants_binary = self.binary_capable and accept == CODEC_BINARY
-        if presented is not None:
-            current = self.generation
-            if presented == current:
-                self.not_modified_served += 1
-                return Response(
-                    NotModified(
-                        generation=current,
-                        localtime=self._cluster.localtime,
-                    ),
-                    service_seconds=self.service_seconds,
-                )
-            if wants_binary:
-                self.binary_served += 1
-                return Response(
-                    BinaryFrame(self.current_frame(), generation=current),
-                    service_seconds=self.service_seconds,
-                )
-            return Response(
-                TaggedXml(xml, current), service_seconds=self.service_seconds
-            )
-        if wants_binary:
+        self._tick(self.engine.now)  # refresh BEFORE comparing generations
+        current = self.generation
+        if presented == current:
+            self.not_modified_served += 1
+            payload = NotModified(generation=current, localtime=self._cols.localtime)
+        elif self.binary_capable and accept == CODEC_BINARY:
             self.binary_served += 1
-            return Response(
-                BinaryFrame(self.current_frame()),
-                service_seconds=self.service_seconds,
-            )
-        return Response(xml, service_seconds=self.service_seconds)
+            tag = None if presented is None else current
+            payload = BinaryFrame(self.current_frame(), generation=tag)
+        elif presented is not None:
+            payload = TaggedXml(self.current_xml(), current)
+        else:
+            payload = self.current_xml()
+        return Response(payload, service_seconds=self.service_seconds)
 
     @property
     def address(self) -> Address:

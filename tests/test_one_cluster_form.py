@@ -13,6 +13,7 @@ between them by design; it is held to the element it was built from.
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.core.gmetad import Gmetad
 from repro.core.query_regex import RegexQueryEngine
 from repro.core.tree import GmetadConfig
 from repro.frontend.site import generate_federation_site, generate_gmetad_pages
+from repro.frontend.views import build_cluster_view
 from repro.gmond.cluster import SimulatedCluster
 from repro.obs.selfcluster import install_self_cluster
 from repro.readtier.fleet import viewer_paths
@@ -286,3 +288,23 @@ def test_unparseable_numeric_val_reads_as_absent(
     cluster_page = pathlib.Path(tmp_path / "cluster-meteor.html").read_text()
     assert "<td>h2</td><td>up</td><td></td><td>4</td>" in cluster_page
     assert 'VAL="x"' in daemon.serve_query("/meteor/h2/load_one")[0]
+    # the viewer's own cluster view, over the document as parsed, reads
+    # the same values as absent
+    view = build_cluster_view(parse_document(BAD_VALUES), "meteor")
+    assert [(r.name, r.load_one, r.cpu_num) for r in view.hosts] == [
+        ("h0", 0.5, 2), ("h1", 1.5, None), ("h2", None, 4),
+    ]
+
+
+def test_static_site_links_name_written_pages(engine, fabric, tcp, tmp_path):
+    """A cluster page is named by the source key the meta view links."""
+    config = GmetadConfig(name="mon", host="gmeta-mon", archive_mode="account")
+    daemon = Gmetad(engine, fabric, tcp, config)
+    daemon.ingest("meteor-src", parse_document(BAD_VALUES), 100.0)
+    generate_gmetad_pages(daemon, tmp_path)
+    index = (tmp_path / "index.html").read_text()
+    links = re.findall(r'href="([^"]+)"', index)
+    assert links == ["cluster-meteor-src.html"]
+    for link in links:
+        assert (tmp_path / link).is_file()
+    assert "<td>h1</td>" in (tmp_path / "cluster-meteor-src.html").read_text()
