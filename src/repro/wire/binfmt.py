@@ -33,10 +33,14 @@ length-prefixed UTF-8 strings, raw little-endian numpy column dumps, a
 frame-local interned string table (only the strings this payload uses;
 ids are remapped into the receiver's pool with one fancy-indexing pass),
 and bit-packed boolean columns.  Numeric wire attributes (TN/TMAX/DMAX/
-REPORTED/LOCALTIME) are canonicalized through the XML writer's number
-formatting at encode time so a binary peer decodes the *same float* an
-XML peer would parse -- this is what makes mixed-codec federations
-converge bit-identically (pinned by the equivalence suite).
+REPORTED/LOCALTIME) are canonicalized at encode time so a binary peer
+decodes the *same float* an XML peer would parse from the writer's
+4-decimal text -- this is what makes mixed-codec federations converge
+bit-identically (pinned by the equivalence suite).
+:func:`canon_wire_floats` does it in three lanes: integers pass
+through; non-integers below 2**30 are rounded in numpy, with the exact
+product settling computed halves; the rest (larger values, NaN) take
+the writer's formatter one at a time.
 
 Capability negotiation mirrors the ``ifgen=`` convention of
 :mod:`repro.wire.conditional`: a requester appends ``accept=bin1`` to
@@ -201,9 +205,7 @@ class _BodyWriter:
         Character (not byte) lengths let the decoder slice one decoded
         ``str`` -- no per-entry ``bytes.decode`` calls on the hot path.
         """
-        lengths = np.fromiter(
-            (len(s) for s in strings), dtype=np.int64, count=len(strings)
-        )
+        lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
         wide = bool(lengths.size) and int(lengths.max()) > 0xFFFF
         self.parts.append(b"\x01" if wide else b"\x00")
         if wide:
@@ -312,42 +314,90 @@ class _BodyReader:
 # -- numeric canonicalization ----------------------------------------------
 
 
+#: below this magnitude ``v * 1e4`` is under 2**44: every half-integer
+#: near it is a float, and every integer it rounds to is exact
+_CANON_VECTOR_BOUND = 2.0 ** 30
+#: Veltkamp's splitter: ``v`` = a 26-bit high half + a 26-bit low half
+_SPLITTER = 2.0 ** 27 + 1.0
+
+
+def _settle_halves(v: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Round ``v * 10**4`` to an integer where its computed product
+    ``half = v * 1e4`` landed exactly on a half.
+
+    Dekker's exact product: 1e4 fits in 26 bits, so with ``v`` split
+    into 26-bit halves every partial product is exact and ``low`` is
+    the exact ``v * 10**4 - half``.  Its sign says whether the exact
+    product lies above the half, below it, or on it (``0.03125``), where
+    ``%.4f`` rounds half to even as ``rint`` did.
+    """
+    c = _SPLITTER * v
+    v_hi = c - (c - v)
+    low = (v_hi * 1e4 - half) + (v - v_hi) * 1e4
+    return np.where(
+        low > 0, half + 0.5, np.where(low < 0, half - 0.5, np.rint(half))
+    )
+
+
 def canon_wire_floats(a: np.ndarray) -> np.ndarray:
     """Round floats to what they become after an XML writer->parser trip.
 
     The XML path serializes numeric attributes through
     :func:`~repro.wire.writer._fmt_num` (4 decimal places, trailing
-    zeros stripped) and the receiver parses the text back -- a lossy
-    round trip for floats with more than 4 decimals.  A binary receiver
-    skips the text, so the encoder applies the same rounding up front;
-    integer-valued entries (the overwhelming case for TN/TMAX/DMAX/
-    REPORTED/LOCALTIME) pass through untouched on the vectorized lane.
+    zeros stripped, ``"-0"`` written ``"0"``) and the receiver parses
+    the text back -- a lossy round trip for floats with more than 4
+    decimals.  A binary receiver skips the text, so the encoder applies
+    the same rounding up front.  The result is bit-identical to
+    ``float(_fmt_num(v))`` per entry, reached on three lanes:
+
+    - *integer*: ``floor(v) == v`` (ints, +-0, +-inf) passes through;
+      ``str(int)`` round-trips exactly.  The overwhelming case for TN/
+      TMAX/DMAX/REPORTED/LOCALTIME.
+    - *vectorized*: a non-integer with ``|v| < 2**30`` becomes
+      ``r / 1e4 + 0.0`` with ``r = rint(v * 1e4)``, settled by
+      :func:`_settle_halves` where the computed product is exactly a
+      half.  Exact because (1) the exact product lies under 2**44, where
+      every half-integer is a float, and rounding is monotone: the
+      computed product sits on the same side of each half as the exact
+      one, or on it -- so off the halves ``r`` is the integer nearest the
+      exact product, the 4-decimal rounding ``f"{v:.4f}"`` makes, and
+      on them the exact low part decides; (2) IEEE division is
+      correctly rounded, as is ``float()`` of decimal text, so
+      ``r / 1e4`` is the float that text parses to; (3) ``+ 0.0`` turns
+      the ``-0.0`` of a tiny negative (``-0.00001``) into ``+0.0``, as
+      the writer's ``"-0"`` -> ``"0"`` does.
+    - *scalar*: the rest -- ``|v| >= 2**30`` and NaN -- goes through
+      ``float(_fmt_num(v))`` one at a time; a non-finite value the
+      writer would choke on ships as-is.
     """
     out = np.asarray(a, dtype=np.float64)
     if not out.size:
         return out
-    exact = np.floor(out) == out  # ints round-trip via str(int) exactly
+    exact = np.floor(out) == out
     if exact.all():
         return out
     out = out.copy()
-    for i in np.nonzero(~exact)[0]:
-        v = float(out[i])
+    rest = np.flatnonzero(~exact)
+    v = out[rest]
+    lane = np.abs(v) < _CANON_VECTOR_BOUND  # NaN fails here, too
+    v = v[lane]
+    scaled = v * 1e4
+    r = np.rint(scaled)
+    on_half = np.abs(scaled - r) == 0.5
+    if on_half.any():
+        r[on_half] = _settle_halves(v[on_half], scaled[on_half])
+    out[rest[lane]] = r / 1e4 + 0.0
+    for i in rest[~lane].tolist():
         try:
-            out[i] = float(_fmt_num(v))
+            out[i] = float(_fmt_num(float(out[i])))
         except (OverflowError, ValueError):
             pass  # non-finite: the XML writer would choke too; ship as-is
     return out
 
 
 def canon_wire_float(value: float) -> float:
-    """Scalar twin of :func:`canon_wire_floats`."""
-    v = float(value)
-    if np.isfinite(v) and v == int(v):
-        return v
-    try:
-        return float(_fmt_num(v))
-    except (OverflowError, ValueError):
-        return v
+    """Scalar form of :func:`canon_wire_floats`."""
+    return float(canon_wire_floats(np.array([float(value)]))[0])
 
 
 # -- envelope ---------------------------------------------------------------
@@ -448,11 +498,15 @@ def _encode_cluster(w: _BodyWriter, cols) -> None:
         cols.name_ids, cols.type_ids, cols.units_ids,
         cols.slope_ids, cols.source_ids,
     )
-    used = np.unique(np.concatenate(ids)) if N else np.empty(0, dtype=np.int32)
+    present = np.zeros(len(pool_strings), dtype=bool)
+    for column in ids:
+        present[column] = True
+    used = np.flatnonzero(present)  # the table lists pool ids ascending
+    local = np.cumsum(present, dtype=np.int32) - 1  # pool id -> table index
     w.uvarint(len(used))
     w.string_column([pool_strings[i] for i in used.tolist()])
     for column in ids:
-        w.i32_array(np.searchsorted(used, column).astype(np.int32))
+        w.i32_array(local[column])
     # value columns
     w.f64_array(cols.values)
     w.bool_array(cols.valid)

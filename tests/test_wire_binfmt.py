@@ -1,6 +1,6 @@
 """The binary wire codec: round trips, corruption safety, negotiation.
 
-Three layers of proof:
+Four layers of proof:
 
 1. **Primitive round trips** (Hypothesis): varints, zigzag, string
    columns and float columns (NaN / ±inf / -0 included) survive an
@@ -12,16 +12,23 @@ Three layers of proof:
 3. **Corruption contract**: every truncation point and every single-bit
    flip of a frame raises a clean :class:`FrameError`; nothing decodes
    partially.
+4. **Canonical floats**: the numpy kernel behind ``canon_wire_floats``
+   is bit-identical to the per-row ``_fmt_num`` loop it replaced (kept
+   here as :func:`canon_oracle`), and a cluster encode makes no
+   ``_fmt_num`` calls.  Example counts follow the active Hypothesis
+   profile (tests/conftest.py), so CI runs these with
+   ``REPRO_HYPOTHESIS_PROFILE=thorough``.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar.layout import InternPool
+from repro.columnar.layout import ColumnarDocument, InternPool
 from repro.metrics.catalog import Slope
 from repro.metrics.types import MetricType
 from repro.wire import binfmt
@@ -159,6 +166,116 @@ def test_canon_wire_floats_passes_nonfinite_through():
     assert out[4] == 1.5
 
 
+# -- canonical floats: the numpy kernel against the per-row loop -------------
+
+
+def canon_oracle(a):
+    """The encoder's canon before it was vectorized: one ``_fmt_num``
+    text trip per non-integer entry."""
+    out = np.asarray(a, dtype=np.float64)
+    if not out.size:
+        return out
+    exact = np.floor(out) == out
+    if exact.all():
+        return out
+    out = out.copy()
+    for i in np.nonzero(~exact)[0]:
+        v = float(out[i])
+        try:
+            out[i] = float(_fmt_num(v))
+        except (OverflowError, ValueError):
+            pass
+    return out
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _neighbours(x):
+    """``x`` and the floats up to three ulps either side of it."""
+    return st.integers(min_value=-3, max_value=3).map(
+        lambda steps: float(
+            x + steps * np.spacing(abs(x)) if steps else x
+        )
+    )
+
+
+#: 4-decimal ties (2k+1)/2e4: never exact in binary, a hair off the half
+decimal_ties = st.integers(min_value=-(10**9), max_value=10**9).map(
+    lambda k: (2 * k + 1) / 2e4
+)
+#: the only floats exactly on a 4-decimal half: (2m+1)/32, e.g. 0.03125
+dyadic_ties = st.integers(min_value=-(2**30), max_value=2**30).map(
+    lambda m: (2 * m + 1) / 32
+)
+#: either side of the vectorized lane's bound and of the integer floats
+edges = st.sampled_from([2.0**30, 2.0**44, 2.0**52, 2.0**53]).flatmap(
+    lambda edge: st.tuples(
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
+    ).map(lambda t: t[0] * (edge + t[1]))
+)
+#: deep inside (2**30, 2**52): non-integers where v*1e4 loses bits
+beyond_bound = st.floats(min_value=2.0**30, max_value=2.0**52).flatmap(
+    lambda x: st.sampled_from([x, -x, x + 0.25, -(x + 0.5)])
+)
+bit_patterns = st.integers(min_value=0, max_value=2**64 - 1).map(
+    lambda b: float(np.uint64(b).view(np.float64))
+)
+specials = st.sampled_from(
+    [0.0, -0.0, -0.00001, 0.00001, -0.00005, 0.00005, 0.03125, -0.03125,
+     5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf,
+     -math.inf, 2.0**30 - 0.5, -(2.0**30) + 0.5, 2.0**30 + 0.5]
+)
+wire_floats = st.one_of(
+    st.floats(width=16),
+    st.floats(width=32),
+    st.floats(width=64),
+    decimal_ties.flatmap(_neighbours),
+    dyadic_ties.flatmap(_neighbours),
+    edges,
+    beyond_bound,
+    bit_patterns,
+    specials,
+)
+
+
+@given(st.lists(wire_floats, max_size=40))
+def test_canon_kernel_is_bit_identical_to_the_row_loop(values):
+    """Every lane, every width, every bit pattern: the numpy kernel
+    reproduces the per-row text trip bit for bit (NaN payloads and the
+    sign of zero included)."""
+    a = np.array(values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # floor() of a signalling NaN
+        got, want = canon_wire_floats(a.copy()), canon_oracle(a.copy())
+    assert np.array_equal(_bits(got), _bits(want)), (
+        a[_bits(got) != _bits(want)].tolist()
+    )
+
+
+@given(wire_floats)
+def test_canon_wire_float_matches_the_array_form(x):
+    with np.errstate(invalid="ignore"):
+        assert _bits([canon_wire_float(x)]) == _bits(canon_wire_floats([x]))
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (0.03125, 0.0312),     # exact tie: half to even
+        (0.09375, 0.0938),
+        (0.00005, 0.0001),     # the double sits a hair above the half
+        (0.00015, 0.0001),     # ... and this one a hair below
+        (-0.00001, 0.0),       # "-0" is written "0": +0.0, not -0.0
+        (2.0**30 + 0.3, float(_fmt_num(2.0**30 + 0.3))),
+    ],
+)
+def test_canon_kernel_known_cases(x, expected):
+    out = canon_wire_floats(np.array([x]))
+    assert _bits(out) == _bits([expected])
+
+
 # -- envelope / negotiation -------------------------------------------------
 
 
@@ -229,8 +346,8 @@ def test_binary_frame_size_accounts_generation_tag():
 # -- cluster documents ------------------------------------------------------
 
 
-def _pseudo_xml(num_hosts=4, mutate=(), down=(), now=30.0):
-    """One pseudo-gmond document after the PR 5 churn scenarios."""
+def _emulator(num_hosts):
+    """A pseudo-gmond past its first refresh."""
     import random
 
     from repro.gmond.pseudo import PseudoGmond
@@ -246,6 +363,12 @@ def _pseudo_xml(num_hosts=4, mutate=(), down=(), now=30.0):
         refresh_interval=15.0,
     )
     pg.current_xml(15.0)
+    return pg
+
+
+def _pseudo_xml(num_hosts=4, mutate=(), down=(), now=30.0):
+    """One pseudo-gmond document after the PR 5 churn scenarios."""
+    pg = _emulator(num_hosts)
     for idx in down:
         pg.set_host_down(idx)
     if mutate:
@@ -311,6 +434,29 @@ def test_cluster_frame_rejects_bogus_type_vocabulary():
     frame = binfmt._seal(CLUSTER_DOC, vandalized)
     with pytest.raises(FrameError):
         decode_document(frame, InternPool())
+
+
+@pytest.mark.parametrize("now", [15.0, 37.25])
+def test_cluster_encode_makes_no_per_row_text_trips(now):
+    """The count row: encoding a 200-host cluster calls ``_fmt_num`` zero
+    times (the per-row loop made ~25 calls a host), whether the columns
+    were parsed from the emulator's XML, decoded from its frame (the
+    gmetad arena's case) or are the emulator's own; and every frame
+    equals the one the per-row loop produces."""
+    pg = _emulator(200)
+    if now != 15.0:
+        pg.mutate(fraction=0.5, now=now)  # non-integer LOCALTIME/REPORTED
+    documents = {
+        "parsed": parse_columnar(pg.current_xml(now), InternPool()),
+        "decoded": decode_document(pg.current_frame(now), InternPool())[1],
+        "emulator": ColumnarDocument("2.5.4", "gmond", [pg._cols]),
+    }
+    for name, cdoc in documents.items():
+        with mock.patch.object(binfmt, "_fmt_num", wraps=_fmt_num) as spy:
+            frame = encode_cluster_document(cdoc)
+        assert spy.call_count == 0, name
+        with mock.patch.object(binfmt, "canon_wire_floats", canon_oracle):
+            assert frame == encode_cluster_document(cdoc), name
 
 
 # -- summary documents ------------------------------------------------------
