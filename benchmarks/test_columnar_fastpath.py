@@ -8,7 +8,7 @@ pipeline at 100/500/1000 hosts, four ways:
 
 - ``tree``: TreeBuilder DOM parse -> scalar summarize -> one
   ``RrdStore.update`` per metric (the baseline the paper describes);
-- ``columnar``: interned SAX parse into structure-of-arrays ->
+- ``columnar``: bulk-lane parse into structure-of-arrays ->
   vectorized summarize -> one batch scatter per poll
   (``GmetadConfig.columnar``);
 

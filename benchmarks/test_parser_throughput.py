@@ -4,8 +4,9 @@ Gmetad parses every source's XML every polling cycle "in the
 background"; these benchmarks measure the real wall-clock throughput of
 that pipeline -- the streaming parse, the tree build, the additive
 reduction, and serialization -- on a 100-host cluster document, plus
-the columnar serve path's per-poll fragment re-render (an arena install
-of a 500-host cluster at 100 % churn).
+two 500-host rows: the columnar serve path's per-poll fragment
+re-render (an arena install at 100 % churn), and a validated columnar
+parse, which takes the tree route (the bulk lane never validates).
 """
 
 import itertools
@@ -48,7 +49,7 @@ def payload():
 @pytest.fixture(scope="module")
 def churned_cluster():
     """Two successive polls of a 500-host cluster, every host re-drawn
-    in between: (columns of each poll, XML bytes of the second)."""
+    in between: (columns of each poll, XML of the second)."""
     engine = Engine()
     fabric = Fabric()
     tcp = TcpNetwork(engine, fabric)
@@ -62,7 +63,7 @@ def churned_cluster():
     pool = InternPool()
     cols = [parse_columnar(xml, pool=pool, validate=False).clusters[0] for xml in polls]
     assert cols[1].same_layout(cols[0])
-    return cols, len(polls[1])
+    return cols, polls[1]
 
 
 def _churn_installs(cols):
@@ -107,10 +108,16 @@ def test_throughput_report_columnar_and_tree(
     )
     cols = parse_columnar(xml, pool=pool, validate=False).clusters[0]
     columnar_summarize_rate = rate(lambda: summarize_columns(cols))
-    churned, churned_bytes = churned_cluster
+    churned, churned_xml = churned_cluster
+    churned_bytes = len(churned_xml)
     arena, install = _churn_installs(churned)
     install_rate = rate(install)
     assert arena.templates_built == 1
+    # validation on: the whole document takes the tree route
+    parse_columnar(churned_xml, pool=pool, validate=True)  # warm the pool
+    validated_rate = rate(
+        lambda: parse_columnar(churned_xml, pool=pool, validate=True)
+    )
     mb = len(xml) / 1e6
     save_report(
         "parser_throughput",
@@ -120,7 +127,12 @@ def test_throughput_report_columnar_and_tree(
                 ("tokenize only", scan_rate, scan_rate * mb),
                 ("tokenize + tree build", build_rate, build_rate * mb),
                 ("tokenize + build + DTD validate", validate_rate, validate_rate * mb),
-                ("columnar parse (interned SAX)", columnar_rate, columnar_rate * mb),
+                ("columnar parse (bulk lane)", columnar_rate, columnar_rate * mb),
+                (
+                    "validated columnar parse, 500 hosts",
+                    validated_rate,
+                    validated_rate * churned_bytes / 1e6,
+                ),
                 (
                     "columnar install (templated render), 500 hosts, 100% churn",
                     install_rate,
@@ -194,7 +206,7 @@ def test_benchmark_columnar_summarize(benchmark, payload):
 
 def test_columnar_parse_outruns_the_tree_build(payload):
     """The point of the fast path: on the ingest-shaped document the
-    interned SAX parse beats DOM construction."""
+    bulk-lane parse beats DOM construction."""
     import time
 
     xml, _ = payload

@@ -61,7 +61,6 @@ class InternPool:
         "_slope_by_id",
         "_numeric_by_id",
         "empty_id",
-        "both_slope_id",
     )
 
     def __init__(self) -> None:
@@ -73,7 +72,8 @@ class InternPool:
         self._slope_by_id: Dict[int, Slope] = {}
         self._numeric_by_id: Dict[int, bool] = {}
         self.empty_id = self.intern("")
-        self.both_slope_id = self.slope_id(Slope.BOTH.value)
+        # "both" (the default SLOPE) is always id 1, whatever arrives first
+        self.slope_id(Slope.BOTH.value)
 
     def intern(self, s: str) -> int:
         """The id for ``s``, allocating one on first sight."""
@@ -159,7 +159,7 @@ class ColumnarCluster:
     owner: str
     localtime: float
     url: str
-    # host axis (deduplication-free by construction; see parser fallback)
+    # host axis (names unique: a repeated HOST replaces the earlier one)
     host_names: List[str]
     host_ip: List[str]
     host_location: List[str]
@@ -312,12 +312,13 @@ class ColumnarDocument:
     version: str
     source: str
     clusters: List[ColumnarCluster]
-    #: METRIC elements that fell off the regex fast lane during the parse
-    #: (attribute order drifted from the canonical writer order); the
-    #: slow path still parsed them correctly, but a nonzero count means
-    #: the canonical-order assumption the binary codec shares is broken
+    #: ``<METRIC `` tags the bulk lane's row pattern missed in the spans
+    #: it declined (attribute order drifted from the canonical writer
+    #: order); the tree route still parsed them correctly, but a nonzero
+    #: count means the canonical-order assumption the binary codec
+    #: shares is broken
     fast_lane_misses: int = 0
-    #: METRIC elements the fast lane took; zero with the lane off
+    #: METRIC rows the bulk lane built: all of them, or zero
     fast_lane_hits: int = 0
 
     @property
@@ -371,10 +372,12 @@ def columns_from_cluster(
         host_dmax.append(host.dmax)
         for metric in host.metrics.values():
             row_host.append(h)
-            name_ids.append(pool.intern(metric.name))
+            # the parser's interning order (TYPE, SLOPE, NAME, UNITS,
+            # SOURCE), so a pool's ids do not depend on the parse route
             type_ids.append(pool.id_for_mtype(metric.mtype))
-            units_ids.append(pool.intern(metric.units))
             slope_ids.append(pool.id_for_slope(metric.slope))
+            name_ids.append(pool.intern(metric.name))
+            units_ids.append(pool.intern(metric.units))
             source_ids.append(pool.intern(metric.source))
             vals_raw.append(metric.val)
             metric_tn.append(metric.tn)

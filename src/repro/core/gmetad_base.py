@@ -99,18 +99,6 @@ def document_element_count(doc: GangliaDocument) -> int:
     return count
 
 
-def parse_cluster_xml(xml: str, pool, validate: bool = True):
-    """``(cdoc, None)`` from the columnar parser, or ``(None, doc)`` from
-    the tree parser when the columnar builder declines the shape.
-
-    A :class:`ParseError` from either parser propagates.
-    """
-    try:
-        return parse_columnar(xml, pool=pool, validate=validate), None
-    except ColumnarFallback:
-        return None, parse_document(xml, validate=validate)
-
-
 class QueryServer:
     """The query-timescale half of a gmetad: one serve path (§2.3).
 
@@ -561,24 +549,20 @@ class GmetadBase(QueryServer):
         busy0 = self.cpu.total_busy_seconds if obs is not None else 0.0
         self.charge(self.costs.tcp_connect, "network")
         self.charge(self.costs.parse_byte * len(xml), "parse")
-        # The columnar fast path only handles plain gmond cluster dumps;
-        # GRID-bearing responses (child gmetads) take the tree parser.
-        # The "<GRID" sniff is a cheap pre-filter -- anything it lets
-        # through that the columnar builder still can't shape falls back
-        # to the tree parser (see parse_cluster_xml).
+        # Cluster sources parse into columns; a GRID or summary-form
+        # reply comes back as the tree document the parse built.
         cdoc = None
         try:
             if (
                 self.config.columnar
                 and self.supports_columnar
                 and self.source_kind(source) == "cluster"
-                and "<GRID" not in xml
             ):
-                cdoc, doc = parse_cluster_xml(
-                    xml, self._intern_pool, self.validate_xml
-                )
+                cdoc = parse_columnar(xml, self._intern_pool, self.validate_xml)
             else:
                 doc = parse_document(xml, validate=self.validate_xml)
+        except ColumnarFallback as fallback:
+            doc = fallback.document
         except ParseError as exc:
             self._on_parse_error(source, xml, exc, now, busy0)
             return
@@ -588,8 +572,8 @@ class GmetadBase(QueryServer):
             doc, element_count = cdoc, cdoc.element_count
             if cdoc.fast_lane_misses and obs is not None:
                 # a writer attribute-order drift silently degrades the
-                # regex fast lane to the generic path; surface it (the
-                # binary codec shares the canonical-order bet)
+                # bulk lane to the tree route; surface it (the binary
+                # codec shares the canonical-order bet)
                 obs.registry.counter("parse_fast_lane_misses").inc(
                     cdoc.fast_lane_misses
                 )

@@ -35,13 +35,14 @@ Validation
     gmond or a child gmetad.  The feed is not one.  It carries the
     ingest daemon's own writer output, CRC-framed on the binary feed,
     so a replica parses it under the ingest daemon's own
-    ``validate_xml`` switch (off by default), which keeps the columnar
-    parser's METRIC fast lane on.  Structural damage -- a cut tag, an
+    ``validate_xml`` switch (off by default), which lets the columnar
+    parser's bulk lane take the fragment; with validation on, every
+    fragment takes the tree route.  Structural damage -- a cut tag, an
     unclosed element, an unknown TYPE -- still raises with validation
     off, and the generation barrier aborts the batch on it.
     ``feed_metric_rows`` and ``feed_fast_lane_hits`` count the METRIC
-    rows of installed feed records and how many the lane took; the
-    hits read 0 when the lane is off outright.
+    rows of installed feed records and how many the bulk lane built;
+    the hits read 0 under validation.
 """
 
 from __future__ import annotations
@@ -49,13 +50,9 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Tuple
 
-from repro.columnar import InternPool, columns_from_cluster
+from repro.columnar import InternPool
 from repro.core.datastore import Datastore, SourceSnapshot
-from repro.core.gmetad_base import (
-    QueryServer,
-    document_element_count,
-    parse_cluster_xml,
-)
+from repro.core.gmetad_base import QueryServer, document_element_count
 from repro.core.query import QueryEngine
 from repro.net.address import Address
 from repro.net.fabric import Fabric
@@ -73,7 +70,12 @@ from repro.readtier.feed import (
 from repro.sim.engine import Engine
 from repro.sim.resources import DEFAULT_CAPACITY, CostModel, CpuAccount
 from repro.wire.model import SummaryInfo
-from repro.wire.parser import ParseError, parse_document
+from repro.wire.parser import (
+    ColumnarFallback,
+    ParseError,
+    parse_columnar,
+    parse_document,
+)
 
 _PROLOG = '<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n'
 
@@ -274,10 +276,8 @@ class ReadReplica(QueryServer):
 
         A cluster's detail fragment goes through the ingest daemon's
         columnar parse into this replica's intern pool and stages as a
-        hostless shell plus columns; shapes the columnar builder
-        declines convert their tree into the same pool, except a
-        summary-form cluster, which has no hosts and stays the tree
-        parser's element.
+        hostless shell plus columns, except a summary-form cluster,
+        which has no hosts and stays the tree parser's element.
         All three records parse under the ingest daemon's
         ``validate_xml`` (see "Validation" above).  The last element of
         the result is the parse's ``(METRIC rows, fast-lane hits)``,
@@ -289,13 +289,14 @@ class ReadReplica(QueryServer):
             self.costs.parse_byte * (len(detail) + len(summary)), "parse"
         )
         validate = self.ingest.validate_xml
-        cdoc = None
-        if kind == "cluster":
-            cdoc, detail_doc = parse_cluster_xml(
-                self._wrap(detail), self._intern_pool, validate
-            )
-        else:
-            detail_doc = parse_document(self._wrap(detail), validate)
+        cdoc = detail_doc = None
+        try:
+            if kind == "cluster":
+                cdoc = parse_columnar(self._wrap(detail), self._intern_pool, validate)
+            else:
+                detail_doc = parse_document(self._wrap(detail), validate)
+        except ColumnarFallback as fallback:
+            detail_doc = fallback.document
         summary_doc = parse_document(self._wrap(summary), validate)
         lane = (0, 0)
         if cdoc is not None:
@@ -312,9 +313,6 @@ class ReadReplica(QueryServer):
                 cluster = columns.shell_cluster()
             elif detail_doc is not None and detail_doc.clusters:
                 cluster = next(iter(detail_doc.clusters.values()))
-                if not cluster.is_summary:
-                    columns = columns_from_cluster(cluster, self._intern_pool)
-                    cluster = columns.shell_cluster()
             if cluster is None or not summary_doc.clusters:
                 raise FeedError(f"feed for {source!r} lost its cluster")
             element = next(iter(summary_doc.clusters.values()))

@@ -7,16 +7,20 @@ is the reproduction of that component: a single forward scan that emits
 ``start_element``/``end_element`` events.  Ganglia XML has no text nodes,
 namespaces or CDATA, so the scan is a tight loop over tags only.
 
-Three consumers exist:
+Two consumers exist:
 
 - :class:`TreeBuilder` -- builds the :mod:`repro.wire.model` element tree
   (what gmetad's background parser does);
-- :class:`ColumnarBuilder` -- fills the structure-of-arrays layout of
-  :mod:`repro.columnar` directly, skipping the DOM (the ingest fast
-  path; full-form cluster documents only, anything else raises
-  :class:`ColumnarFallback` and the caller re-parses with the tree);
 - :class:`CountingHandler` -- counts events without building anything
   (what the frontend cost model uses to weigh parse effort).
+
+:func:`parse_columnar` fills the structure-of-arrays layout of
+:mod:`repro.columnar` for full-form cluster documents by one of two
+routes: its bulk lane cuts the whole document with C-level scans, or
+the tree parser takes it whole (validation on, or any span the lane
+declines) and :func:`~repro.columnar.layout.columns_from_cluster`
+converts each cluster.  GRID and summary-form documents raise
+:class:`ColumnarFallback` carrying the tree document.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.metrics.catalog import Slope
 from repro.metrics.types import MetricType
@@ -83,10 +87,8 @@ class GangliaParser:
         names -- only run with ``validate=True``; structural errors
         (mismatched/unclosed tags, missing root) are always caught.
 
-        Without validation, a handler's ``bulk_cluster(text, start,
-        end)`` is offered each CLUSTER's span up to its first
-        ``</CLUSTER>``: an event count means it took the span, and the
-        scan resumes after the close tag; ``None`` leaves it to the loop.
+        A handler's ``KeyError`` -- a required attribute is absent --
+        surfaces as a :class:`ParseError` like any other malformation.
         """
         validate = self.validate
         stack: List[str] = []
@@ -96,103 +98,91 @@ class GangliaParser:
         start_element = handler.start_element
         end_element = handler.end_element
         attr_findall = _ATTR_RE.findall
-        # the columnar builder's per-cluster lane (never under validation:
-        # the DTD/gap checks need this loop)
-        bulk_cluster = None if validate else getattr(handler, "bulk_cluster", None)
-        resume = 0
-        while True:
-            for match in _TAG_RE.finditer(text, resume):
-                if validate:
-                    # Anything between tags must be whitespace (no text nodes).
-                    gap = text[pos : match.start()]
-                    if gap and not gap.isspace():
-                        raise ParseError(
-                            f"unexpected text content {gap.strip()[:40]!r}", pos
-                        )
-                    pos = match.end()
-                body = match.group(1).strip()
-                if not body:
-                    raise ParseError("empty tag", match.start())
-                head = body[0]
-                # prolog, comments, doctype
-                if head == "?" or head == "!":
-                    continue
-                if head == "/":
-                    name = body[1:].strip()
-                    if not stack:
-                        raise ParseError(f"unmatched </{name}>", match.start())
-                    expected = stack.pop()
-                    if name != expected:
-                        raise ParseError(
-                            f"mismatched close tag </{name}>, expected </{expected}>",
-                            match.start(),
-                        )
-                    end_element(name)
-                    events += 1
-                    continue
-                self_closing = body.endswith("/")
-                if self_closing:
-                    body = body[:-1].rstrip()
-                space = body.find(" ")
-                if space < 0:
-                    name, attr_text = body, ""
-                else:
-                    name, attr_text = body[:space], body[space:]
-                attrs: Dict[str, str]
-                if validate:
-                    name_match = _NAME_RE.match(name)
-                    if name_match is None or name_match.end() != len(name):
-                        raise ParseError(f"bad tag {body[:40]!r}", match.start())
-                    attrs = {}
-                    consumed = 0
-                    for am in _ATTR_RE.finditer(attr_text):
-                        attrs[am.group(1)] = unescape_attr(am.group(2))
-                        consumed = am.end()
-                    if attr_text[consumed:].strip():
-                        raise ParseError(
-                            f"malformed attributes in <{name}>: "
-                            f"{attr_text[consumed:].strip()[:40]!r}",
-                            match.start(),
-                        )
-                else:
-                    attrs = {
-                        k: (unescape_attr(v) if "&" in v else v)
-                        for k, v in attr_findall(attr_text)
-                    }
-                if not stack:
-                    if seen_root:
-                        raise ParseError(
-                            f"content after document element: <{name}>",
-                            match.start(),
-                        )
-                    seen_root = True
-                    parent = None
-                else:
-                    parent = stack[-1]
-                if validate:
-                    try:
-                        dtd.check_element(name, attrs, parent)
-                    except dtd.DtdError as exc:
-                        raise ParseError(str(exc), match.start()) from None
-                start_element(name, attrs)
-                events += 1
-                if self_closing:
-                    end_element(name)
-                    events += 1
-                    continue
-                stack.append(name)
-                if bulk_cluster is not None and name == "CLUSTER":
-                    close = text.find("</CLUSTER>", match.end())
-                    taken = (
-                        bulk_cluster(text, match.end(), close) if close >= 0 else None
+        for match in _TAG_RE.finditer(text):
+            if validate:
+                # Anything between tags must be whitespace (no text nodes).
+                gap = text[pos : match.start()]
+                if gap and not gap.isspace():
+                    raise ParseError(
+                        f"unexpected text content {gap.strip()[:40]!r}", pos
                     )
-                    if taken is not None:
-                        end_element(stack.pop())
-                        events += taken + 1
-                        resume = close + len("</CLUSTER>")
-                        break
+                pos = match.end()
+            body = match.group(1).strip()
+            if not body:
+                raise ParseError("empty tag", match.start())
+            head = body[0]
+            # prolog, comments, doctype
+            if head == "?" or head == "!":
+                continue
+            if head == "/":
+                name = body[1:].strip()
+                if not stack:
+                    raise ParseError(f"unmatched </{name}>", match.start())
+                expected = stack.pop()
+                if name != expected:
+                    raise ParseError(
+                        f"mismatched close tag </{name}>, expected </{expected}>",
+                        match.start(),
+                    )
+                end_element(name)
+                events += 1
+                continue
+            self_closing = body.endswith("/")
+            if self_closing:
+                body = body[:-1].rstrip()
+            space = body.find(" ")
+            if space < 0:
+                name, attr_text = body, ""
             else:
-                break
+                name, attr_text = body[:space], body[space:]
+            attrs: Dict[str, str]
+            if validate:
+                name_match = _NAME_RE.match(name)
+                if name_match is None or name_match.end() != len(name):
+                    raise ParseError(f"bad tag {body[:40]!r}", match.start())
+                attrs = {}
+                consumed = 0
+                for am in _ATTR_RE.finditer(attr_text):
+                    attrs[am.group(1)] = unescape_attr(am.group(2))
+                    consumed = am.end()
+                if attr_text[consumed:].strip():
+                    raise ParseError(
+                        f"malformed attributes in <{name}>: "
+                        f"{attr_text[consumed:].strip()[:40]!r}",
+                        match.start(),
+                    )
+            else:
+                attrs = {
+                    k: (unescape_attr(v) if "&" in v else v)
+                    for k, v in attr_findall(attr_text)
+                }
+            if not stack:
+                if seen_root:
+                    raise ParseError(
+                        f"content after document element: <{name}>",
+                        match.start(),
+                    )
+                seen_root = True
+                parent = None
+            else:
+                parent = stack[-1]
+            if validate:
+                try:
+                    dtd.check_element(name, attrs, parent)
+                except dtd.DtdError as exc:
+                    raise ParseError(str(exc), match.start()) from None
+            try:
+                start_element(name, attrs)
+            except KeyError as exc:
+                raise ParseError(
+                    f"<{name}> missing attribute {exc}", match.start()
+                ) from None
+            events += 1
+            if self_closing:
+                end_element(name)
+                events += 1
+                continue
+            stack.append(name)
         if validate:
             tail = text[pos:]
             if tail and not tail.isspace():
@@ -234,7 +224,9 @@ class TreeBuilder:
 
     def __init__(self) -> None:
         self.document: Optional[GangliaDocument] = None
-        self._stack: List[object] = []
+        # a root-level element's parent is this None: the context checks
+        # below reject it instead of indexing an empty stack
+        self._stack: List[object] = [None]
 
     # -- container helpers ---------------------------------------------------
 
@@ -381,93 +373,29 @@ def parse_document(text: str, validate: bool = True) -> GangliaDocument:
 
 
 class ColumnarFallback(Exception):
-    """Document shape the columnar builder doesn't handle.
+    """A GRID or summary-form document: it has no hosts to hold as columns.
 
-    Raised for grids, summary elements, duplicate host/cluster names and
-    other rarities; the caller re-parses with :class:`TreeBuilder`,
-    whose behavior on these inputs is the contract.  Costs one wasted
-    partial scan, changes nothing observable.
+    ``document`` is the tree parser's document of the same text, so the
+    caller ingests it without parsing twice.
     """
 
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
+    def __init__(self, document: GangliaDocument) -> None:
+        super().__init__("GRID or summary-form document")
+        self.document = document
 
 
-# context markers for ColumnarBuilder's element stack
-_CTX_DOC = 0
-_CTX_CLUSTER = 1
-_CTX_HOST = 2
-_CTX_METRIC = 3
-
-
-class _ClusterAccumulator:
-    """Per-cluster append lists (or the bulk lane's finished arrays),
-    bulk-converted at ``</CLUSTER>``."""
-
-    __slots__ = (
-        "name",
-        "owner",
-        "localtime",
-        "url",
-        "hosts",
-        "starts",
-        "row_host",
-        "name_ids",
-        "type_ids",
-        "units_ids",
-        "slope_ids",
-        "source_ids",
-        "numeric",
-        "vals_raw",
-        "tn_raw",
-        "tmax_raw",
-        "dmax_raw",
-        "metric_index",
-        "host_ordinal",
-    )
-
-    def __init__(self, name: str, owner: str, localtime: float, url: str):
-        self.name = name
-        self.owner = owner
-        self.localtime = localtime
-        self.url = url
-        #: one :func:`_host_fields` tuple per HOST
-        self.hosts: List[tuple] = []
-        self.starts: List[int] = [0]
-        self.row_host: List[int] = []
-        self.name_ids: List[int] = []
-        self.type_ids: List[int] = []
-        self.units_ids: List[int] = []
-        self.slope_ids: List[int] = []
-        self.source_ids: List[int] = []
-        self.numeric: List[bool] = []
-        self.vals_raw: List[str] = []
-        self.tn_raw: List[Optional[str]] = []
-        self.tmax_raw: List[Optional[str]] = []
-        self.dmax_raw: List[Optional[str]] = []
-        #: metric name -> row, for the current host (dict-assignment dedup)
-        self.metric_index: Dict[str, int] = {}
-        self.host_ordinal = -1
-
-
-def _bulk_float(
-    raws: Sequence[Optional[str]], key: str, default: str
-) -> "np.ndarray":
-    """Convert raw attribute strings; None/"" take the default.
+def _bulk_float(raws: Sequence[str], key: str, default: str) -> "np.ndarray":
+    """Convert raw attribute strings; "" takes the default.
 
     One vectorized conversion attempt; on failure a scalar sweep finds
     the culprit and raises the same message ``_opt_float`` would have.
     (The sweep also accepts the few spellings Python's ``float`` allows
-    but numpy's parser rejects, e.g. digit separators.)  An array -- the
-    bulk lane converts before the accumulator sees it -- passes through.
+    but numpy's parser rejects, e.g. digit separators.)
     """
     import numpy as np
 
-    if isinstance(raws, np.ndarray):
-        return raws
-    if None in raws or "" in raws:
-        raws = [default if (r is None or r == "") else r for r in raws]
+    if "" in raws:
+        raws = [default if r == "" else r for r in raws]
     try:
         return np.asarray(raws, dtype=np.float64)
     except ValueError:
@@ -507,330 +435,234 @@ _ROW_RE = re.compile(
 _HOST_TAG_RE = re.compile(r"<HOST ([^<>]*)>")
 
 
-class ColumnarBuilder:
-    """Builds a :class:`~repro.columnar.layout.ColumnarDocument`.
+@dataclass
+class _Span:
+    """One CLUSTER span the bulk lane cut, not yet interned."""
 
-    Two lanes fill the same per-cluster accumulator.  The bulk lane
-    (:meth:`bulk_cluster`) cuts a whole CLUSTER span with C-level scans
-    and decodes each distinct static text once; whatever it declines
-    goes through the generic per-tag loop (:meth:`start_element`), which
-    appends to plain Python lists and resolves strings through the
-    shared :class:`InternPool`.  Numeric attribute conversion is one
-    vectorized pass per cluster either way.  Error parity with
-    :class:`TreeBuilder` on common malformations (unknown element, bad
-    TYPE/SLOPE, METRIC outside HOST, bad numerics) is preserved
-    message-for-message; structurally odd documents raise
-    :class:`ColumnarFallback` instead so the tree path's behavior --
-    whatever it is -- remains the single source of truth.
+    #: CLUSTER (NAME, OWNER, LOCALTIME, URL)
+    cluster: tuple
+    #: one :func:`_host_fields` tuple per HOST, and its row count
+    hosts: List[tuple]
+    counts: List[int]
+    #: distinct (NAME, decoded attributes) row shapes in first-sight
+    #: order, and each row's index into them
+    shapes: List[tuple]
+    code: "np.ndarray"
+    vals: List[str]
+    tn: "np.ndarray"
+    tmax: "np.ndarray"
+    dmax: "np.ndarray"
+
+
+def _cut(cluster: tuple, text: str, start: int, end: int) -> Optional[_Span]:
+    """Cut one CLUSTER span ``text[start:end]``, or ``None`` to decline it.
+
+    Taken only when each HOST closes once before the next opens, or
+    self-closes empty; the span's ``<`` and ``>`` counts both equal
+    its rows plus HOST and ``</HOST>`` tags (no other tag, no row
+    outside a host, no ``<>`` in a value); it holds no ``&`` or
+    ``'``; host names, and metric names per host, are unique; and
+    every attribute decodes.  Rows are cut per host body: a span-wide
+    ``findall`` would hold a tuple per row alive at once and drive
+    the cyclic collector into full collections of the heap.
     """
+    import numpy as np
 
-    def __init__(self, pool: Optional["InternPool"] = None) -> None:
-        from repro.columnar.layout import InternPool
-
-        self.pool = pool if pool is not None else InternPool()
-        self.document: Optional["ColumnarDocument"] = None
-        self._version = ""
-        self._source = ""
-        self._clusters: List["ColumnarCluster"] = []
-        self._cluster_names: set = set()
-        self._host_names: set = set()
-        self._ctx: List[int] = []
-        self._cur: Optional[_ClusterAccumulator] = None
-        #: ``<METRIC `` tags in declined spans the row pattern missed: a
-        #: drift from the writer's (and binary codec's) attribute order
-        self.fast_lane_misses = 0
-        #: METRIC rows installed by the bulk lane; zero under validation
-        self.fast_lane_hits = 0
-
-    # -- bulk lane -----------------------------------------------------------
-
-    def bulk_cluster(self, text: str, start: int, end: int) -> Optional[int]:
-        """Fill the open cluster from ``text[start:end]``: the span's event
-        count, or ``None`` (nothing touched) to leave it to the generic
-        loop, which then owns every error message."""
-        taken = self._cut(text, start, end)
-        if taken is None:
-            self.fast_lane_misses += text.count("<METRIC ", start, end) - sum(
-                1 for _ in _ROW_RE.finditer(text, start, end)
-            )
-        return taken
-
-    def _cut(self, text: str, start: int, end: int) -> Optional[int]:
-        """The bulk lane proper: ``None`` unless the whole span is taken.
-
-        Taken only when each HOST closes once before the next opens, or
-        self-closes empty; the span's ``<`` and ``>`` counts both equal
-        its rows plus HOST and ``</HOST>`` tags (no other tag, no row
-        outside a host, no ``<>`` in a value); it holds no ``&`` or
-        ``'``; host names, and metric names per host, are unique; and
-        every attribute decodes.  Rows are cut per host body: a span-wide
-        ``findall`` would hold a tuple per row alive at once and drive
-        the cyclic collector into full collections of the heap.
-        """
-        import numpy as np
-
-        hosts = []
-        rows = names, vals, heads, tns, tails = [], [], [], [], []
-        counts = []
-        closes = 0
-        after = start
-        for m in _HOST_TAG_RE.finditer(text, start, end):
-            if m.start() < after:
-                return None  # opened before the previous host closed
-            try:
-                hosts.append(_host_fields(dict(_ATTR_RE.findall(m.group(1)))))
-            except (KeyError, ParseError):
-                return None
-            after = m.end()
-            if m.group(1).rstrip().endswith("/"):
-                counts.append(0)
-                continue
-            close = text.find("</HOST>", after, end)
-            if close < 0:
-                return None
-            host_rows = _ROW_RE.findall(text, after, close)
-            if host_rows:
-                host_columns = list(zip(*host_rows))
-                if len(set(host_columns[0])) != len(host_rows):
-                    return None  # a duplicate NAME overwrites in place
-                for column, values in zip(rows, host_columns):
-                    column.extend(values)
-            counts.append(len(host_rows))
-            closes += 1
-            after = close + len("</HOST>")
-        n = len(names)
-        tags = n + len(hosts) + closes
-        host_names = {h[0] for h in hosts}
-        if (
-            text.count("<", start, end) != tags
-            or text.count(">", start, end) != tags
-            or text.find("&", start, end) >= 0
-            or text.find("'", start, end) >= 0
-            or len(host_names) != len(hosts)
-        ):
-            return None
-        # distinct (NAME, TYPE.., TMAX..) texts in first-sight order:
-        # interning along them allocates ids as the generic loop would
-        distinct = {t: i for i, t in enumerate(dict.fromkeys(zip(names, heads, tails)))}
-        decoded = []
-        for name, head, tail in distinct:
-            attrs = dict(_ATTR_RE.findall(f"{head} {tail}"))
-            if attrs["TYPE"] not in _MTYPE_BY_VALUE:
-                return None
-            if attrs["SLOPE"] not in _SLOPE_BY_VALUE:
-                return None
-            decoded.append((name, attrs))
+    hosts = []
+    rows = names, vals, heads, tns, tails = [], [], [], [], []
+    counts = []
+    closes = 0
+    after = start
+    for m in _HOST_TAG_RE.finditer(text, start, end):
+        if m.start() < after:
+            return None  # opened before the previous host closed
         try:
-            tn = _bulk_float(tns, "TN", "0")
-            tmax = _bulk_float([a["TMAX"] for _, a in decoded], "TMAX", "60")
-            dmax = _bulk_float([a["DMAX"] for _, a in decoded], "DMAX", "0")
-        except ParseError:
+            hosts.append(_host_fields(dict(_ATTR_RE.findall(m.group(1)))))
+        except (KeyError, ParseError):
             return None
-        # every check passed: only now may the pool grow
-        pool = self.pool
-        ids = []
-        for name, attrs in decoded:
-            # the generic loop's order: TYPE, SLOPE, NAME, UNITS, SOURCE
-            tid, sid = pool.mtype_id(attrs["TYPE"]), pool.slope_id(attrs["SLOPE"])
-            ids.append((pool.intern(name), tid, pool.intern(attrs.get("UNITS", "")),
-                        sid, pool.intern(attrs["SOURCE"]), pool.is_numeric_id(tid)))
-        code = np.fromiter(
-            map(distinct.__getitem__, zip(names, heads, tails)), np.intp, n
-        )
-        cur = self._cur
-        cur.hosts = hosts
-        cur.starts = list(itertools.accumulate(counts, initial=0))
-        cur.row_host = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-        table = np.array(ids, dtype=np.int32).reshape(-1, 6).T
-        cur.name_ids, cur.type_ids, cur.units_ids, cur.slope_ids, cur.source_ids = (
-            column[code] for column in table[:5]
-        )
-        cur.numeric = table[5][code].astype(bool)
-        cur.vals_raw = vals
-        cur.tn_raw = tn
-        cur.tmax_raw = tmax[code]
-        cur.dmax_raw = dmax[code]
-        self._host_names = host_names
-        self.fast_lane_hits += n
-        return 2 * (n + len(hosts))
+        after = m.end()
+        if m.group(1).rstrip().endswith("/"):
+            counts.append(0)
+            continue
+        close = text.find("</HOST>", after, end)
+        if close < 0:
+            return None
+        host_rows = _ROW_RE.findall(text, after, close)
+        if host_rows:
+            host_columns = list(zip(*host_rows))
+            if len(set(host_columns[0])) != len(host_rows):
+                return None  # a duplicate NAME overwrites in place
+            for column, values in zip(rows, host_columns):
+                column.extend(values)
+        counts.append(len(host_rows))
+        closes += 1
+        after = close + len("</HOST>")
+    tags = len(names) + len(hosts) + closes
+    if (
+        text.count("<", start, end) != tags
+        or text.count(">", start, end) != tags
+        or text.find("&", start, end) >= 0
+        or text.find("'", start, end) >= 0
+        or len({h[0] for h in hosts}) != len(hosts)
+    ):
+        return None
+    # distinct (NAME, TYPE.., TMAX..) texts in first-sight order:
+    # interning along them allocates ids as the tree route does
+    distinct = {t: i for i, t in enumerate(dict.fromkeys(zip(names, heads, tails)))}
+    shapes = []
+    for name, head, tail in distinct:
+        attrs = dict(_ATTR_RE.findall(f"{head} {tail}"))
+        if attrs["TYPE"] not in _MTYPE_BY_VALUE:
+            return None
+        if attrs["SLOPE"] not in _SLOPE_BY_VALUE:
+            return None
+        shapes.append((name, attrs))
+    try:
+        tn = _bulk_float(tns, "TN", "0")
+        tmax = _bulk_float([a["TMAX"] for _, a in shapes], "TMAX", "60")
+        dmax = _bulk_float([a["DMAX"] for _, a in shapes], "DMAX", "0")
+    except ParseError:
+        return None
+    code = np.fromiter(
+        map(distinct.__getitem__, zip(names, heads, tails)), np.intp, len(names)
+    )
+    return _Span(cluster, hosts, counts, shapes, code, vals, tn, tmax[code], dmax[code])
 
-    # -- SaxHandler ---------------------------------------------------------
 
-    def start_element(self, name: str, attrs: Dict[str, str]) -> None:
-        ctx = self._ctx
-        if name == "METRIC":
-            # the fast path: >95% of elements in a full-form document
-            if not ctx:
-                raise ColumnarFallback("METRIC at document root")
-            if ctx[-1] != _CTX_HOST:
-                raise ParseError("METRIC outside HOST")
-            cur = self._cur
-            pool = self.pool
-            tid = pool.mtype_id(attrs["TYPE"])
-            if tid is None:
-                raise ParseError(f"unknown metric TYPE {attrs['TYPE']!r}")
-            get = attrs.get
-            raw_slope = get("SLOPE")
-            if raw_slope is None:
-                sid = pool.both_slope_id
+def _cut_document(text: str) -> Tuple[Optional[tuple], int]:
+    """The bulk route: cut the GANGLIA_XML envelope and every CLUSTER span.
+
+    Returns ``((VERSION, SOURCE, spans), 0)`` when the document is a
+    root holding only CLUSTER elements (and prolog, comments, doctype,
+    between-tag text -- what the tree parser skips without validation)
+    and every span is cut; otherwise ``None`` and the ``<METRIC `` tags
+    the row pattern missed in the spans left uncut.  Any tag it does not
+    expect declines the document whole: the tree route owns odd shapes.
+    """
+    root: Optional[Dict[str, str]] = None
+    closed = False
+    spans: Optional[List[_Span]] = []
+    names = set()
+    misses = 0
+    pos = 0
+    search = _TAG_RE.search
+    while (match := search(text, pos)) is not None:
+        pos = match.end()
+        body = match.group(1).strip()
+        if body[:1] in ("?", "!"):
+            continue
+        name, _, attr_text = body.partition(" ")
+        if name == "CLUSTER" and root is not None and not closed and body[-1] != "/":
+            end = text.find("</CLUSTER>", pos)
+            if end < 0:
+                return None, misses
+            span = None
+            if spans is not None:
+                attrs = _decoded_attrs(attr_text)
+                try:
+                    cluster = (attrs["NAME"], attrs.get("OWNER", ""),
+                               _opt_float(attrs, "LOCALTIME"), attrs.get("URL", ""))
+                except (KeyError, ParseError):
+                    cluster = None
+                if cluster is not None and cluster[0] not in names:
+                    names.add(cluster[0])
+                    span = _cut(cluster, text, pos, end)
+            if span is None:
+                misses += text.count("<METRIC ", pos, end) - len(
+                    _ROW_RE.findall(text, pos, end)
+                )
+                spans = None
             else:
-                sid = pool.slope_id(raw_slope)
-                if sid is None:
-                    raise ParseError(f"bad SLOPE {raw_slope!r}")
-            mname = attrs["NAME"]
-            val = attrs["VAL"]
-            row = cur.metric_index.get(mname)
-            if row is None:
-                # first sighting on this host: append a fresh row
-                cur.metric_index[mname] = len(cur.name_ids)
-                cur.row_host.append(cur.host_ordinal)
-                cur.name_ids.append(pool.intern(mname))
-                cur.type_ids.append(tid)
-                cur.units_ids.append(pool.intern(get("UNITS", "")))
-                cur.slope_ids.append(sid)
-                cur.source_ids.append(pool.intern(get("SOURCE", "gmond")))
-                cur.numeric.append(pool.is_numeric_id(tid))
-                cur.vals_raw.append(val)
-                cur.tn_raw.append(get("TN"))
-                cur.tmax_raw.append(get("TMAX"))
-                cur.dmax_raw.append(get("DMAX"))
-            else:
-                # duplicate NAME: dict assignment replaces the element at
-                # its first position -- overwrite the row in place
-                cur.type_ids[row] = tid
-                cur.units_ids[row] = pool.intern(get("UNITS", ""))
-                cur.slope_ids[row] = sid
-                cur.source_ids[row] = pool.intern(get("SOURCE", "gmond"))
-                cur.numeric[row] = pool.is_numeric_id(tid)
-                cur.vals_raw[row] = val
-                cur.tn_raw[row] = get("TN")
-                cur.tmax_raw[row] = get("TMAX")
-                cur.dmax_raw[row] = get("DMAX")
-            ctx.append(_CTX_METRIC)
-            return
-        if name == "HOST":
-            if not ctx:
-                raise ColumnarFallback("HOST at document root")
-            if ctx[-1] != _CTX_CLUSTER:
-                raise ParseError("HOST outside CLUSTER")
-            hname = attrs["NAME"]
-            if hname in self._host_names:
-                # add_host would *replace* the earlier subtree; rare
-                # enough to punt to the tree's exact merge semantics
-                raise ColumnarFallback(f"duplicate HOST {hname!r}")
-            self._host_names.add(hname)
-            cur = self._cur
-            cur.hosts.append(_host_fields(attrs))
-            cur.host_ordinal += 1
-            cur.metric_index = {}
-            ctx.append(_CTX_HOST)
-            return
-        if name == "CLUSTER":
-            if not ctx:
-                raise ColumnarFallback("CLUSTER at document root")
-            if ctx[-1] != _CTX_DOC:
-                raise ParseError("CLUSTER in illegal context")
-            cname = attrs["NAME"]
-            if cname in self._cluster_names:
-                raise ColumnarFallback(f"duplicate CLUSTER {cname!r}")
-            self._cluster_names.add(cname)
-            self._host_names = set()
-            get = attrs.get
-            self._cur = _ClusterAccumulator(
-                name=cname,
-                owner=get("OWNER", ""),
-                localtime=_opt_float(attrs, "LOCALTIME"),
-                url=get("URL", ""),
-            )
-            ctx.append(_CTX_CLUSTER)
-            return
-        if name == "GANGLIA_XML":
-            if ctx:
-                raise ColumnarFallback("nested GANGLIA_XML")
-            self._version = attrs.get("VERSION", "")
-            self._source = attrs.get("SOURCE", "")
-            ctx.append(_CTX_DOC)
-            return
-        if name in ("GRID", "HOSTS", "METRICS"):
-            # summary/grid shapes stay on the DOM path
-            raise ColumnarFallback(f"<{name}> element")
-        raise ParseError(f"unknown element <{name}>")
+                spans.append(span)
+            pos = end + len("</CLUSTER>")
+        elif name == "GANGLIA_XML" and root is None and body[-1] != "/":
+            root = _decoded_attrs(attr_text)
+        elif body == "/GANGLIA_XML" and root is not None and not closed:
+            closed = True
+        else:
+            spans = None
+    if spans is None or not closed:
+        return None, misses
+    return (root.get("VERSION", ""), root.get("SOURCE", ""), spans), 0
 
-    def end_element(self, name: str) -> None:
-        self._ctx.pop()
-        if name == "HOST":
-            cur = self._cur
-            cur.starts.append(len(cur.name_ids))
-        elif name == "CLUSTER":
-            self._clusters.append(self._finalize_cluster())
-            self._cur = None
-        elif name == "GANGLIA_XML":
-            from repro.columnar.layout import ColumnarDocument
 
-            self.document = ColumnarDocument(
-                version=self._version,
-                source=self._source,
-                clusters=self._clusters,
-            )
+def _decoded_attrs(attr_text: str) -> Dict[str, str]:
+    """One tag's attributes as the non-validating parse reads them."""
+    return {
+        k: (unescape_attr(v) if "&" in v else v)
+        for k, v in _ATTR_RE.findall(attr_text)
+    }
 
-    # -- bulk conversion -----------------------------------------------------
 
-    def _finalize_cluster(self) -> "ColumnarCluster":
-        import numpy as np
+def _span_columns(span: _Span, pool: "InternPool") -> "ColumnarCluster":
+    """Intern one cut span's shapes into ``pool`` and build its columns."""
+    import numpy as np
 
-        from repro.columnar.layout import ColumnarCluster
+    from repro.columnar.layout import ColumnarCluster
 
-        cur = self._cur
-        n = len(cur.name_ids)
-        host_columns = list(zip(*cur.hosts)) or [()] * 7
-        host_floats = [np.asarray(c, dtype=np.float64) for c in host_columns[3:]]
-        numeric = np.asarray(cur.numeric, dtype=bool)
-        values = np.full(n, np.nan, dtype=np.float64)
-        valid = np.zeros(n, dtype=bool)
-        idx = np.flatnonzero(numeric)
-        if idx.size:
-            vals_raw = cur.vals_raw
-            sub = vals_raw if idx.size == n else [vals_raw[i] for i in idx.tolist()]
-            try:
-                values[idx] = np.asarray(sub, dtype=np.float64)
-                valid[idx] = True
-            except ValueError:
-                # a malformed VAL from a broken reporter: locate it the
-                # scalar way -- the row stays, excluded from summaries
-                for i in idx:
-                    try:
-                        values[i] = float(cur.vals_raw[i])
-                    except ValueError:
-                        continue
-                    valid[i] = True
-        return ColumnarCluster(
-            name=cur.name,
-            owner=cur.owner,
-            localtime=cur.localtime,
-            url=cur.url,
-            host_names=list(host_columns[0]),
-            host_ip=list(host_columns[1]),
-            host_location=list(host_columns[2]),
-            host_reported=host_floats[0],
-            host_tn=host_floats[1],
-            host_tmax=host_floats[2],
-            host_dmax=host_floats[3],
-            host_row_start=np.asarray(cur.starts, dtype=np.int64),
-            row_host=np.asarray(cur.row_host, dtype=np.int32),
-            name_ids=np.asarray(cur.name_ids, dtype=np.int32),
-            type_ids=np.asarray(cur.type_ids, dtype=np.int32),
-            units_ids=np.asarray(cur.units_ids, dtype=np.int32),
-            slope_ids=np.asarray(cur.slope_ids, dtype=np.int32),
-            source_ids=np.asarray(cur.source_ids, dtype=np.int32),
-            values=values,
-            numeric=numeric,
-            valid=valid,
-            metric_tn=_bulk_float(cur.tn_raw, "TN", "0"),
-            metric_tmax=_bulk_float(cur.tmax_raw, "TMAX", "60"),
-            metric_dmax=_bulk_float(cur.dmax_raw, "DMAX", "0"),
-            vals_raw=cur.vals_raw,
-            pool=self.pool,
-        )
+    ids = []
+    for name, attrs in span.shapes:
+        # the tree route's order (columns_from_cluster): TYPE, SLOPE,
+        # NAME, UNITS, SOURCE
+        tid, sid = pool.mtype_id(attrs["TYPE"]), pool.slope_id(attrs["SLOPE"])
+        ids.append((pool.intern(name), tid, pool.intern(attrs.get("UNITS", "")),
+                    sid, pool.intern(attrs["SOURCE"]), pool.is_numeric_id(tid)))
+    table = np.array(ids, dtype=np.int32).reshape(-1, 6).T
+    code = span.code
+    numeric = table[5][code].astype(bool)
+    n = len(code)
+    values = np.full(n, np.nan, dtype=np.float64)
+    valid = np.zeros(n, dtype=bool)
+    idx = np.flatnonzero(numeric)
+    if idx.size:
+        vals = span.vals
+        sub = vals if idx.size == n else [vals[i] for i in idx.tolist()]
+        try:
+            values[idx] = np.asarray(sub, dtype=np.float64)
+            valid[idx] = True
+        except ValueError:
+            # a malformed VAL from a broken reporter: locate it the
+            # scalar way -- the row stays, excluded from summaries
+            for i in idx:
+                try:
+                    values[i] = float(vals[i])
+                except ValueError:
+                    continue
+                valid[i] = True
+    host_columns = list(zip(*span.hosts)) or [()] * 7
+    host_floats = [np.asarray(c, dtype=np.float64) for c in host_columns[3:]]
+    counts = span.counts
+    name, owner, localtime, url = span.cluster
+    return ColumnarCluster(
+        name=name,
+        owner=owner,
+        localtime=localtime,
+        url=url,
+        host_names=list(host_columns[0]),
+        host_ip=list(host_columns[1]),
+        host_location=list(host_columns[2]),
+        host_reported=host_floats[0],
+        host_tn=host_floats[1],
+        host_tmax=host_floats[2],
+        host_dmax=host_floats[3],
+        host_row_start=np.asarray(
+            list(itertools.accumulate(counts, initial=0)), dtype=np.int64
+        ),
+        row_host=np.repeat(np.arange(len(counts), dtype=np.int32), counts),
+        name_ids=table[0][code],
+        type_ids=table[1][code],
+        units_ids=table[2][code],
+        slope_ids=table[3][code],
+        source_ids=table[4][code],
+        values=values,
+        numeric=numeric,
+        valid=valid,
+        metric_tn=span.tn,
+        metric_tmax=span.tmax,
+        metric_dmax=span.dmax,
+        vals_raw=span.vals,
+        pool=pool,
+    )
 
 
 def parse_columnar(
@@ -840,23 +672,45 @@ def parse_columnar(
 ) -> "ColumnarDocument":
     """Parse full-form cluster XML straight into columnar layout.
 
-    Raises :class:`ColumnarFallback` for shapes the columnar builder
-    does not model (grids, summaries, duplicates, missing required
-    attributes); the caller re-parses with :func:`parse_document`.
+    Two routes, one result.  Without validation the bulk route
+    (:func:`_cut_document`) cuts the envelope and every CLUSTER span
+    with C-level scans; only once it has cut them all does the pool
+    grow, and ``fast_lane_hits`` counts every row.  Anything else -- a
+    span or envelope it declines, or validation on -- goes whole
+    through :func:`parse_document`, and each cluster through
+    :func:`columns_from_cluster` into the same pool, interning in the
+    same order: the tree parser owns every error and every odd shape
+    (duplicate HOST or METRIC names: last subtree wins, first position
+    kept).  Raises :class:`ColumnarFallback`, carrying the tree
+    document, for GRID or summary-form documents.
     """
-    builder = ColumnarBuilder(pool)
-    parser = GangliaParser(validate=validate)
-    try:
-        parser.parse(text, builder)
-    except KeyError as exc:
-        # a required attribute is missing; the tree path's KeyError (or
-        # the DTD's ParseError) is the behavior contract -- defer to it
-        raise ColumnarFallback(f"missing attribute {exc}") from None
-    if builder.document is None:
-        raise ParseError("document produced no GANGLIA_XML root")
-    builder.document.fast_lane_misses = builder.fast_lane_misses
-    builder.document.fast_lane_hits = builder.fast_lane_hits
-    return builder.document
+    from repro.columnar.layout import (
+        ColumnarDocument,
+        InternPool,
+        columns_from_cluster,
+    )
+
+    if pool is None:
+        pool = InternPool()
+    misses = 0
+    if not validate:
+        cut, misses = _cut_document(text)
+        if cut is not None:
+            version, source, spans = cut
+            clusters = [_span_columns(span, pool) for span in spans]
+            return ColumnarDocument(
+                version, source, clusters,
+                fast_lane_hits=sum(c.row_count for c in clusters),
+            )
+    document = parse_document(text, validate)
+    if document.grids or any(c.is_summary for c in document.clusters.values()):
+        raise ColumnarFallback(document)
+    return ColumnarDocument(
+        document.version,
+        document.source,
+        [columns_from_cluster(c, pool) for c in document.clusters.values()],
+        fast_lane_misses=misses,
+    )
 
 
 # -- corruption-tolerant salvage ------------------------------------------

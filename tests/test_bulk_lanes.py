@@ -1,12 +1,16 @@
-"""The leaf path's bulk lanes, pinned against the per-element loops.
+"""The leaf path's bulk lanes, pinned against the tree parser.
 
-- Parse: :meth:`ColumnarBuilder.bulk_cluster` cuts a CLUSTER span in
-  per-cluster passes.  Against the same parse with that lane forced off
-  (the generic per-tag loop) it must give equal columns and an equal
-  intern pool, or raise the same exception class -- on writer output
-  and on damaged writer output.  ``fast_lane_hits`` counts exactly the
-  rows of the clusters the lane took, ``fast_lane_misses`` the
-  ``<METRIC `` tags its row pattern missed in the spans it declined.
+- Parse: :func:`parse_columnar` takes a document by its bulk lane or
+  by the tree route.  Against the tree oracle -- :func:`parse_document`
+  then :func:`columns_from_cluster`, each into a fresh pool -- it must
+  give equal columns and a pool holding the same strings under the
+  same ids, or raise the same exception class with the same message:
+  on writer output (entity-bearing clusters included) and on damaged
+  writer output (duplicate HOST, missing attributes...), with
+  validation on and off.  ``fast_lane_hits`` counts every row of a
+  document the lane took and nothing otherwise; ``fast_lane_misses``
+  the ``<METRIC `` tags its row pattern missed in the spans it
+  declined.
 - Render: the arena's per-layout row templates must reproduce
   :meth:`XmlWriter.host` byte for byte across successive installs.
 
@@ -17,7 +21,6 @@ so CI can run these with ``REPRO_HYPOTHESIS_PROFILE=thorough``.
 import dataclasses
 import re
 import string
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +40,12 @@ from repro.wire.model import (
     HostElement,
     MetricElement,
 )
-from repro.wire.parser import _ROW_RE, ColumnarBuilder, parse_columnar
+from repro.wire.parser import (
+    _ROW_RE,
+    ColumnarFallback,
+    parse_columnar,
+    parse_document,
+)
 from repro.wire.writer import XmlWriter, write_document
 
 # -- strategies ---------------------------------------------------------------
@@ -165,39 +173,35 @@ def self_closed_parent(text, data):
     )
 
 
+def missing_attribute(text, data):
+    m = _nth(text, r' (NAME|VAL|TYPE)="[^"]*"', data)
+    return text if m is None else text[: m.start()] + text[m.end():]
+
+
 DAMAGES = [cut, stray_lt, gt_in_val, amp_in_val, reordered, duplicate_metric,
-           duplicate_host, nested_host, self_closed_parent]
+           duplicate_host, nested_host, self_closed_parent, missing_attribute]
 
 
 # -- the parse differential ------------------------------------------------------
 
 
-def parse_both(text):
-    """(outcome with the bulk lane, outcome with it forced off).
+def tree_oracle(text, pool, validate):
+    """What :func:`parse_columnar` must return: the tree's columns."""
+    document = parse_document(text, validate)
+    if document.grids or any(c.is_summary for c in document.clusters.values()):
+        raise ColumnarFallback(document)
+    return [columns_from_cluster(c, pool) for c in document.clusters.values()]
 
-    An outcome is ``(exception class or None, document, pool strings,
-    per-span bulk results)``.
-    """
-    outcomes = []
-    for bulk in (True, False):
-        calls = []
-        original = ColumnarBuilder.bulk_cluster
 
-        def spy(self, text, start, end):
-            result = original(self, text, start, end)
-            calls.append((start, end, result))
-            return result
-
-        pool = InternPool()
-        lane = mock.patch.object(ColumnarBuilder, "bulk_cluster", spy if bulk else None)
-        with lane:
-            try:
-                document = parse_columnar(text, pool, validate=False)
-            except Exception as exc:  # the class is what must agree
-                outcomes.append((type(exc), None, pool.strings, calls))
-                continue
-        outcomes.append((None, document, pool.strings, calls))
-    return outcomes
+def outcome(parse, text, validate):
+    """``(exception class and message, or None; result; pool strings)``,
+    parsed into a fresh pool."""
+    pool = InternPool()
+    try:
+        result = parse(text, pool, validate)
+    except Exception as exc:  # class and message are what must agree
+        return (type(exc), str(exc)), None, pool.strings
+    return None, result, pool.strings
 
 
 def assert_same_columns(a, b):
@@ -213,53 +217,57 @@ def assert_same_columns(a, b):
             assert x == y, field.name
 
 
-def check_lanes_agree(text):
-    bulk, generic = parse_both(text)
-    assert bulk[0] is generic[0]
-    assert bulk[2] == generic[2]  # same strings, same ids
-    if bulk[1] is None:
-        return None, None
-    assert generic[1].fast_lane_hits == generic[1].fast_lane_misses == 0
-    assert len(bulk[1].clusters) == len(generic[1].clusters)
-    for a, b in zip(bulk[1].clusters, generic[1].clusters):
+def span_misses(text):
+    """``<METRIC `` tags the row pattern misses, over every CLUSTER span."""
+    total = 0
+    for m in re.finditer(r"<CLUSTER [^<>]*[^/<>]>", text):
+        end = text.find("</CLUSTER>", m.end())
+        total += text.count("<METRIC ", m.end(), end) - len(
+            _ROW_RE.findall(text, m.end(), end)
+        )
+    return total
+
+
+def check_against_oracle(text, validate=False):
+    """The parse differential; returns the document, or None on a raise."""
+    error, document, strings = outcome(parse_columnar, text, validate)
+    oracle_error, clusters, oracle_strings = outcome(tree_oracle, text, validate)
+    assert error == oracle_error
+    assert strings == oracle_strings  # same strings, same ids
+    if document is None:
+        return None
+    assert len(document.clusters) == len(clusters)
+    for a, b in zip(document.clusters, clusters):
         assert_same_columns(a, b)
-    # every cluster of a parsed document was offered once, in order
-    calls = bulk[3]
-    assert len(calls) == len(bulk[1].clusters)
-    assert bulk[1].fast_lane_hits == sum(
-        c.row_count
-        for c, (_, _, taken) in zip(bulk[1].clusters, calls)
-        if taken is not None
-    )
-    assert bulk[1].fast_lane_misses == sum(
-        text.count("<METRIC ", start, end) - len(_ROW_RE.findall(text, start, end))
-        for start, end, taken in calls
-        if taken is None
-    )
-    return bulk[1], calls
+    rows = sum(c.row_count for c in document.clusters)
+    # the bulk lane builds every row or none, and never under validation
+    assert document.fast_lane_hits in ((0,) if validate else (0, rows))
+    assert document.fast_lane_misses == (0 if validate else span_misses(text))
+    return document
 
 
 @settings(deadline=None)
-@given(cluster_documents())
-def test_bulk_lane_matches_generic_loop_on_writer_output(text):
-    document, calls = check_lanes_agree(text)
-    # the writer spells every special character as an entity: exactly
-    # the clusters holding one go generic, and no row is ever a miss
-    for start, end, taken in calls:
-        assert (taken is None) == ("&" in text[start:end])
+@given(cluster_documents(), st.booleans())
+def test_parse_matches_tree_oracle_on_writer_output(text, validate):
+    document = check_against_oracle(text, validate)
+    # the writer spells every special character as an entity: a document
+    # holding one takes the tree route whole, and no row is ever a miss
+    rows = sum(c.row_count for c in document.clusters)
+    taken = not validate and "&" not in text
+    assert document.fast_lane_hits == (rows if taken else 0)
     assert document.fast_lane_misses == 0
 
 
 @settings(deadline=None)
-@given(cluster_documents(), st.sampled_from(DAMAGES), st.data())
-def test_bulk_lane_matches_generic_loop_on_damaged_text(text, damage, data):
-    check_lanes_agree(damage(text, data))
+@given(cluster_documents(), st.sampled_from(DAMAGES), st.data(), st.booleans())
+def test_parse_matches_tree_oracle_on_damaged_text(text, damage, data, validate):
+    check_against_oracle(damage(text, data), validate)
 
 
 def test_reordered_attributes_are_misses_and_parse_generically():
     text = write_document(_one_host_document())
     damaged = re.sub(r'(VAL="[^"]*") (TYPE="[^"]*")', r"\2 \1", text, count=1)
-    document, _ = check_lanes_agree(damaged)
+    document = check_against_oracle(damaged)
     assert document.fast_lane_misses == 1
     assert document.fast_lane_hits == 0
 
@@ -295,7 +303,7 @@ def _pseudo_cluster_xml(hosts, seed, churn_rounds=1):
 def test_pseudo_gmond_cluster_rides_the_bulk_lane_whole():
     """The count row: every pseudo-gmond row is a bulk-lane hit."""
     for text in _pseudo_cluster_xml(40, seed=31, churn_rounds=2):
-        document, _ = check_lanes_agree(text)
+        document = check_against_oracle(text)
         cluster = document.clusters[0]
         assert document.fast_lane_hits == cluster.row_count > 0
         assert document.fast_lane_misses == 0

@@ -152,16 +152,27 @@ class TestParserDifferential:
         with pytest.raises(ColumnarFallback):
             parse_columnar(summary_xml)
 
-    def test_duplicate_host_falls_back(self):
+    def test_duplicate_host_last_subtree_wins(self):
+        # the tree's add_host replaces the earlier subtree at its first
+        # position; the columns are the tree's, whichever route parsed
         xml = (
             '<GANGLIA_XML VERSION="2.5.7" SOURCE="gmond">'
             '<CLUSTER NAME="c" LOCALTIME="1">'
-            '<HOST NAME="h" REPORTED="1" TN="1"/>'
-            '<HOST NAME="h" REPORTED="1" TN="1"/>'
+            '<HOST NAME="h" REPORTED="1" TN="1">'
+            '<METRIC NAME="a" VAL="1" TYPE="float"/></HOST>'
+            '<HOST NAME="g" REPORTED="1" TN="1"/>'
+            '<HOST NAME="h" REPORTED="2" TN="3">'
+            '<METRIC NAME="b" VAL="7" TYPE="float"/></HOST>'
             "</CLUSTER></GANGLIA_XML>"
         )
-        with pytest.raises(ColumnarFallback):
-            parse_columnar(xml)
+        for validate in (False, True):
+            cols = parse_columnar(xml, validate=validate).clusters[0]
+            assert cols.host_names == ["h", "g"]
+            assert cols.host_tn.tolist() == [3.0, 1.0]
+            assert cols.host_row_start.tolist() == [0, 1, 1]
+            assert cols.vals_raw == ["7"]
+            tree = next(iter(parse_document(xml, validate).clusters.values()))
+            assert cols.materialize_into(cols.shell_cluster()).hosts == tree.hosts
 
     def test_parse_error_parity_on_malformed_documents(self):
         bad = [

@@ -326,7 +326,9 @@ def test_replies_match_the_tree_writer_and_converter(hosts, seed, refresh, ops):
     """The writer and the tree-to-columns converter are the oracle: after
     any churn, the XML equals ``write_document`` over the columns'
     materialized tree and the frame equals the frame of that tree's
-    columns."""
+    columns, in a pool holding the emulator's vocabulary order (its
+    first host's rows, NAME, TYPE, UNITS, SLOPE, SOURCE each: the order
+    its frames' string tables list)."""
     engine, pseudo = _standalone(hosts, seed, refresh)
     for op in ops:
         _apply(engine, pseudo, op)
@@ -336,8 +338,15 @@ def test_replies_match_the_tree_writer_and_converter(hosts, seed, refresh, ops):
         document = GangliaDocument(version="2.5.4", source="gmond")
         document.add_cluster(tree)
         assert xml == write_document(document)
+        pool = InternPool()
+        for metric in next(iter(tree.hosts.values())).metrics.values():
+            pool.intern(metric.name)
+            pool.id_for_mtype(metric.mtype)
+            pool.intern(metric.units)
+            pool.id_for_slope(metric.slope)
+            pool.intern(metric.source)
         expected = ColumnarDocument(
             version="2.5.4", source="gmond",
-            clusters=[columns_from_cluster(tree, InternPool())],
+            clusters=[columns_from_cluster(tree, pool)],
         )
         assert frame == encode_cluster_document(expected)
