@@ -6,20 +6,19 @@ poll interval, and §2.3.1/§4 charge it as the daemon's dominant
 recurring cost.  This sweep measures the real wall-clock cost of that
 pipeline at 100/500/1000 hosts, four ways:
 
-- ``tree``: TreeBuilder DOM parse -> scalar summarize -> one
-  ``RrdStore.update`` per metric (the baseline the paper describes);
-- ``columnar``: bulk-lane parse into structure-of-arrays ->
+- ``tree``: TreeBuilder DOM parse -> ``columns_from_cluster`` ->
+  vectorized summarize -> one batch scatter per poll (the daemon's
+  route for a tree-parsed poll, ``GmetadConfig.columnar`` off);
+- ``columnar``: bulk-lane parse straight into structure-of-arrays ->
   vectorized summarize -> one batch scatter per poll
   (``GmetadConfig.columnar``);
 
 each crossed with the summarization mode: ``eager`` (full additive
 reduction every poll) and ``incremental`` (the delta tracker re-folds
-only changed hosts; 10% of hosts mutate between polls).  Both
-incremental arms run the one ``ColumnarSummaryTracker``; the tree arm
-feeds it through ``columns_from_cluster``, the daemon's route for a
-tree-parsed poll.  Every mode consumes the *same* pre-generated XML poll
-sequence and the same real ``Archiver``/``RrdStore`` machinery the
-daemon uses.
+only changed hosts; 10% of hosts mutate between polls).  Past the parse
+both arms run the same code, so the gap is the parser's.  Every mode
+consumes the *same* pre-generated XML poll sequence and the same real
+``Archiver``/``RrdStore`` machinery the daemon uses.
 
 Acceptance (asserted below): at 1000 hosts the columnar pipeline is
 >= 3x faster than the tree pipeline in the eager pairing, produces
@@ -47,7 +46,6 @@ from repro.columnar import (
     summarize_columns,
 )
 from repro.core.archiver import Archiver
-from repro.core.summarize import summarize_cluster
 from repro.gmond.pseudo import PseudoGmond
 from repro.net.fabric import Fabric
 from repro.net.tcp import TcpNetwork
@@ -116,26 +114,18 @@ def run_pipeline(xmls: List[str], columnar: bool, incremental: bool) -> Run:
         t = i * POLL_INTERVAL
         start = time.perf_counter()
         if columnar:
-            cdoc = parse_columnar(xml, pool=pool, validate=False)
-            cols = cdoc.clusters[0]
-            if tracker is not None:
-                summary, _ = tracker.update(cols)
-            else:
-                summary, _ = summarize_columns(cols, HEARTBEAT)
-            archiver.archive_cluster_detail_columns("src", cols, t)
-            archiver.archive_summary("src", cols.name, summary, t)
+            cols = parse_columnar(xml, pool=pool, validate=False).clusters[0]
         else:
             builder = TreeBuilder()
             GangliaParser(validate=False).parse(xml, builder)
             cluster = next(iter(builder.document.clusters.values()))
-            if tracker is not None:
-                summary, _ = tracker.update(
-                    columns_from_cluster(cluster, pool)
-                )
-            else:
-                summary, _ = summarize_cluster(cluster, HEARTBEAT)
-            archiver.archive_cluster_detail("src", cluster, t)
-            archiver.archive_summary("src", cluster.name, summary, t)
+            cols = columns_from_cluster(cluster, pool)
+        if tracker is not None:
+            summary, _ = tracker.update(cols)
+        else:
+            summary, _ = summarize_columns(cols, HEARTBEAT)
+        archiver.archive_cluster_detail_columns("src", cols, t)
+        archiver.archive_summary("src", cols.name, summary, t)
         if i > 0:  # poll 0 is warmup: store/plan/pool/tracker cold starts
             elapsed += time.perf_counter() - start
     return Run(
@@ -248,12 +238,11 @@ def test_speedup_at_1000_hosts(sweep):
 def test_columnar_agrees_with_tree_at_every_size(sweep):
     """Not a benchmark of different answers: within each summarization
     mode the columnar path produced byte-identical summary wire and the
-    same number of RRD updates as its tree twin.  (Eager and
-    incremental are compared within, not across, pairings -- the
-    tracker's Neumaier-compensated totals and the eager in-order fold
-    legitimately differ below wire precision at small N and above it at
-    1000 hosts x 1e12-scale SUMs; the eager kernel is bit-identical to
-    the scalar fold, and the tracker to itself on either parse route.)"""
+    same number of RRD updates as its tree twin, so both parsers built
+    the same columns.  (Eager and incremental are compared within, not
+    across, pairings -- the tracker's Neumaier-compensated totals and
+    the eager in-order fold legitimately differ below wire precision at
+    small N and above it at 1000 hosts x 1e12-scale SUMs.)"""
     for hosts, runs in sweep.items():
         for mode in ("eager", "incremental"):
             tree, cols = runs[f"tree_{mode}"], runs[f"columnar_{mode}"]

@@ -9,10 +9,11 @@ Measured here with real wall-clock, over one poll of a 100-host cluster
 
 - ``RrdDatabase.update``: one standalone database per metric, one call
   per metric per poll -- the per-file update the paper describes;
-- ``RrdStore.update``: one call per metric per poll into the store's
-  series bank -- the path summary and self-cluster series take;
+- per-key ``ColumnPlan``: one one-key plan per metric, one scatter per
+  metric per poll into the store's series bank -- the per-key loop
+  through the store's only write path;
 - ``ColumnPlan`` scatter: one vectorized call per poll -- the path every
-  cluster's detail metrics take;
+  archive write takes (detail, summaries, self-clusters, replay);
 - the long-downtime fill path (hours of zero records must be cheap).
 
 All three write paths archive value-identical rows.
@@ -51,12 +52,13 @@ def run_database():
     return databases
 
 
-def run_store():
+def run_per_key_plans():
     store = RrdStore(mode="full", rra_specs=compact_rra_specs())
+    plans = [store.column_plan([key]) for key in KEYS]
     for cycle in range(CYCLES):
-        t, value = cycle * 15.0, sample(cycle)
-        for key in KEYS:
-            store.update(key, t, value)
+        t, value = cycle * 15.0, np.array([sample(cycle)])
+        for plan in plans:
+            store.update_columns(plan, t, value)
     return store
 
 
@@ -70,7 +72,7 @@ def run_scatter():
 
 RUNNERS = (
     ("RrdDatabase.update", run_database),
-    ("RrdStore.update", run_store),
+    ("per-key ColumnPlan", run_per_key_plans),
     ("ColumnPlan scatter", run_scatter),
 )
 
@@ -112,13 +114,13 @@ def test_scatter_beats_per_update_writes(measured):
     """The §4 answer: one vectorized write per poll, not one per metric."""
     scatter = measured["ColumnPlan scatter"]["seconds"]
     assert scatter < measured["RrdDatabase.update"]["seconds"]
-    assert scatter < measured["RrdStore.update"]["seconds"]
+    assert scatter < measured["per-key ColumnPlan"]["seconds"]
 
 
 def test_every_path_archives_identical_rows(measured):
     databases = measured["RrdDatabase.update"]["archive"]
     end = CYCLES * 15.0
-    for name in ("RrdStore.update", "ColumnPlan scatter"):
+    for name in ("per-key ColumnPlan", "ColumnPlan scatter"):
         store = measured[name]["archive"]
         assert store.update_count == CYCLES * len(KEYS)
         for key in KEYS[::97]:
@@ -128,14 +130,16 @@ def test_every_path_archives_identical_rows(measured):
                 np.testing.assert_array_equal(got, want)
 
 
-def test_benchmark_store_updates(benchmark):
+def test_benchmark_per_key_plans(benchmark):
     store = RrdStore(mode="full", rra_specs=compact_rra_specs())
+    plans = [store.column_plan([key]) for key in KEYS[:600]]
+    value = np.ones(1)
     clock = {"t": 0.0}
 
     def one_cycle():
         clock["t"] += 15.0
-        for key in KEYS[:600]:
-            store.update(key, clock["t"], 1.0)
+        for plan in plans:
+            store.update_columns(plan, clock["t"], value)
 
     benchmark(one_cycle)
 

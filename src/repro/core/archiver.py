@@ -7,30 +7,37 @@ performed and charged.
 
 Archiving policy differences between the designs:
 
-- 1-level: :meth:`archive_cluster_detail` for *every* cluster in the
-  subtree (the duplicated archives of Fig. 3 left);
-- N-level: :meth:`archive_cluster_detail` only for local clusters plus
-  :meth:`archive_summary` for everything ("Nodes in the N-level
-  monitoring tree keep only summary archives of descendants rather than
-  full duplicates").
+- 1-level: :meth:`archive_cluster_detail_columns` for *every* cluster
+  in the subtree (the duplicated archives of Fig. 3 left);
+- N-level: :meth:`archive_cluster_detail_columns` only for local
+  clusters plus :meth:`archive_summary` for everything ("Nodes in the
+  N-level monitoring tree keep only summary archives of descendants
+  rather than full duplicates").
+
+Every write, detail, summary or replay, is one column-plan scatter
+(:meth:`~repro.rrd.store.RrdStore.update_columns`): a plan binds one
+poll layout's keys to their series once, and each poll of that layout
+lands as a single call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.rrd.store import ColumnPlan, MetricKey, RrdStore
+import numpy as np
+
+from repro.rrd.store import SUMMARY_HOST, ColumnPlan, MetricKey, RrdStore
 from repro.sim.resources import CostModel
-from repro.wire.model import ClusterElement, SummaryInfo
+from repro.wire.model import SummaryInfo
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.columnar.layout import ColumnarCluster
 
 #: charge(work_units, category)
 ChargeFn = Callable[[float, str], float]
+#: one held scatter: the plan and the values it last wrote
+_Held = Tuple[ColumnPlan, np.ndarray]
 
 
 @dataclass
@@ -38,22 +45,22 @@ class _DetailPlan:
     """Cached scatter plan for one (source, cluster) detail layout."""
 
     cols: "ColumnarCluster"  # the layout the plan was built against
-    up: "np.ndarray"
-    rows: "np.ndarray"  # metric rows that archive (valid & live host)
+    up: np.ndarray
+    rows: np.ndarray  # metric rows that archive (valid & live host)
     plan: ColumnPlan
 
 
 class Archiver:
     """Routes monitoring data into round-robin archives.
 
-    The archiver also remembers the last batch of values written per
-    data source so a NOT-MODIFIED poll can :meth:`replay` them at the
-    new timestamp.  An unchanged gauge still gets an RRD write every
-    step in a real monitor -- skipping it would leave a gap the
-    zero-fill turns into a phantom "host down" record.  Replay re-writes
-    pre-extracted floats, skipping the XML-model walk and per-value
-    string parsing of the eager path; the RRD work itself is charged at
-    full price (the disks don't know the value didn't change).
+    The archiver also remembers what each data source's last archived
+    poll wrote -- one ``(plan, values)`` pair per detail or summary
+    scatter -- so a NOT-MODIFIED poll can :meth:`replay` them at the new
+    timestamp.  An unchanged gauge still gets an RRD write every step in
+    a real monitor -- skipping it would leave a gap the zero-fill turns
+    into a phantom "host down" record.  Replay re-scatters the held
+    arrays; the RRD work itself is charged at full price (the disks
+    don't know the value didn't change).
     """
 
     def __init__(
@@ -70,79 +77,56 @@ class Archiver:
         self.detail_updates = 0
         self.summary_updates = 0
         self.replayed_updates = 0
-        #: source -> cluster -> last detail batch [(key, value), ...]
-        self._held_detail: Dict[str, Dict[str, List[Tuple[MetricKey, float]]]] = {}
-        #: source -> cluster -> last summary batch [(name, total, num), ...]
-        self._held_summary: Dict[str, Dict[str, List[Tuple[str, float, int]]]] = {}
-        #: source -> cluster -> last columnar batch (plan, values)
-        self._held_columns: Dict[str, Dict[str, Tuple[ColumnPlan, "np.ndarray"]]] = {}
-        #: (source, cluster) -> cached scatter plan
+        #: source -> (kind, cluster) -> last scatter (plan, values)
+        self._held: Dict[str, Dict[Tuple[str, str], _Held]] = {}
+        #: (source, cluster) -> cached detail scatter plan
         self._column_plans: Dict[Tuple[str, str], _DetailPlan] = {}
+        #: (source, cluster) -> (metric names, plan) of the summary layout
+        self._summary_plans: Dict[
+            Tuple[str, str], Tuple[Tuple[str, ...], ColumnPlan]
+        ] = {}
         #: called as (source, t) after every archive write -- detail,
         #: summary or NOT-MODIFIED replay.  The analytics stage
         #: (repro.analytics) registers here so trend/anomaly kernels run
         #: exactly when fresh rows may have closed; None costs nothing.
         self.on_flush: Optional[Callable[[str, float], None]] = None
 
+    def begin_poll(self, source: str) -> None:
+        """Start a poll of ``source``: its held writes restart empty.
+
+        A source's held set is exactly what its last archived poll
+        wrote, so a cluster that left the source is not replayed.
+        """
+        self._held.pop(source, None)
+
+    def _scatter(
+        self, source: str, slot: Tuple[str, str], plan: ColumnPlan,
+        t: float, values: np.ndarray,
+    ) -> int:
+        """Land one scatter, hold it for replay, charge and announce it."""
+        self.store.update_columns(plan, t, values)
+        self._held.setdefault(source, {})[slot] = (plan, values)
+        updates = len(plan)
+        self.charge(updates * self.costs.rrd_update, "archive")
+        self._flushed(source, t)
+        return updates
+
     def _flushed(self, source: str, t: float) -> None:
         if self.on_flush is not None:
             self.on_flush(source, t)
 
-    def archive_cluster_detail(
-        self, source: str, cluster: ClusterElement, t: float
+    def archive_cluster_detail_columns(
+        self, source: str, cols: "ColumnarCluster", t: float
     ) -> int:
         """One RRD update per numeric metric of every *live* host.
 
         Hosts past the heartbeat window are skipped: their databases see
         a gap, which the zero-fill turns into the paper's "zero record
-        during the downtime".
+        during the downtime".  The rows that archive (numeric,
+        parseable, live host -- document order) bind to bank series once
+        per layout via a cached :class:`ColumnPlan`; while the cluster's
+        shape is stable, each poll costs one scatter.
         """
-        if cluster.is_summary:
-            raise ValueError(
-                f"cannot archive detail for summary-form cluster {cluster.name!r}"
-            )
-        updates = 0
-        batch: List[Tuple[MetricKey, float]] = []
-        for host in cluster.hosts.values():
-            if not host.is_up(self.heartbeat_window):
-                continue
-            for metric in host.metrics.values():
-                if not metric.is_numeric:
-                    continue
-                try:
-                    value = metric.numeric()
-                except ValueError:
-                    continue
-                key = MetricKey(source, cluster.name, host.name, metric.name)
-                self.store.update(key, t, value)
-                batch.append((key, value))
-                updates += 1
-        self._held_detail.setdefault(source, {})[cluster.name] = batch
-        # this cluster is now held in scalar form; a stale columnar hold
-        # would double-replay it on the next NOT-MODIFIED poll
-        held_columns = self._held_columns.get(source)
-        if held_columns:
-            held_columns.pop(cluster.name, None)
-        self.detail_updates += updates
-        self.charge(updates * self.costs.rrd_update, "archive")
-        self._flushed(source, t)
-        return updates
-
-    def archive_cluster_detail_columns(
-        self, source: str, cols: "ColumnarCluster", t: float
-    ) -> int:
-        """Columnar twin of :meth:`archive_cluster_detail`.
-
-        One vectorized scatter per poll: the rows that archive (numeric,
-        parseable, live host -- document order, same as the scalar
-        walk) bind to bank series once per layout via a cached
-        :class:`ColumnPlan`; while the cluster's shape is stable, each
-        poll costs one :meth:`ColumnPlan.update` instead of one store
-        call per metric.  Update counts and CPU charge are identical to
-        the scalar path.
-        """
-        import numpy as np
-
         up = cols.up_mask(self.heartbeat_window)
         cache_key = (source, cols.name)
         cached = self._column_plans.get(cache_key)
@@ -166,41 +150,43 @@ class Archiver:
             ]
             plan = self.store.column_plan(keys)
             self._column_plans[cache_key] = _DetailPlan(cols, up, rows, plan)
-        values = cols.values[rows]
-        self.store.update_columns(plan, t, values)
-        updates = len(plan)
-        self._held_columns.setdefault(source, {})[cols.name] = (plan, values)
-        held_detail = self._held_detail.get(source)
-        if held_detail:
-            held_detail.pop(cols.name, None)  # counterpart of the pop above
+        updates = self._scatter(
+            source, ("detail", cols.name), plan, t, cols.values[rows]
+        )
         self.detail_updates += updates
-        self.charge(updates * self.costs.rrd_update, "archive")
-        self._flushed(source, t)
         return updates
+
+    #: kept by name for ``benchmarks/e2e/spans.py``, which wraps it;
+    #: nothing calls it
+    archive_cluster_detail = archive_cluster_detail_columns
 
     def archive_summary(
         self, source: str, cluster: str, summary: SummaryInfo, t: float
     ) -> int:
-        """Two updates (sum, num) per reduced metric."""
-        updates = 0
-        batch: List[Tuple[str, float, int]] = []
-        for metric_summary in summary.metrics.values():
-            self.store.update_summary(
-                source,
-                cluster,
-                metric_summary.name,
-                t,
-                metric_summary.total,
-                metric_summary.num,
-            )
-            batch.append(
-                (metric_summary.name, metric_summary.total, metric_summary.num)
-            )
-            updates += 2
-        self._held_summary.setdefault(source, {})[cluster] = batch
+        """Two updates (sum, num) per reduced metric, in one scatter.
+
+        The plan binds ``name``, ``name.num`` for each metric in summary
+        order, once per (source, cluster, metric layout).
+        """
+        metrics = list(summary.metrics.values())
+        names = tuple(m.name for m in metrics)
+        cache_key = (source, cluster)
+        cached = self._summary_plans.get(cache_key)
+        if cached is not None and cached[0] == names:
+            plan = cached[1]
+        else:
+            keys = [
+                MetricKey(source, cluster, SUMMARY_HOST, series)
+                for name in names
+                for series in (name, f"{name}.num")
+            ]
+            plan = self.store.column_plan(keys)
+            self._summary_plans[cache_key] = (names, plan)
+        values = np.empty(2 * len(metrics))
+        values[0::2] = [m.total for m in metrics]
+        values[1::2] = [m.num for m in metrics]
+        updates = self._scatter(source, ("summary", cluster), plan, t, values)
         self.summary_updates += updates
-        self.charge(updates * self.costs.rrd_update, "archive")
-        self._flushed(source, t)
         return updates
 
     def replay(self, source: str, t: float) -> int:
@@ -210,26 +196,17 @@ class Archiver:
         so the archives advance with the held values instead of gapping.
         """
         updates = 0
-        for batch in self._held_detail.get(source, {}).values():
-            for key, value in batch:
-                self.store.update(key, t, value)
-                updates += 1
-        for plan, values in self._held_columns.get(source, {}).values():
+        for plan, values in self._held.get(source, {}).values():
             self.store.update_columns(plan, t, values)
             updates += len(plan)
-        for cluster, batch in self._held_summary.get(source, {}).items():
-            for name, total, num in batch:
-                self.store.update_summary(source, cluster, name, t, total, num)
-                updates += 2
         self.replayed_updates += updates
         self.charge(updates * self.costs.rrd_update, "archive")
         self._flushed(source, t)
         return updates
 
     def forget(self, source: str) -> None:
-        """Drop the held batches for a removed data source."""
-        self._held_detail.pop(source, None)
-        self._held_summary.pop(source, None)
-        self._held_columns.pop(source, None)
-        for cache_key in [k for k in self._column_plans if k[0] == source]:
-            del self._column_plans[cache_key]
+        """Drop the held writes and cached plans of a removed data source."""
+        self._held.pop(source, None)
+        for plans in (self._column_plans, self._summary_plans):
+            for cache_key in [k for k in plans if k[0] == source]:
+                del plans[cache_key]

@@ -78,6 +78,7 @@ class Gmetad(GmetadBase):
         gmetad response carries one GRID element whose contents are
         already in summary form.
         """
+        self.archiver.begin_poll(source)
         for cluster in doc.clusters.values():
             if not cluster.is_summary:
                 # a tree-parsed cluster (tree parser, salvage, or a shape
@@ -150,6 +151,7 @@ class Gmetad(GmetadBase):
 
     def ingest_columnar(self, source: str, cdoc, now: float) -> None:
         """Fold one columnar-parsed poll response into the datastore."""
+        self.archiver.begin_poll(source)
         for cols in cdoc.clusters:
             self._ingest_columns(source, cols, now)
 

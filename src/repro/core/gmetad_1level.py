@@ -62,19 +62,18 @@ class OneLevelGmetad(GmetadBase):
             if cluster.is_summary:
                 # 2.5.1 predates summaries; ignore foreign summary data.
                 continue
-            # the paper's baseline archive: one scalar update per value,
-            # walked off the parsed tree
-            self.archiver.archive_cluster_detail(cluster.name, cluster, now)
-            self.cluster_origin[cluster.name] = source
-            self.datastore.install(
-                SourceSnapshot.from_cluster(
-                    cluster,
-                    self._intern_pool,
-                    name=cluster.name,
-                    summary=SummaryInfo(),  # no reduction in this design
-                ),
-                now,
+            snapshot = SourceSnapshot.from_cluster(
+                cluster,
+                self._intern_pool,
+                name=cluster.name,
+                summary=SummaryInfo(),  # no reduction in this design
             )
+            # the paper's baseline archive: every value of every cluster
+            self.archiver.archive_cluster_detail_columns(
+                cluster.name, snapshot.columns, now
+            )
+            self.cluster_origin[cluster.name] = source
+            self.datastore.install(snapshot, now)
 
     def _on_source_down(self, source: str, error: str) -> None:
         # mark every cluster this source delivered as unreachable

@@ -66,29 +66,28 @@ def install_inband_cluster(
     parse -- the data was never serialized).  Summarize and archive
     charges are real: keeping histories of your own metrics costs the
     same simulated CPU as anyone else's.  The freshly built element is
-    summarized and archived as a tree; the datastore then gets its
-    shell plus columns in the daemon's in-band pool, like every other
-    cluster, and no fragment arena.  Shared by the ``__gmetad__``
-    self-cluster and the ``__analytics__`` signal cluster
-    (:mod:`repro.analytics`).  Returns the element, summary attached.
+    summarized as a tree and becomes a shell plus columns in the
+    daemon's in-band pool; the columns are archived and installed like
+    every other cluster's, with no fragment arena.  Shared by the
+    ``__gmetad__`` self-cluster and the ``__analytics__`` signal
+    cluster (:mod:`repro.analytics`).  Returns the element, summary
+    attached.
     """
     summary, samples = summarize_cluster(
         cluster, gmetad.config.heartbeat_window
     )
     cluster.summary = summary
     gmetad.charge(gmetad.costs.summarize_metric * samples, "summarize")
-    gmetad.archiver.archive_cluster_detail(source, cluster, now)
-    gmetad.archiver.archive_summary(source, cluster.name, summary, now)
-    gmetad.datastore.install(
-        SourceSnapshot.from_cluster(
-            cluster,
-            gmetad._inband_pool,
-            name=source,
-            summary=summary,
-            authority=gmetad.config.authority_url,
-        ),
-        now,
+    snapshot = SourceSnapshot.from_cluster(
+        cluster,
+        gmetad._inband_pool,
+        name=source,
+        summary=summary,
+        authority=gmetad.config.authority_url,
     )
+    gmetad.archiver.archive_cluster_detail_columns(source, snapshot.columns, now)
+    gmetad.archiver.archive_summary(source, cluster.name, summary, now)
+    gmetad.datastore.install(snapshot, now)
     return cluster
 
 

@@ -18,9 +18,9 @@ the whole cohort.  Series that are further behind (a host rejoining
 after downtime) drop to a per-series scalar path that mirrors
 ``RrdDatabase.update`` -- including ``push_fill``'s partial/bulk/partial
 row structure -- so the archived rows are value-identical to what a
-standalone ``RrdDatabase`` would hold.  Scalar writes (summary series,
-self-clusters, replay) take that same per-series path via
-:meth:`SeriesBank.update_one`.
+standalone ``RrdDatabase`` would hold.  A one-series write through the
+database view (:meth:`SeriesBank.update_one`) takes that same
+per-series path.
 
 Ring positions are derived from the absolute step grid
 (``(end_step // pdp_per_row - 1) % rows``), so no per-series head

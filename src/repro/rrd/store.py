@@ -12,9 +12,12 @@ Two modes:
   reason: isolate CPU from I/O).  The update-counting is exact, so the
   charged work is identical to full mode.
 
-Summary archives use host="__summary__" and two series per metric
-(sum and num), matching "Nodes in the N-level monitoring tree keep only
-summary archives of descendants rather than full duplicates".
+Every write is a :class:`ColumnPlan` scatter: :meth:`RrdStore.column_plan`
+binds a poll layout's keys to their series once, and each poll lands
+with one :meth:`RrdStore.update_columns` call.  Summary archives use
+host="__summary__" and two series per metric (sum and num), matching
+"Nodes in the N-level monitoring tree keep only summary archives of
+descendants rather than full duplicates".
 """
 
 from __future__ import annotations
@@ -81,12 +84,10 @@ class RrdStore:
     """Creates series on demand and routes updates to them.
 
     Every series lives in one shared :class:`~repro.rrd.bank.SeriesBank`.
-    A key's first write -- a scalar :meth:`update`, an
-    :meth:`update_summary` or a :meth:`column_plan` bind -- allocates
-    its bank slot, and every later write, scalar or scatter, lands in
-    that slot.  :meth:`database` returns a :class:`BankSeriesView` with
-    the read surface of a standalone
-    :class:`~repro.rrd.database.RrdDatabase`.
+    A key's first :meth:`column_plan` bind allocates its bank slot, and
+    every later plan that names the key writes to that slot.
+    :meth:`database` returns a :class:`BankSeriesView` with the read
+    surface of a standalone :class:`~repro.rrd.database.RrdDatabase`.
     """
 
     def __init__(
@@ -129,21 +130,13 @@ class RrdStore:
             self.create_count += 1
         return i
 
-    def update(self, key: MetricKey, t: float, value: Optional[float]) -> None:
-        """Route one sample to its series (creating it on first touch)."""
-        self.update_count += 1
-        if self.on_update is not None:
-            self.on_update(1)
-        if self.mode == "account":
-            return
-        self._bank.update_one(self._slot(key), t, value)
-
     def column_plan(self, keys: Sequence[MetricKey]) -> ColumnPlan:
         """Bind ``keys`` to bank series for vectorized scatter updates.
 
         In full mode each key gets (or keeps) its bank slot, so a series
-        first written by scalar updates continues under the plan with
-        one history.  In accounting mode the plan only counts.
+        bound again by a later layout's plan continues with one history.
+        ``keys`` must not repeat a key.  In accounting mode the plan
+        only counts.
         """
         if self.mode == "account":
             return ColumnPlan(self, keys, None)
@@ -155,19 +148,6 @@ class RrdStore:
     def update_columns(self, plan: ColumnPlan, t: float, values: "np.ndarray") -> None:
         """Apply one poll through a previously bound :class:`ColumnPlan`."""
         plan.update(t, values)
-
-    def update_summary(
-        self, source: str, cluster: str, metric: str, t: float,
-        total: float, num: int,
-    ) -> None:
-        """Archive one summary reduction as its two component series."""
-        base = MetricKey(source, cluster, SUMMARY_HOST, metric)
-        self.update(base, t, total)
-        self.update(
-            MetricKey(source, cluster, SUMMARY_HOST, f"{metric}.num"),
-            t,
-            float(num),
-        )
 
     def copy_series_from(self, src: "RrdStore", keys: Sequence[MetricKey]) -> None:
         """Replicate the full state of ``keys`` from another store.

@@ -40,7 +40,7 @@ class StorageNode:
         self.busy_seconds = 0.0
         #: physical RRD updates applied on this node
         self.updates_applied = 0
-        #: write batches (column scatters / scalar flushes) landed here
+        #: write batches (column scatters) landed here
         self.flushes = 0
         #: times this node was killed / restarted
         self.kills = 0

@@ -2,11 +2,10 @@
 
 A :class:`StorageTier` stands in for the archiver's single
 :class:`~repro.rrd.store.RrdStore`: it exposes the same surface
-(``update`` / ``column_plan`` / ``update_columns`` / ``update_summary``
-/ ``database`` / ``fetch_series`` / ``window_readout`` / ``keys`` ...)
-but routes every series to a shard and every shard to an ordered
-replica list of simulated :class:`~repro.storage.node.StorageNode`
-fleets.
+(``column_plan`` / ``update_columns`` / ``database`` / ``fetch_series``
+/ ``window_readout`` / ``keys`` ...) but routes every series to a shard
+and every shard to an ordered replica list of simulated
+:class:`~repro.storage.node.StorageNode` fleets.
 
 Design points:
 
@@ -21,8 +20,8 @@ Design points:
   at least one live replica bumps the shard version; a replica's
   ``applied`` version advances only contiguously, so a node that missed
   writes (down, or newly restarted) reads as *stale* until the
-  anti-entropy pass copies a fresh replica's series over.  A batch no
-  live replica absorbed is counted in ``updates_lost``.
+  anti-entropy pass copies a fresh replica's series over.  Each update
+  of a batch no live replica absorbed is counted in ``updates_lost``.
 - **Failover on read.**  Fetches prefer the primary, fall over to the
   first fresh live replica (counted in ``failover_fetches``), degrade
   to a stale live replica (``stale_fetches``) and only raise
@@ -57,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.rrd.database import RraSpec, default_rra_specs
-from repro.rrd.store import MetricKey, SUMMARY_HOST
+from repro.rrd.store import MetricKey
 from repro.sim.engine import Engine, PeriodicTask
 from repro.storage.config import StorageTierConfig
 from repro.storage.node import StorageNode, make_node_names
@@ -302,39 +301,6 @@ class StorageTier:
 
     # -- writing (RrdStore surface) ----------------------------------------
 
-    def update(self, key: MetricKey, t: float, value: Optional[float]) -> None:
-        self.update_count += 1
-        if self.on_update is not None:
-            self.on_update(1)
-        s = self._shard_of(key)
-        ver = self._versions[s] + 1
-        applied = False
-        for name in self.shard_map.replicas[s]:
-            node = self.nodes[name]
-            if not node.up:
-                continue
-            node.store.update(key, t, value)
-            node.busy_seconds += self._update_cost
-            node.updates_applied += 1
-            self._apply_version(s, name, ver)
-            applied = True
-        if applied:
-            self._versions[s] = ver
-        else:
-            self.updates_lost += 1
-
-    def update_summary(
-        self, source: str, cluster: str, metric: str, t: float,
-        total: float, num: int,
-    ) -> None:
-        base = MetricKey(source, cluster, SUMMARY_HOST, metric)
-        self.update(base, t, total)
-        self.update(
-            MetricKey(source, cluster, SUMMARY_HOST, f"{metric}.num"),
-            t,
-            float(num),
-        )
-
     def column_plan(self, keys: Sequence[MetricKey]) -> TierColumnPlan:
         return TierColumnPlan(self, keys)
 
@@ -372,7 +338,7 @@ class StorageTier:
         if applied:
             self._versions[shard] = ver
         else:
-            self.updates_lost += 1
+            self.updates_lost += len(keys)
         if self._registry is not None:
             self._registry.histogram(
                 f"storage_flush.s{shard:02d}", units="s"

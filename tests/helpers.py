@@ -1,10 +1,12 @@
-"""Test-only views of datastore state."""
+"""Test-only views of datastore state, and a summary-archive writer."""
 
 from __future__ import annotations
 
 from repro.columnar import InternPool
+from repro.core.archiver import Archiver
 from repro.core.datastore import SourceSnapshot
-from repro.wire.model import ClusterElement
+from repro.sim.resources import CostModel
+from repro.wire.model import ClusterElement, MetricSummary, SummaryInfo
 
 
 def host_tree(snapshot) -> ClusterElement:
@@ -29,3 +31,20 @@ def cluster_snapshot(cluster: ClusterElement, **fields) -> SourceSnapshot:
     if not cluster.hosts:
         return SourceSnapshot(kind="cluster", cluster=cluster, **fields)
     return SourceSnapshot.from_cluster(cluster, InternPool(), **fields)
+
+
+def archive_summary(store, source: str, cluster: str, t: float, **metrics):
+    """Archive one summary poll into ``store`` the way a gmetad does.
+
+    ``metrics`` maps a metric name to its ``(total, num)`` reduction;
+    each lands as the ``name`` and ``name.num`` series of
+    :meth:`Archiver.archive_summary`'s one scatter.  Charges nothing.
+    """
+    summary = SummaryInfo(
+        metrics={
+            name: MetricSummary(name, total, num)
+            for name, (total, num) in metrics.items()
+        }
+    )
+    archiver = Archiver(store, charge=lambda work, category: 0.0, costs=CostModel())
+    return archiver.archive_summary(source, cluster, summary, t)

@@ -17,6 +17,7 @@ from repro.metrics.types import MetricType
 from repro.rrd.database import RrdDatabase, compact_rra_specs
 from repro.rrd.store import MetricKey, RrdStore
 from repro.wire.model import ClusterElement, HostElement, MetricElement
+from tests.helpers import archive_summary
 
 
 def db_with_pattern(pattern, step=15.0):
@@ -72,14 +73,13 @@ class TestForensics:
 class TestAvailability:
     def make_store(self):
         store = RrdStore(mode="full", rra_specs=compact_rra_specs())
+        plan = store.column_plan(
+            [MetricKey("s", "c", h, "load_one") for h in ("h0", "h1")]
+        )
         # h0: always up; h1: down half the time
         for i in range(40):
-            t = i * 15.0
-            store.update(MetricKey("s", "c", "h0", "load_one"), t, 1.0)
-            store.update(
-                MetricKey("s", "c", "h1", "load_one"),
-                t,
-                0.0 if 10 <= i < 30 else 1.0,
+            store.update_columns(
+                plan, i * 15.0, np.array([1.0, 0.0 if 10 <= i < 30 else 1.0])
             )
         for db_key in store.keys():
             store.database(db_key).flush(40 * 15.0)
@@ -107,7 +107,7 @@ class TestAvailability:
 
     def test_summary_host_excluded(self):
         store = self.make_store()
-        store.update_summary("s", "c", "load_one", 0.0, 2.0, 2)
+        archive_summary(store, "s", "c", 0.0, load_one=(2.0, 2))
         report = cluster_availability(store, "s", "c", 0.0, 600.0)
         assert "__summary__" not in report.per_host
 
@@ -117,7 +117,7 @@ class TestLoadStats:
         store = RrdStore(mode="full", rra_specs=compact_rra_specs())
         for i in range(20):
             t = i * 15.0
-            store.update_summary("s", "c", "load_one", t, total=6.0, num=3)
+            archive_summary(store, "s", "c", t, load_one=(6.0, 3))
         for db_key in store.keys():
             store.database(db_key).flush(20 * 15.0)
         times, means = cluster_mean_series(store, "s", "c", "load_one", 0.0, 400.0)

@@ -17,6 +17,7 @@ from repro.rrd.persist import (
     save_store,
 )
 from repro.rrd.store import MetricKey, RrdStore
+from tests.helpers import archive_summary
 
 
 def assert_stores_equal(a, b, now):
@@ -135,15 +136,17 @@ class TestStoreRoundTrip:
     def make_store(self, **kwargs):
         kwargs.setdefault("rra_specs", compact_rra_specs())
         store = RrdStore(mode="full", **kwargs)
-        for h in range(3):
-            for m in ("load_one", "cpu_user"):
-                for i in range(20):
-                    store.update(
-                        MetricKey("src", "meteor", f"h{h}", m),
-                        i * 15.0,
-                        float(i + h),
-                    )
-        store.update_summary("src", "meteor", "load_one", 0.0, 9.0, 3)
+        hosts = [h for h in range(3) for _ in ("load_one", "cpu_user")]
+        plan = store.column_plan(
+            [
+                MetricKey("src", "meteor", f"h{h}", m)
+                for h in range(3)
+                for m in ("load_one", "cpu_user")
+            ]
+        )
+        for i in range(20):
+            store.update_columns(plan, i * 15.0, np.array(hosts) + float(i))
+        archive_summary(store, "src", "meteor", 0.0, load_one=(9.0, 3))
         return store
 
     def test_store_round_trip(self, tmp_path):
@@ -154,8 +157,8 @@ class TestStoreRoundTrip:
         assert_stores_equal(store, restored, 20 * 15.0)
 
     def test_columnar_leaf_store_round_trip(self, tmp_path):
-        """A columnar gmetad's archive: plan-scattered detail series and
-        scalar-written summary and self-cluster series, one bank."""
+        """A columnar gmetad's archive: plan-scattered detail, summary
+        and self-cluster series, one bank."""
         from repro.bench.topology import build_paper_tree
 
         fed = build_paper_tree(
@@ -169,9 +172,9 @@ class TestStoreRoundTrip:
         assert_stores_equal(store, restored, fed.engine.now)
         # both keep archiving identically after the restore
         t = fed.engine.now + 15.0
+        keys = store.keys()
         for target in (store, restored):
-            for key in store.keys():
-                target.update(key, t, 1.0)
+            target.update_columns(target.column_plan(keys), t, np.ones(len(keys)))
         assert_stores_equal(store, restored, t + 60.0)
 
     def test_restore_keeps_step_ladder_and_fill(self, tmp_path):
@@ -188,8 +191,9 @@ class TestStoreRoundTrip:
         # a series first written after the restore gets the saved ladder
         fresh = MetricKey("src", "meteor", "h9", "load_one")
         twin = RrdDatabase(step=10.0, rra_specs=specs, downtime_fill="nan")
+        plan = restored.column_plan([fresh])
         for i in range(0, 40, 3):  # gaps: the fill mode shows in the rows
-            restored.update(fresh, i * 10.0, float(i))
+            restored.update_columns(plan, i * 10.0, np.array([float(i)]))
             twin.update(i * 10.0, float(i))
         for span in (100.0, 400.0):
             for got, want in zip(
@@ -202,7 +206,9 @@ class TestStoreRoundTrip:
         root = tmp_path / "rrds"
         save_store(self.make_store(), root)
         other = RrdStore(mode="full")  # the default five-RRA ladder
-        other.update(MetricKey("zzz", "c", "h", "m"), 0.0, 1.0)
+        other.update_columns(
+            other.column_plan([MetricKey("zzz", "c", "h", "m")]), 0.0, np.ones(1)
+        )
         save_store(other, root)
         with pytest.raises(PersistError):
             load_store(root)

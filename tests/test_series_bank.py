@@ -164,10 +164,11 @@ class TestStoreIntegration:
         src = RrdStore(mode="full", rra_specs=compact_rra_specs())
         dst = RrdStore(mode="full", rra_specs=compact_rra_specs())
         held = [self.key("a"), self.key("b")]
+        plan = src.column_plan(held)
         for step in range(12):
-            for j, k in enumerate(held):
-                src.update(k, 2.0 + 15.0 * step, float(step * (j + 1)))
-        dst.update(self.key("b"), 2.0, 99.0)  # overwritten by the copy
+            src.update_columns(plan, 2.0 + 15.0 * step, step * np.array([1.0, 2.0]))
+        # overwritten by the copy
+        dst.update_columns(dst.column_plan([self.key("b")]), 2.0, np.array([99.0]))
         dst.copy_series_from(src, held + [self.key("missing")])
         assert dst.keys() == sorted(held)  # a key src lacks is skipped
         for k in held:
@@ -181,17 +182,20 @@ class TestStoreIntegration:
         store = RrdStore(mode="full", rra_specs=compact_rra_specs())
         plan = store.column_plan([self.key("a")])
         store.update_columns(plan, 10.0, np.array([1.0]))
-        store.update(self.key("a"), 25.0, 5.0)  # replay-style scalar write
+        # a scalar write through the database view lands in the same slot
+        store.database(self.key("a")).update(25.0, 5.0)
         assert store.database(self.key("a")).updates == 2
 
     def test_scalar_then_plan_writes_keep_one_history(self):
-        # a key first archived by scalar updates (a summary series, say)
-        # and later bound into a plan continues in the same bank slot
+        # a key first written through its database view and later bound
+        # into a wider layout's plan continues in the same bank slot
         store = RrdStore(mode="full", rra_specs=compact_rra_specs())
         twin = RrdDatabase(step=15.0, rra_specs=compact_rra_specs())
+        store.column_plan([self.key("a")])
+        scalar = store.database(self.key("a"))
         for step in range(12):
             t = 4.0 + 15.0 * step
-            store.update(self.key("a"), t, float(step))
+            scalar.update(t, float(step))
             twin.update(t, float(step))
         plan = store.column_plan([self.key("b"), self.key("a")])
         assert len(store) == 2 and store.create_count == 2

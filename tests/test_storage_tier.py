@@ -2,9 +2,9 @@
 
 The tier's contract has three faces, each pinned here:
 
-- **RrdStore surface** -- scalar and columnar writes land the same
-  values a single :class:`~repro.rrd.store.RrdStore` would hold, and
-  account mode mirrors the baseline's empty-key-list parity;
+- **RrdStore surface** -- single-key and many-key plan scatters land
+  the same values a single :class:`~repro.rrd.store.RrdStore` would
+  hold, and account mode mirrors the baseline's empty-key-list parity;
 - **robustness** -- kills fail fetches over to surviving replicas,
   lost-write and failure counters move, and the anti-entropy sweep
   restores full replication (including re-syncing restarted-but-stale
@@ -22,13 +22,14 @@ import pytest
 from repro.faults.injector import FaultInjector
 from repro.faults.schedules import FaultEvent, FaultSchedule
 from repro.net.fabric import Fabric
-from repro.rrd.store import MetricKey, RrdStore
+from repro.rrd.store import SUMMARY_HOST, MetricKey, RrdStore
 from repro.sim.engine import Engine
 from repro.storage import (
     StorageTier,
     StorageTierConfig,
     StorageUnavailable,
 )
+from tests.helpers import archive_summary
 
 
 def make_tier(engine, **overrides):
@@ -48,11 +49,18 @@ def key(host, metric="cpu_user", source="sdsc", cluster="c0"):
     return MetricKey(source, cluster, host, metric)
 
 
+def write(store, k, t, value):
+    """One sample to one series: a single-key plan scatter."""
+    store.update_columns(store.column_plan([k]), t, np.array([value]))
+
+
 def write_ramp(store, keys, steps=8, step=15.0, t0=15.0):
+    """A ramp per key, each key written through its own one-key plan."""
+    plans = [store.column_plan([k]) for k in keys]
     for i in range(steps):
         t = t0 + i * step
-        for j, k in enumerate(keys):
-            store.update(k, t, float(10 * j + i))
+        for j, plan in enumerate(plans):
+            store.update_columns(plan, t, np.array([float(10 * j + i)]))
 
 
 def assert_same_series(a, b):
@@ -100,10 +108,12 @@ class TestTierSurface:
 
     def test_update_summary_writes_base_and_num(self, engine):
         tier = make_tier(engine)
-        tier.update_summary("sdsc", "c0", "load_one", 15.0, 42.0, 7)
+        archive_summary(tier, "sdsc", "c0", 15.0, load_one=(42.0, 7))
         assert tier.update_count == 2
         metrics = {k.metric for k in tier.keys()}
         assert metrics == {"load_one", "load_one.num"}
+        num = MetricKey("sdsc", "c0", SUMMARY_HOST, "load_one.num")
+        assert tier.database(num).last_update_time == 15.0
 
     def test_replicas_hold_identical_copies(self, engine):
         tier = make_tier(engine)
@@ -166,10 +176,10 @@ class TestFailoverAndRepair:
     def test_writes_with_no_live_replica_are_lost(self, engine):
         tier = make_tier(engine, nodes=2, replication=2)
         k = key("h0")
-        tier.update(k, 15.0, 1.0)
+        write(tier, k, 15.0, 1.0)
         for name in list(tier.nodes):
             tier.kill_node(name)
-        tier.update(k, 30.0, 2.0)
+        write(tier, k, 30.0, 2.0)
         assert tier.updates_lost == 1
         assert tier.update_count == 2  # logical count still moves
 
@@ -199,11 +209,11 @@ class TestFailoverAndRepair:
     def test_restarted_node_is_stale_until_synced(self, engine):
         tier = make_tier(engine)
         k = key("h0")
-        tier.update(k, 15.0, 1.0)
+        write(tier, k, 15.0, 1.0)
         s = tier._shard_of(k)
         victim = tier.shard_map.replicas[s][0]
         tier.kill_node(victim)
-        tier.update(k, 30.0, 2.0)  # missed by the victim
+        write(tier, k, 30.0, 2.0)  # missed by the victim
         tier.restart_node(victim)
         assert victim not in tier._fresh_live(s)
         tier.repair_sweep()
@@ -221,7 +231,7 @@ class TestFailoverAndRepair:
     def test_repair_survives_total_shard_loss_until_restart(self, engine):
         tier = make_tier(engine, nodes=2, replication=2)
         k = key("h0")
-        tier.update(k, 15.0, 1.0)
+        write(tier, k, 15.0, 1.0)
         for name in list(tier.nodes):
             tier.kill_node(name)
         assert tier.repair_sweep() == 0  # nothing fresh to copy from
