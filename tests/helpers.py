@@ -33,6 +33,16 @@ def cluster_snapshot(cluster: ClusterElement, **fields) -> SourceSnapshot:
     return SourceSnapshot.from_cluster(cluster, InternPool(), **fields)
 
 
+def summary_of(**metrics) -> SummaryInfo:
+    """A summary from ``name=(total, num)`` reductions, in keyword order."""
+    return SummaryInfo(
+        metrics={
+            name: MetricSummary(name, total, num)
+            for name, (total, num) in metrics.items()
+        }
+    )
+
+
 def archive_summary(store, source: str, cluster: str, t: float, **metrics):
     """Archive one summary poll into ``store`` the way a gmetad does.
 
@@ -40,11 +50,5 @@ def archive_summary(store, source: str, cluster: str, t: float, **metrics):
     each lands as the ``name`` and ``name.num`` series of
     :meth:`Archiver.archive_summary`'s one scatter.  Charges nothing.
     """
-    summary = SummaryInfo(
-        metrics={
-            name: MetricSummary(name, total, num)
-            for name, (total, num) in metrics.items()
-        }
-    )
     archiver = Archiver(store, charge=lambda work, category: 0.0, costs=CostModel())
-    return archiver.archive_summary(source, cluster, summary, t)
+    return archiver.archive_summary(source, cluster, summary_of(**metrics), t)

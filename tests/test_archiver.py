@@ -45,6 +45,7 @@ from repro.wire.model import (
     MetricSummary,
     SummaryInfo,
 )
+from tests.helpers import summary_of
 
 HEARTBEAT = 80.0
 SOURCES = ("a", "b")
@@ -350,14 +351,6 @@ def test_archiver_matches_the_per_key_loop(kind, steps, gaps, kill_at, victim):
 
 
 # -- one plan per layout ----------------------------------------------------
-
-
-def summary_of(**metrics) -> SummaryInfo:
-    return SummaryInfo(
-        metrics={
-            n: MetricSummary(n, total, num) for n, (total, num) in metrics.items()
-        }
-    )
 
 
 def test_summary_binds_one_plan_per_layout():
