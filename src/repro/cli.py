@@ -309,13 +309,9 @@ def _cmd_readtier(args: argparse.Namespace) -> int:
         print(f"  {replica.name:16s} gen={replica.ingest_versions} "
               f"({match})  served={replica.queries_served} "
               f"shed={replica.queries_shed} installs={replica.installs}")
-    rows = sum(r.feed_metric_rows for r in tier.replicas)
-    hits = sum(r.feed_fast_lane_hits for r in tier.replicas)
-    if rows:
-        print(f"feed parse: fast lane took {hits}/{rows} METRIC rows "
-              f"({hits / rows:.2f})")
-    else:
-        print("feed parse: no cluster records (grid sources only)")
+    print(f"feed lane: frames decoded="
+          f"{sum(r.feed_frames for r in tier.replicas)} XML bytes parsed="
+          f"{sum(r.feed_xml_bytes for r in tier.replicas)}")
     frames = [r.frame_counts() for r in tier.replicas]
     print(f"bin1 frames: encoded={sum(e for e, _ in frames)} "
           f"reused={sum(r for _, r in frames)}")

@@ -57,8 +57,13 @@ class OneLevelGmetad(GmetadBase):
         flat CLUSTER elements, so one poll may install many snapshots.
         Snapshots are keyed by *cluster* name: the root's datastore ends
         up with every cluster of the federation, whoever forwarded it.
+        A cluster this source delivered before and left out now has left
+        its union: its snapshot, origin and held archive writes go, so
+        nothing keeps serving, touching or replaying it.
         """
+        delivered = set()
         for cluster in doc.walk_clusters():
+            delivered.add(cluster.name)
             if cluster.is_summary:
                 # 2.5.1 predates summaries; ignore foreign summary data.
                 continue
@@ -74,6 +79,14 @@ class OneLevelGmetad(GmetadBase):
             )
             self.cluster_origin[cluster.name] = source
             self.datastore.install(snapshot, now)
+        departed = [
+            name for name, origin in self.cluster_origin.items()
+            if origin == source and name not in delivered
+        ]
+        for name in departed:
+            del self.cluster_origin[name]
+            self.datastore.remove_source(name)
+            self.archiver.forget(name)
 
     def _on_source_down(self, source: str, error: str) -> None:
         # mark every cluster this source delivered as unreachable

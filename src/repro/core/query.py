@@ -307,6 +307,10 @@ class QueryEngine:
     ) -> None:
         """``/source``, ``/source/host`` and ``/source/host/metric``.
 
+        A ``/source`` detail reply splices the memoized full-form
+        fragment when its stamp is current (read-only: a path query
+        never fills the cache) and charges what the arena's join would
+        have, else it is the arena's join or rendered from the columns.
         The matched host comes from the arena's pre-rendered fragment
         when the source has one, else it is rendered from the columns;
         a metric reply is that fragment's HOST opening line plus the
@@ -317,6 +321,11 @@ class QueryEngine:
         if len(path) == 1:
             if query.summary:
                 writer.cluster(snapshot.cluster, summary_only=True)
+                return
+            cached = snapshot.frag_cache.get("full") if self.memoize else None
+            if cached is not None and cached[0] == snapshot.detail_stamp:
+                writer.raw(cached[1])
+                stats.bytes_from_cache += self._detail.splice_reused(snapshot)
             else:
                 writer.raw(self._cluster_detail(snapshot, stats))
             return

@@ -43,11 +43,11 @@ class ReadTierConfig:
     #: subscription.  Effective only when the ingest daemon's
     #: ``binary_wire`` is on; otherwise the broker falls back to JSON.
     binary_feed: bool = False
-    #: columnar serve fast path on each replica: rebuild SoA columns and
-    #: a per-source fragment arena (:mod:`repro.serve`) from the shipped
-    #: feed fragments, so detail/path viewer queries splice pre-rendered
-    #: bytes and ``accept=bin1`` viewers get GBF1 frames straight from
-    #: the columns.  XML replies stay byte-identical either way.
+    #: columnar serve fast path on each replica: install the columns
+    #: decoded from the feed's frames in a per-source fragment arena
+    #: (:mod:`repro.serve`), so detail/path viewer queries splice
+    #: pre-rendered bytes and ``accept=bin1`` viewers get the shipped
+    #: GBF1 frames.  XML replies stay byte-identical either way.
     columnar_serve: bool = False
 
     def __post_init__(self) -> None:

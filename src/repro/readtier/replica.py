@@ -14,39 +14,49 @@ Generation barrier
     Each applied feed message is one atomic diff of the broker's
     published state, so the mirror is always internally consistent.
     The replica still checks the ingest version triple from
-    ``__repl__/@gen`` and *stages* every changed source -- parses both
-    fragments, rebuilds the snapshot -- before touching its datastore;
-    only when the whole batch stages cleanly are the snapshots
-    installed and the triple adopted.  Any inconsistency aborts the
-    batch and falls back to the pub-sub full-sync recovery path, so a
-    query can never observe a half-applied generation.
+    ``__repl__/@gen`` and *stages* every changed source -- decodes or
+    parses its records, rebuilds the snapshot -- before touching its
+    datastore; only when the whole batch stages cleanly are the
+    snapshots installed and the triple adopted.  Any inconsistency
+    aborts the batch and falls back to the pub-sub full-sync recovery
+    path, so a query can never observe a half-applied generation.
 
 Byte identity
-    Shipped fragments are primed into each installed snapshot's
-    ``frag_cache`` under the install's serialization stamps, so
-    whole-tree dumps splice the ingest daemon's exact strings.  A
-    cluster's detail fragment parses straight into columns, as a
-    columnar ingest poll does, and installs as a hostless shell plus
-    columns plus fragment arena; path queries answer off those exactly
-    as on the ingest daemon, which the equivalence suites pin.
+    A cluster source's detail record is the GBF1 ``CLUSTER_DOC`` frame
+    of the ingest's columns: it decodes straight into the replica's
+    intern pool (no XML parse) and installs as a hostless shell plus
+    columns plus fragment arena, as a binary ingest poll does.  Once
+    per install the arena adopts the shipped frame as its held frame
+    (a ``bin1`` read encodes nothing), and the arena's joined fragment
+    is primed into the snapshot's ``frag_cache`` under the install's
+    detail stamp -- a read that leaves the arena's fresh-byte counts
+    alone, so the first reply to splice it pays for the fresh hosts
+    exactly as the arena's join would.  Without ``columnar_serve``
+    there is no arena, and the fragment is rendered from the columns at
+    install instead.  Whole-tree dumps and ``/source`` replies splice
+    that fragment.  Summary records, grid sources and hostless shells
+    ship as the ingest's XML fragments and are primed as shipped.  Path
+    queries answer off the columns and arena exactly as on the ingest
+    daemon, which the equivalence suites pin.
 
 Validation
     Validation belongs at trust boundaries: where bytes arrive from a
-    gmond or a child gmetad.  The feed is not one.  It carries the
-    ingest daemon's own writer output, CRC-framed on the binary feed,
-    so a replica parses it under the ingest daemon's own
-    ``validate_xml`` switch (off by default), which lets the columnar
-    parser's bulk lane take the fragment; with validation on, every
-    fragment takes the tree route.  Structural damage -- a cut tag, an
-    unclosed element, an unknown TYPE -- still raises with validation
-    off, and the generation barrier aborts the batch on it.
-    ``feed_metric_rows`` and ``feed_fast_lane_hits`` count the METRIC
-    rows of installed feed records and how many the bulk lane built;
-    the hits read 0 under validation.
+    gmond or a child gmetad.  The feed is not one.  Its frames carry
+    the ingest daemon's own columns, and :func:`decode_document` checks
+    each one whole before anything is built from it: the CRC over the
+    logical content, the exact body length, and the TYPE/SLOPE
+    vocabulary; a record that is not base64, not a ``CLUSTER_DOC``, or
+    names another cluster than its summary record is refused too.  The
+    XML records parse under the ingest daemon's own ``validate_xml``
+    switch (off by default); structural damage still raises with
+    validation off.  Either way the generation barrier aborts the
+    batch.  ``feed_frames`` and ``feed_xml_bytes`` count the frames
+    decoded and the XML bytes parsed for installed feed records.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from typing import Iterable, Optional, Tuple
 
@@ -61,21 +71,19 @@ from repro.pubsub import messages
 from repro.pubsub.client import PUSH_NOTIFY_PORT, PushClient
 from repro.readtier.config import ReadTierConfig
 from repro.readtier.feed import (
+    FRAME_FORM,
     GEN_KEY,
     REPL_PREFIX,
     detail_key,
     meta_key,
     summary_key,
 )
+from repro.serve.fragments import memoized_source_fragment
 from repro.sim.engine import Engine
 from repro.sim.resources import DEFAULT_CAPACITY, CostModel, CpuAccount
+from repro.wire.binfmt import CLUSTER_DOC, decode_document
 from repro.wire.model import SummaryInfo
-from repro.wire.parser import (
-    ColumnarFallback,
-    ParseError,
-    parse_columnar,
-    parse_document,
-)
+from repro.wire.parser import ParseError, parse_document
 
 _PROLOG = '<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n'
 
@@ -137,7 +145,7 @@ class ReadReplica(QueryServer):
             version=self.version,
             memoize=True,
         )
-        #: the pool shipped cluster fragments parse into; ids stay
+        #: the pool shipped cluster frames decode into; ids stay
         #: stable across installs, so arena diffs see the same layout
         self._intern_pool = InternPool()
         self.address = Address.gmetad(self.host)
@@ -160,10 +168,9 @@ class ReadReplica(QueryServer):
         self.installs = 0
         self.removals = 0
         self.barrier_aborts = 0
-        #: METRIC rows of the installed feed records' columnar parses,
-        #: and how many of them the parser's fast lane took
-        self.feed_metric_rows = 0
-        self.feed_fast_lane_hits = 0
+        #: frames decoded and XML bytes parsed for installed records
+        self.feed_frames = 0
+        self.feed_xml_bytes = 0
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -239,26 +246,37 @@ class ReadReplica(QueryServer):
                     source, meta_raw, detail, summary
                 )
             except (FeedError, ParseError, ValueError, KeyError):
+                # FrameError and a base64 binascii.Error are ValueErrors
                 self._abort_barrier()
                 return
         # barrier complete: every changed source staged cleanly
         now = self.engine.now
         for source in sorted(staged):
-            snapshot, up, detail, summary, (rows, hits) = staged[source]
+            snapshot, up, frame, detail, summary = staged[source]
             self.datastore.install(snapshot, now)
             snapshot.up = up
-            # the shipped strings ARE the serve output: prime the
-            # memo cache under the install's fresh stamps so dumps
-            # splice the ingest daemon's exact bytes
-            snapshot.frag_cache["full"] = (snapshot.detail_stamp, detail)
             snapshot.frag_cache["summary"] = (snapshot.summary_stamp, summary)
-            if snapshot.columns is not None and snapshot.columns.host_count:
-                # the arena is shared across installs, so it only moves
-                # once the barrier holds
-                snapshot.arena = self._install_arena(source, snapshot.columns)
             self.installs += 1
-            self.feed_metric_rows += rows
-            self.feed_fast_lane_hits += hits
+            self.feed_xml_bytes += len(summary)
+            if frame is None:
+                # the shipped string IS the serve output: prime the memo
+                # cache under the install's fresh stamp so dumps splice
+                # the ingest daemon's exact bytes
+                snapshot.frag_cache["full"] = (snapshot.detail_stamp, detail)
+                self.feed_xml_bytes += len(detail)
+                continue
+            self.feed_frames += 1
+            # the arena is shared across installs, so it only moves
+            # once the barrier holds
+            arena = self._install_arena(source, snapshot.columns)
+            if arena is None:
+                # no arena to join: render the fragment once, from the
+                # columns, under the install's stamp
+                memoized_source_fragment(self.query_engine, snapshot, "full")
+                continue
+            snapshot.arena = arena
+            arena.hold_frame(frame)
+            snapshot.frag_cache["full"] = (snapshot.detail_stamp, arena.fragment())
         for source in removals:
             if self.datastore.remove_source(source):
                 self._serve_arenas.pop(source, None)
@@ -271,71 +289,79 @@ class ReadReplica(QueryServer):
 
     def _build_snapshot(
         self, source: str, meta_raw: str, detail: str, summary: str
-    ) -> Tuple[SourceSnapshot, bool, str, str, Tuple[int, int]]:
-        """Parse one source's feed records back into a snapshot.
+    ) -> Tuple[SourceSnapshot, bool, Optional[bytes], str, str]:
+        """Rebuild one source's snapshot from its feed records.
 
-        A cluster's detail fragment goes through the ingest daemon's
-        columnar parse into this replica's intern pool and stages as a
-        hostless shell plus columns, except a summary-form cluster,
-        which has no hosts and stays the tree parser's element.
-        All three records parse under the ingest daemon's
-        ``validate_xml`` (see "Validation" above).  The last element of
-        the result is the parse's ``(METRIC rows, fast-lane hits)``,
-        added to the replica's counts only once the barrier holds.
+        A framed detail record decodes into this replica's intern pool
+        and stages as a hostless shell plus columns; it must hold one
+        ``CLUSTER_DOC`` cluster named as in the summary record.  An XML
+        detail record (a grid, a hostless cluster shell) and every
+        summary record go through the tree parser under the ingest
+        daemon's ``validate_xml`` (see "Validation" above).  Returns
+        ``(snapshot, up, frame or None, detail, summary)``.
         """
         meta = json.loads(meta_raw)
         kind = meta.get("k", "cluster")
-        self.charge(
-            self.costs.parse_byte * (len(detail) + len(summary)), "parse"
-        )
         validate = self.ingest.validate_xml
-        cdoc = detail_doc = None
-        try:
-            if kind == "cluster":
-                cdoc = parse_columnar(self._wrap(detail), self._intern_pool, validate)
-            else:
-                detail_doc = parse_document(self._wrap(detail), validate)
-        except ColumnarFallback as fallback:
-            detail_doc = fallback.document
-        summary_doc = parse_document(self._wrap(summary), validate)
-        lane = (0, 0)
-        if cdoc is not None:
+        columns = frame = detail_doc = None
+        if meta.get("d") == FRAME_FORM:
+            frame = base64.b64decode(detail, validate=True)
+            self.charge(
+                self.costs.binfmt_byte * len(frame)
+                + self.costs.parse_byte * len(summary),
+                "parse",
+            )
+            frame_kind, cdoc = decode_document(frame, self._intern_pool)
+            if frame_kind != CLUSTER_DOC or len(cdoc.clusters) != 1:
+                raise FeedError(f"feed frame for {source!r} is not one cluster")
+            columns = cdoc.clusters[0]
             inserts = cdoc.element_count
-            lane = (sum(c.row_count for c in cdoc.clusters),
-                    cdoc.fast_lane_hits)
         else:
+            self.charge(
+                self.costs.parse_byte * (len(detail) + len(summary)), "parse"
+            )
+            detail_doc = parse_document(self._wrap(detail), validate)
             inserts = document_element_count(detail_doc)
+        summary_doc = parse_document(self._wrap(summary), validate)
         self.charge(self.costs.hash_insert * inserts, "parse")
-        cluster = columns = grid = None
+        cluster = grid = None
         if kind == "cluster":
-            if cdoc is not None and cdoc.clusters:
-                columns = cdoc.clusters[0]
+            if columns is not None:
                 cluster = columns.shell_cluster()
-            elif detail_doc is not None and detail_doc.clusters:
+            elif detail_doc.clusters:
                 cluster = next(iter(detail_doc.clusters.values()))
             if cluster is None or not summary_doc.clusters:
                 raise FeedError(f"feed for {source!r} lost its cluster")
             element = next(iter(summary_doc.clusters.values()))
+            if element.name != cluster.name:
+                raise FeedError(
+                    f"feed for {source!r} ships cluster {cluster.name!r} "
+                    f"under summary {element.name!r}"
+                )
         else:
-            if not detail_doc.grids or not summary_doc.grids:
+            if (
+                detail_doc is None
+                or not detail_doc.grids
+                or not summary_doc.grids
+            ):
                 raise FeedError(f"feed for {source!r} lost its grid")
             grid = next(iter(detail_doc.grids.values()))
             element = next(iter(summary_doc.grids.values()))
         info = element.summary if element.summary is not None else SummaryInfo()
         if cluster is not None and meta.get("cs"):
-            # restore the ingest-side aliasing the full-form
-            # serialization dropped (see repro.readtier.feed)
+            # restore the ingest-side aliasing the detail record dropped
+            # (see repro.readtier.feed)
             cluster.summary = info
         snapshot = SourceSnapshot(
             name=source,
-            kind="cluster" if cluster is not None else "grid",
+            kind=kind,
             summary=info,
             cluster=cluster,
             grid=grid,
             columns=columns,
             authority=meta.get("a", ""),
         )
-        return snapshot, bool(meta.get("u", 1)), detail, summary, lane
+        return snapshot, bool(meta.get("u", 1)), frame, detail, summary
 
     def _wrap(self, fragment: str) -> str:
         return (

@@ -21,12 +21,15 @@ re-render every install: over-invalidation is allowed, staleness is not
 (``test_serve_churn`` pins this).
 
 The arena also holds the GBF1 ``CLUSTER_DOC`` frame of its current
-columns, the answer to a ``bin1`` ``/source`` request.  The frame is
-encoded on the first such request after an install and dropped by the
-next :meth:`FragmentArena.install`, so repeated binary reads of one
-install encode once, and an install no one reads in binary encodes
-nothing.  A quarantined source keeps its last-good columns, so it keeps
-serving its last-good frame.
+columns, the answer to a ``bin1`` ``/source`` request and a read
+tier's feed record.  The frame is encoded on the first such read after
+an install and dropped by the next :meth:`FragmentArena.install`, so
+repeated binary reads of one install encode once, and an install no
+one reads in binary encodes nothing.  A read replica, whose columns
+were decoded from the ingest's frame, holds that frame instead
+(:meth:`FragmentArena.hold_frame`) and encodes nothing.  A quarantined
+source keeps its last-good columns, so it keeps serving its last-good
+frame.
 """
 
 from __future__ import annotations
@@ -170,16 +173,27 @@ class FragmentArena:
         path.  Fragments rendered since the last read count as fresh
         exactly once.
         """
+        return self.fragment(), self.take_reused_bytes()
+
+    def fragment(self) -> str:
+        """The full CLUSTER fragment, joined; a read that counts nothing."""
         frags = self._frags
         parts = [self._open_tag]
         parts.extend(frags[h] for h in self._order)
         parts.append("</CLUSTER>\n")
+        return "".join(parts)
+
+    def take_reused_bytes(self) -> int:
+        """The accounting half of :meth:`detail_fragment`: bytes a reply
+        splicing the current fragment reuses.  Fresh bytes count once,
+        so a reply that splices a held copy of :meth:`fragment` pays
+        what the join would have."""
         fresh_bytes = min(self._fresh_bytes, self._total_bytes)
-        fresh_hosts = min(self._fresh_hosts, len(frags))
+        fresh_hosts = min(self._fresh_hosts, len(self._frags))
         self._fresh_bytes = 0
         self._fresh_hosts = 0
-        self.frag_hits += len(frags) - fresh_hosts
-        return "".join(parts), self._total_bytes - fresh_bytes
+        self.frag_hits += len(self._frags) - fresh_hosts
+        return self._total_bytes - fresh_bytes
 
     def cluster_frame(self, version: str) -> bytes:
         """The GBF1 ``CLUSTER_DOC`` frame of the current columns.
@@ -199,6 +213,16 @@ class FragmentArena:
         )
         self.frames_encoded += 1
         return self._frame
+
+    def hold_frame(self, frame: bytes) -> None:
+        """Hold ``frame`` as the current columns' frame, unencoded.
+
+        For a daemon whose columns were decoded from that very frame (a
+        read replica installing its feed record): the frame encodes the
+        same content, so :meth:`cluster_frame` answers with it until the
+        next :meth:`install`.
+        """
+        self._frame = frame
 
     def host_fragment(self, host_name: str) -> Optional[str]:
         """The pre-rendered HOST fragment, or None if unknown."""

@@ -52,6 +52,14 @@ class DetailRenderer:
             return snapshot.arena.detail_fragment()
         return render_cluster(cols, self.host_renderer(cols)), 0
 
+    def splice_reused(self, snapshot) -> int:
+        """The reused-byte count :meth:`cluster` would report, for a
+        reply that splices a held copy of its fragment instead."""
+        cols = snapshot.columns
+        if cols is None or cols.host_count == 0 or snapshot.arena is None:
+            return 0
+        return snapshot.arena.take_reused_bytes()
+
 
 def summary_cluster_element(snapshot) -> ClusterElement:
     """The element a cluster source's summary form serializes from.

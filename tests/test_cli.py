@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -131,12 +133,18 @@ class TestReadtierCommand:
             "--clients", "200", "--window", "30"]
 
     def test_drive_reports_lane_and_frames(self, capsys):
+        """At a leaf the replicas decode cluster frames and parse only
+        summary XML; they serve ``bin1`` with the shipped frames, so
+        they encode none."""
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
-        assert "(1.00)" in out.split("feed parse:")[1].splitlines()[0]
+        lane = re.search(
+            r"feed lane: frames decoded=(\d+) XML bytes parsed=(\d+)", out
+        )
+        assert lane and int(lane[1]) > 0 and int(lane[2]) > 0
         frames = out.split("bin1 frames: ")[1].splitlines()[0]
-        encoded = int(frames.split()[0].split("=")[1])
-        assert encoded > 0
+        encoded, reused = (int(f.split("=")[1]) for f in frames.split())
+        assert encoded == 0 and reused > 0
         assert "byte identity" in out and ": OK" in out
 
     def test_byte_identity_mismatch_fails_the_command(

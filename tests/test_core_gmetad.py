@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.topology import build_paper_tree
 from repro.core.gmetad import Gmetad
 from repro.core.gmetad_1level import OneLevelGmetad
 from repro.core.gmetad_base import document_element_count
@@ -301,6 +302,31 @@ class TestOneLevel:
         fabric.set_host_up(world.pseudo.server_host, False)
         engine.run_for(60.0)
         assert not daemon.datastore.source("meteor").up
+
+    def test_cluster_that_leaves_a_union_is_forgotten(self):
+        """A child drops a cluster from its union: every 1-level daemon
+        above it stops serving, touching and archiving that cluster."""
+        fed = build_paper_tree(
+            "1level", hosts_per_cluster=2, freeze_values=True,
+            incremental=True, archive_mode="full",
+        ).start()
+        fed.engine.run_for(120.0)
+        attic = fed.gmetad("attic")
+        attic.remove_data_source("attic-c0")
+        fed.engine.run_for(600.0)
+        for name in ("sdsc", "root"):
+            daemon = fed.gmetad(name)
+            assert "attic-c0" not in daemon.datastore.sources, name
+            assert "attic-c0" not in daemon.cluster_origin, name
+            assert 'CLUSTER NAME="attic-c0"' not in daemon.serve_query("/")[0]
+            assert 'CLUSTER NAME="attic-c1"' in daemon.serve_query("/")[0]
+            # the archive stops at the poll that saw the cluster leave
+            for key in daemon.rrd_store.keys_for_host(
+                "attic-c0", "attic-c0", "attic-c0-0-0"
+            ):
+                last = daemon.rrd_store.database(key).last_update_time
+                assert last < 200.0, (name, key, last)
+            assert daemon.archiver.replay("attic-c0", fed.engine.now) == 0
 
 
 class TestElementCounting:

@@ -1,5 +1,7 @@
-"""Read-tier replica tests: byte identity, the generation barrier, and
-the frag-stamp consistency invariant under churn.
+"""Read-tier replica tests: byte identity, the generation barrier
+(damaged or mismatched frame records install nothing), the frame-only
+decode of cluster records, and the frag-stamp consistency invariant
+under churn.
 
 The acceptance property of the tier is exact: with ``read_tier`` on, a
 synced replica at the same ingest version triple serves byte-identical
@@ -7,12 +9,15 @@ answers to the ingest gmetad for every query form.  With ``read_tier``
 off (the default) nothing changes -- the feed does not even exist.
 """
 
-import re
+import base64
+import functools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import InternPool
 from repro.core.gmetad import Gmetad
 from repro.core.tree import GmetadConfig
 from repro.gmond.pseudo import PseudoGmond
@@ -30,8 +35,9 @@ from repro.readtier.feed import (
 from repro.readtier.replica import FeedError, ReadReplica
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from repro.wire import parser
+from repro.wire.binfmt import decode_document, encode_cluster_document
 from repro.wire.conditional import NotModified, TaggedXml, with_generation
-from repro.wire.parser import ParseError
 
 
 QUERIES = [
@@ -53,11 +59,11 @@ def world(engine, fabric, tcp, rngs):
 
         def build(
             self, read_tier=ReadTierConfig(), sources=("meteor", "torus"),
-            validate_xml=False,
+            validate_xml=False, **config_kwargs,
         ):
             config = GmetadConfig(
                 name="sdsc", host="gmeta-sdsc", archive_mode="account",
-                read_tier=read_tier,
+                read_tier=read_tier, **config_kwargs,
             )
             for i, name in enumerate(sources):
                 pseudo = PseudoGmond(
@@ -90,34 +96,79 @@ def assert_matched_generation(daemon, replica):
     )
 
 
-def torn_open_tag(detail):
-    return "<CLUSTER NAME='broken"
+#: meta record of a cluster source whose detail record is a frame
+FRAMED_META = '{"a":"","cs":0,"d":"bin1","k":"cluster","u":1}'
 
 
-def cut_mid_metric(detail):
-    return detail[: detail.index("<METRIC ") + len('<METRIC NAME="lo')]
+def reframe(frame):
+    return base64.b64encode(bytes(frame)).decode("ascii")
 
 
-def cut_mid_host(detail):
-    return detail[: detail.index("<HOST ") + len('<HOST NAME="')]
+def cut_frame(mirror, daemon):
+    frame = base64.b64decode(mirror[detail_key("meteor")])
+    return reframe(frame[: len(frame) // 2]), mirror[summary_key("meteor")]
 
 
-def cluster_left_open(detail):
-    return detail[: detail.index("</HOST>") + len("</HOST>\n")]
+def bit_flipped_frame(mirror, daemon):
+    frame = bytearray(base64.b64decode(mirror[detail_key("meteor")]))
+    frame[len(frame) // 2] ^= 0x10
+    return reframe(frame), mirror[summary_key("meteor")]
 
 
-def unknown_metric_type(detail):
-    return re.sub(r'TYPE="[^"]*"', 'TYPE="bogus"', detail, count=1)
+def not_base64(mirror, daemon):
+    detail = mirror[detail_key("meteor")]
+    return detail[:40] + "<HOST>" + detail[40:], mirror[summary_key("meteor")]
 
 
-#: damaged cluster detail fragments, each cut from a real feed record
-TEARS = [
-    torn_open_tag,
-    cut_mid_metric,
-    cut_mid_host,
-    cluster_left_open,
+def summary_doc_frame(mirror, daemon):
+    frame, _ = daemon.serve_binary("/?filter=summary")
+    return reframe(frame), mirror[summary_key("meteor")]
+
+
+def cluster_name_mismatch(mirror, daemon):
+    return mirror[detail_key("torus")], mirror[summary_key("meteor")]
+
+
+def unknown_metric_type(mirror, daemon):
+    """A sound frame (CRC and length hold) naming a TYPE outside the DTD."""
+    pool = InternPool()
+    _, cdoc = decode_document(
+        base64.b64decode(mirror[detail_key("meteor")]), pool
+    )
+    cols = cdoc.clusters[0]
+    cols.type_ids = cols.type_ids.copy()
+    cols.type_ids[0] = pool.intern("bogus")
+    return (
+        reframe(encode_cluster_document(cdoc)),
+        mirror[summary_key("meteor")],
+    )
+
+
+#: damaged cluster records, each made from a real feed record: the
+#: frame cut or bit-flipped, text that is not base64, a frame of the
+#: wrong kind, a sound frame of another cluster, and a sound frame
+#: whose content fails the decoder's vocabulary check
+DAMAGES = [
+    cut_frame,
+    bit_flipped_frame,
+    not_base64,
+    summary_doc_frame,
+    cluster_name_mismatch,
     unknown_metric_type,
 ]
+
+
+def count_sync_requests(replica):
+    """Count the replica's full-sync requests (the barrier's recovery)."""
+    calls = []
+    request_sync = replica.client.request_sync
+
+    def counting():
+        calls.append(1)
+        request_sync()
+
+    replica.client.request_sync = counting
+    return calls
 
 
 class TestByteIdentity:
@@ -257,75 +308,151 @@ class TestGenerationBarrier:
         assert replica.ingest_versions == versions_before
         assert replica.barrier_aborts == aborts_before + 1
 
-    @pytest.mark.parametrize("tear", TEARS, ids=[t.__name__ for t in TEARS])
-    def test_unparseable_fragment_aborts_whole_batch(self, world, engine, tear):
-        """Damage that still raises with validation off aborts the whole
-        batch: the feed parses on the fast lane, not unchecked."""
-        world.build()
+    @pytest.mark.parametrize(
+        "damage", DAMAGES, ids=[d.__name__ for d in DAMAGES]
+    )
+    def test_unparseable_fragment_aborts_whole_batch(self, world, engine, damage):
+        """A damaged or mismatched cluster record aborts the whole
+        batch and requests a full sync: "meteor" stages first and
+        cleanly, but nothing from a batch that also holds the damaged
+        "zulu" installs."""
+        daemon = world.build()
         replica = world.replica()
         engine.run_for(60.0)
-        assert not replica.ingest.validate_xml
         mirror = replica.client.stream.mirror
-        meta = '{"a":"","cs":0,"k":"cluster","u":1}'
-        detail = tear(mirror[detail_key("meteor")])
-        summary = mirror[summary_key("meteor")]
-        # an unterminated tag is invisible to the tag scan without
-        # validation, so the parse finds no cluster; every cut inside a
-        # real record is a structural error the parser always raises
-        expected = FeedError if tear is torn_open_tag else ParseError
-        with pytest.raises(expected):
-            replica._build_snapshot("zulu", meta, detail, summary)
-        mirror[meta_key("zulu")] = meta
+        detail, summary = damage(mirror, daemon)
+        with pytest.raises((FeedError, ValueError)):
+            replica._build_snapshot("zulu", FRAMED_META, detail, summary)
+        mirror[meta_key("zulu")] = FRAMED_META
         mirror[detail_key("zulu")] = detail
         mirror[summary_key("zulu")] = summary
         installs_before = replica.installs
-        rows_before = replica.feed_metric_rows
+        frames_before = replica.feed_frames
         meteor_before = replica.datastore.sources["meteor"]
-        # "meteor" stages first and cleanly, but the batch also holds
-        # the torn "zulu": nothing from the batch may install
+        syncs = count_sync_requests(replica)
         replica._rebuild({"meteor", "zulu"})
         assert replica.barrier_aborts == 1
+        assert syncs == [1]
         assert replica.installs == installs_before
-        # rows count only for records that installed
-        assert replica.feed_metric_rows == rows_before
+        # frames count only for records that installed
+        assert replica.feed_frames == frames_before
         assert replica.datastore.sources["meteor"] is meteor_before
         assert "zulu" not in replica.datastore.sources
 
-    def test_declined_full_form_fragment_stages_columns(self, world, engine):
-        """A full-form fragment the columnar builder declines (a repeated
-        HOST) is converted into the replica's pool, not staged as a tree."""
-        world.build()
-        replica = world.replica()
-        engine.run_for(60.0)
-        mirror = replica.client.stream.mirror
-        meta = '{"a":"","cs":0,"k":"cluster","u":1}'
-        detail = mirror[detail_key("meteor")]
-        start = detail.index("<HOST ")
-        first_host = detail[start: detail.index("</HOST>") + len("</HOST>\n")]
-        detail = detail[:start] + first_host + detail[start:]
-        snapshot, *_ = replica._build_snapshot(
-            "meteor", meta, detail, mirror[summary_key("meteor")]
-        )
-        assert snapshot.cluster.hosts == {}
-        assert snapshot.columns.pool is replica._intern_pool
-        assert snapshot.columns.host_count == 3
+
+@functools.lru_cache(maxsize=None)
+def synced_replica():
+    """One synced replica, shared by the frame-damage examples (each
+    example's batch aborts, so it leaves the replica as it found it)."""
+    engine = Engine()
+    fabric = Fabric()
+    tcp = TcpNetwork(engine, fabric)
+    pseudo = PseudoGmond(
+        engine, fabric, tcp, "meteor", num_hosts=3,
+        rng=RngRegistry(7).stream("meteor"),
+    )
+    config = GmetadConfig(
+        name="sdsc", host="gmeta-sdsc", archive_mode="account",
+        read_tier=ReadTierConfig(),
+    )
+    config.add_source("meteor", [pseudo.address])
+    daemon = Gmetad(engine, fabric, tcp, config).start()
+    daemon.attach_pubsub()
+    replica = ReadReplica(
+        engine, fabric, tcp, daemon, name="r1", host="gmeta-sdsc-r1"
+    ).start()
+    engine.run_for(60.0)
+    assert replica.synced
+    return replica
 
 
-class TestFeedParseLane:
-    """Validation sits at trust boundaries: the feed is the ingest
-    daemon's own writer output, so it parses under the ingest's
-    ``validate_xml`` and its METRIC rows ride the fast lane."""
+frame_damage = st.one_of(
+    st.tuples(st.just("cut"), st.integers(min_value=0, max_value=2**20)),
+    st.tuples(st.just("flip"), st.integers(min_value=0, max_value=2**23)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=8)),
+)
 
-    @pytest.mark.parametrize("validate_xml, share", [(False, 1.0), (True, 0.0)])
-    def test_fast_lane_share_follows_ingest_validation(
-        self, world, engine, validate_xml, share
+
+@settings(deadline=None)
+@given(frame_damage)
+def test_damaged_frame_installs_nothing(damage):
+    """Any cut, any single bit flip, any trailing bytes: the frame check
+    refuses the record whole, nothing installs, a full sync is asked."""
+    replica = synced_replica()
+    mirror = replica.client.stream.mirror
+    frame = bytearray(base64.b64decode(mirror[detail_key("meteor")]))
+    op, arg = damage
+    if op == "cut":
+        frame = frame[: arg % len(frame)]
+    elif op == "flip":
+        bit = arg % (8 * len(frame))
+        frame[bit // 8] ^= 1 << (bit % 8)
+    else:
+        frame += arg
+    mirror[meta_key("zulu")] = FRAMED_META
+    mirror[detail_key("zulu")] = reframe(frame)
+    mirror[summary_key("zulu")] = mirror[summary_key("meteor")]
+    installs = replica.installs
+    aborts = replica.barrier_aborts
+    meteor = replica.datastore.sources["meteor"]
+    syncs = count_sync_requests(replica)
+    try:
+        replica._rebuild({"meteor", "zulu"})
+    finally:
+        for key in (meta_key("zulu"), detail_key("zulu"), summary_key("zulu")):
+            del mirror[key]
+        del replica.client.request_sync
+    assert replica.barrier_aborts == aborts + 1
+    assert syncs == [1]
+    assert replica.installs == installs
+    assert replica.datastore.sources["meteor"] is meteor
+    assert "zulu" not in replica.datastore.sources
+
+
+class TestFeedDecodeLane:
+    """Cluster records ship as frames: a replica decodes them and parses
+    no cluster XML, under the JSON feed and the binary feed alike."""
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["json", "bin1"])
+    def test_cluster_records_take_no_xml_parse(
+        self, world, engine, monkeypatch, binary
     ):
-        daemon = world.build(validate_xml=validate_xml)
-        replica = world.replica()
+        daemon = world.build(binary_wire=binary)
+        replica = world.replica(config=ReadTierConfig(binary_feed=binary))
+        parses = {"parse_columnar": 0, "parse_document": 0}
+        inside = []
+        for name in parses:
+            real = getattr(parser, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                if inside:
+                    parses[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        rebuild = replica._rebuild
+
+        def tracked(changed):
+            inside.append(True)
+            try:
+                rebuild(changed)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(replica, "_rebuild", tracked)
         engine.run_for(60.0)
+        world.pseudos["meteor"].mutate(hosts=[0])
+        engine.run_for(30.0)
         assert_matched_generation(daemon, replica)
-        assert replica.feed_metric_rows > 0
-        assert replica.feed_fast_lane_hits == share * replica.feed_metric_rows
+        assert (world.broker.codecs.get("replica:r1") == "bin1") == binary
+        assert replica.installs > 2
+        assert parses["parse_columnar"] == 0
+        # one XML parse per install: the summary record
+        assert parses["parse_document"] == replica.installs
+        assert replica.feed_frames == replica.installs
+        assert replica.frame_counts()[0] == 0
         for query in QUERIES:
             assert replica.serve_query(query)[0] == daemon.serve_query(query)[0]
 

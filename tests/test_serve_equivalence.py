@@ -311,7 +311,7 @@ def test_replica_columnar_serve_matches_daemon(engine, fabric, tcp, rngs):
 
 
 def test_replica_feed_builds_no_dom(engine, fabric, tcp, rngs, monkeypatch):
-    """Shipped cluster fragments parse straight into columns: with the
+    """Shipped cluster frames decode straight into columns: with the
     DOM-to-columns conversion disabled, a churned feed still installs
     and every query form stays byte-identical, with no materialization."""
 
@@ -462,9 +462,10 @@ def test_quarantined_source_keeps_last_good_frame(engine, fabric, tcp, rngs):
 def test_replica_bin1_frame_follows_feed_installs(
     engine, fabric, tcp, rngs, monkeypatch
 ):
-    """On a columnar-serve replica: one encode per feed install however
-    many ``bin1`` reads it serves, and a source the feed removes serves
-    no frame."""
+    """On a columnar-serve replica the ``bin1`` frame is the one the feed
+    shipped: byte for byte the frame of the ingest's columns, however
+    many reads it serves and across installs, with no encode at all;
+    a source the feed removes serves no frame."""
     config = GmetadConfig(
         name="sdsc", host="gmeta-sdsc", archive_mode="account",
         columnar=True, read_tier=ReadTierConfig(),
@@ -480,21 +481,23 @@ def test_replica_bin1_frame_follows_feed_installs(
         engine, fabric, tcp, daemon, name="rc", host="gmeta-sdsc-rc",
         config=ReadTierConfig(columnar_serve=True),
     ).start()
-    engine.run_for(60.0)
     encodes = count_encodes(monkeypatch)
+    engine.run_for(60.0)
     frames = {replica.serve_binary("/meteor")[0] for _ in range(3)}
-    assert len(frames) == 1 and len(encodes) == 1
+    assert len(frames) == 1
     frame = frames.pop()
-    assert frame == encode_installed(replica, "meteor")
+    assert frame == encode_installed(daemon, "meteor")
     assert decode_to_xml(frame) == replica.serve_query("/meteor")[0]
     installs = replica.installs
     pseudo.mutate(hosts=[2])
     engine.run_for(30.0)
     assert replica.installs > installs
-    assert replica.serve_binary("/meteor")[0] == encode_installed(
-        replica, "meteor"
-    )
-    assert len(encodes) == 2
+    fresh = replica.serve_binary("/meteor")[0]
+    assert fresh != frame
+    assert fresh == encode_installed(daemon, "meteor")
+    assert decode_to_xml(fresh) == daemon.serve_query("/meteor")[0]
+    assert encodes == []
+    assert replica.frame_counts() == (0, 4)
     assert_arenas_hold_columns(replica)
     # the feed drops the source: no arena, no frame
     from repro.readtier.feed import meta_key
@@ -503,6 +506,54 @@ def test_replica_bin1_frame_follows_feed_installs(
     replica._rebuild({"meteor"})
     assert replica.serve_binary("/meteor") is None
     assert "meteor" not in replica._serve_arenas
+
+
+def test_source_splice_charges_what_the_arena_join_would(
+    engine, fabric, tcp, rngs
+):
+    """A ``/source`` reply splicing the held full-form fragment returns
+    the arena join's bytes at the arena join's charge: on the first read
+    after an install (fresh hosts bill at the full rate) and on the next
+    (all reused).  Two replicas on one feed hold identical arenas; one
+    splices, the other has its held fragment dropped before each read."""
+    config = GmetadConfig(
+        name="sdsc", host="gmeta-sdsc", archive_mode="account",
+        columnar=True, incremental=True, read_tier=ReadTierConfig(),
+    )
+    pseudo = PseudoGmond(
+        engine, fabric, tcp, "meteor", num_hosts=4,
+        rng=rngs.stream("pg:meteor"),
+    )
+    config.add_source("meteor", [pseudo.address])
+    daemon = Gmetad(engine, fabric, tcp, config).start()
+    daemon.attach_pubsub()
+    splicer, joiner = (
+        ReadReplica(
+            engine, fabric, tcp, daemon, name=name, host=f"gmeta-sdsc-{name}",
+            config=ReadTierConfig(columnar_serve=True),
+        ).start()
+        for name in ("rs", "rj")
+    )
+    engine.run_for(60.0)
+    pseudo.mutate(hosts=[1])
+    engine.run_for(30.0)
+    expected, _ = daemon.serve_query("/meteor")
+    charged = []
+    for read in ("first", "again"):
+        held = splicer.datastore.source("meteor").frag_cache["full"][1]
+        assert held.startswith('<CLUSTER NAME="meteor"') and held in expected
+        joiner.datastore.source("meteor").frag_cache.pop("full", None)
+        spliced, spliced_seconds = splicer.serve_query("/meteor")
+        joined, joined_seconds = joiner.serve_query("/meteor")
+        assert spliced == joined == expected, read
+        assert spliced_seconds == joined_seconds, read
+        assert splicer.last_serve_cached_bytes == joiner.last_serve_cached_bytes
+        charged.append(spliced_seconds)
+    assert charged[0] > charged[1]  # the install's fresh hosts bill once
+    # a path query never fills the cache
+    assert "full" not in joiner.datastore.source("meteor").frag_cache
+    arena = splicer.datastore.source("meteor").arena
+    assert arena.frag_hits == joiner.datastore.source("meteor").arena.frag_hits
 
 
 # -- arena churn: never a stale host ---------------------------------------
