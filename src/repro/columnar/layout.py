@@ -27,8 +27,9 @@ pseudo-gmond emulator holds its cluster as columns.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -143,6 +144,127 @@ class InternPool:
         return len(self.strings)
 
 
+#: the row terminator of a :class:`TextColumn`; XML 1.0 (§2.2) excludes
+#: the character from documents, so no valid reply can carry it
+SEP = "\0"
+
+
+class TextColumn:
+    """A string column as one text: each row followed by U+0000.
+
+    ``starts[r]`` is where row ``r`` begins in ``text`` (``starts[N]``
+    is ``len(text)``), so row ``r`` is ``text[starts[r]:starts[r+1]-1]``
+    and a run of rows is one slice and one ``split``.  Because every row
+    ends in a separator no row can hold, two runs slice-compare equal
+    exactly when they hold the same rows: a host's values compare in one
+    string comparison.  Immutable; :meth:`with_rows` splices a copy.
+    """
+
+    __slots__ = ("text", "starts")
+
+    def __init__(self, text: str, starts: np.ndarray) -> None:
+        if len(text) != int(starts[-1]) or text.count(SEP) != len(starts) - 1:
+            raise ValueError(
+                "text column rows must not hold U+0000, and the text must "
+                "end every row in one"
+            )
+        self.text = text
+        self.starts = starts
+
+    @classmethod
+    def _adopt(cls, text: str, starts: np.ndarray) -> "TextColumn":
+        """Wrap a text whose separators the caller has already checked."""
+        column = object.__new__(cls)
+        column.text = text
+        column.starts = starts
+        return column
+
+    @classmethod
+    def pack(cls, strings: Sequence[str]) -> "TextColumn":
+        """The column of ``strings``: one join."""
+        starts = np.zeros(len(strings) + 1, dtype=np.int64)
+        lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+        np.cumsum(lengths + 1, out=starts[1:])
+        return cls(SEP.join([*strings, ""]), starts)
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, r: int) -> str:
+        return self.text[int(self.starts[r]) : int(self.starts[r + 1]) - 1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TextColumn):
+            return NotImplemented
+        # equal texts hold equal separators, so equal starts
+        return self.text == other.text
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TextColumn({len(self)} rows, {len(self.text)} chars)"
+
+    def tolist(self) -> List[str]:
+        """Every row, as one list."""
+        return self.text[:-1].split(SEP) if len(self) else []
+
+    def between(self, a: int, b: int) -> List[str]:
+        """The rows whose text is ``text[a:b]``; ``a`` and ``b`` are row
+        starts (entries of :attr:`starts`)."""
+        return self.text[a : b - 1].split(SEP) if b > a else []
+
+    def host_changes(
+        self, old: "TextColumn", host_row_start: np.ndarray
+    ) -> np.ndarray:
+        """Per host, whether any of its rows differs from ``old``'s.
+
+        One slice comparison per host; both columns must share
+        ``host_row_start``'s row layout.
+        """
+        host_count = len(host_row_start) - 1
+        if self.text == old.text:
+            return np.zeros(host_count, dtype=bool)
+        new = self.starts[host_row_start].tolist()
+        prev = old.starts[host_row_start].tolist()
+        return np.fromiter(
+            map(
+                operator.ne,
+                map(self.text.__getitem__, map(slice, new[:-1], new[1:])),
+                map(old.text.__getitem__, map(slice, prev[:-1], prev[1:])),
+            ),
+            dtype=bool,
+            count=host_count,
+        )
+
+    def with_rows(self, rows: Sequence[int], texts: Sequence[str]) -> "TextColumn":
+        """A copy with row ``rows[i]`` replaced by ``texts[i]``.
+
+        ``rows`` ascend strictly.  The unchanged runs between them are
+        cut whole, each with the separator of the row before it.
+        """
+        if not len(rows):
+            return self
+        r = np.asarray(rows, dtype=np.int64)
+        if r[0] < 0 or r[-1] >= len(self) or np.any(np.diff(r) <= 0):
+            raise ValueError("with_rows needs strictly ascending rows in range")
+        joined = "".join(texts)
+        if SEP in joined:
+            raise ValueError("text column rows must not hold U+0000")
+        starts, text = self.starts, self.text
+        # run i is text[cut[i]:stop[i]]: from the previous changed row's
+        # separator (inclusive) up to this row's start
+        cut = np.concatenate(([0], starts[r + 1] - 1)).tolist()
+        stop = np.concatenate((starts[r], [len(text)])).tolist()
+        pieces = [""] * (2 * len(texts) + 1)
+        pieces[0::2] = map(text.__getitem__, map(slice, cut, stop))
+        pieces[1::2] = texts
+        widths = np.diff(starts)
+        widths[r] = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1
+        new_starts = np.zeros_like(starts)
+        np.cumsum(widths, out=new_starts[1:])
+        return TextColumn._adopt("".join(pieces), new_starts)
+
+
 @dataclass(slots=True)
 class ColumnarCluster:
     """One full-form cluster poll as parallel arrays.
@@ -181,7 +303,7 @@ class ColumnarCluster:
     metric_tn: np.ndarray   # float64 [N]
     metric_tmax: np.ndarray  # float64 [N]
     metric_dmax: np.ndarray  # float64 [N]
-    vals_raw: List[str]    # raw VAL strings, for exact materialization
+    vals_raw: TextColumn   # raw VAL strings, for exact materialization
     pool: InternPool
     _up_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
     _host_index: Optional[Dict[str, int]] = field(
@@ -263,11 +385,14 @@ class ColumnarCluster:
 
     def metric_at(self, r: int) -> MetricElement:
         """Rebuild the METRIC element of one row."""
+        return self._metric(r, self.vals_raw[r])
+
+    def _metric(self, r: int, val: str) -> MetricElement:
         pool = self.pool
         strings = pool.strings
         return MetricElement(
             name=strings[self.name_ids[r]],
-            val=self.vals_raw[r],
+            val=val,
             mtype=pool.mtype_at(self.type_ids[r]),
             units=strings[self.units_ids[r]],
             tn=float(self.metric_tn[r]),
@@ -275,6 +400,14 @@ class ColumnarCluster:
             dmax=float(self.metric_dmax[r]),
             slope=pool.slope_at(self.slope_ids[r]),
             source=strings[self.source_ids[r]],
+        )
+
+    def host_vals(self, h: int) -> List[str]:
+        """Host ``h``'s raw VALs in row order: one slice, one split."""
+        starts = self.vals_raw.starts
+        return self.vals_raw.between(
+            int(starts[self.host_row_start[h]]),
+            int(starts[self.host_row_start[h + 1]]),
         )
 
     def materialize_host(self, h: int) -> HostElement:
@@ -293,8 +426,9 @@ class ColumnarCluster:
             location=self.host_location[h],
         )
         metrics = host.metrics
-        for r in range(self.host_row_start[h], self.host_row_start[h + 1]):
-            metric = self.metric_at(r)
+        rows = range(self.host_row_start[h], self.host_row_start[h + 1])
+        for r, val in zip(rows, self.host_vals(h)):
+            metric = self._metric(r, val)
             metrics[metric.name] = metric
         return host
 
@@ -423,6 +557,6 @@ def columns_from_cluster(
         metric_tn=np.asarray(metric_tn, dtype=np.float64),
         metric_tmax=np.asarray(metric_tmax, dtype=np.float64),
         metric_dmax=np.asarray(metric_dmax, dtype=np.float64),
-        vals_raw=vals_raw,
+        vals_raw=TextColumn.pack(vals_raw),
         pool=pool,
     )

@@ -58,6 +58,9 @@ class GmetricPublisher:
             raise ValueError("metric name must be non-empty")
         if mtype is not MetricType.STRING:
             float(value)  # raises early on junk
+        elif "\0" in str(value):
+            # XML 1.0 excludes the character: no reply could carry it
+            raise ValueError("a STRING metric value must not hold U+0000")
         sample = MetricSample(
             name=name,
             value=value,

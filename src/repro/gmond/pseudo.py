@@ -22,11 +22,17 @@ so that gmond-side effects stay out of the gmetad measurements.
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.columnar.layout import ColumnarCluster, ColumnarDocument, InternPool
+from repro.columnar.layout import (
+    ColumnarCluster,
+    ColumnarDocument,
+    InternPool,
+    TextColumn,
+)
 from repro.metrics.catalog import STRING_DEFAULTS, MetricDef, builtin_catalog
 from repro.metrics.types import MetricType, format_value
 from repro.net.address import Address, stable_octet
@@ -135,10 +141,10 @@ class PseudoGmond:
         name_ids, type_ids, units_ids, slope_ids, source_ids = (
             tile([row[k] for row in ids], np.int32) for k in range(5)
         )
-        vals_raw = [self._draw(d) for _ in range(hosts) for d in defs]
+        vals = [self._draw(d) for _ in range(hosts) for d in defs]
         numeric = tile([d.mtype.is_numeric for d in defs], bool)
-        values = np.full(len(vals_raw), np.nan)
-        values[numeric] = [float(t) for t, n in zip(vals_raw, numeric) if n]
+        values = np.full(len(vals), np.nan)
+        values[numeric] = [float(t) for t, n in zip(vals, numeric) if n]
         subnet = stable_octet(self.name, 200)
         return ColumnarCluster(
             name=self.name,
@@ -162,10 +168,10 @@ class PseudoGmond:
             values=values,
             numeric=numeric,
             valid=numeric.copy(),  # every drawn number parses
-            metric_tn=np.zeros(len(vals_raw)),
+            metric_tn=np.zeros(len(vals)),
             metric_tmax=tile([d.tmax for d in defs], np.float64),
             metric_dmax=tile([d.dmax for d in defs], np.float64),
-            vals_raw=vals_raw,
+            vals_raw=TextColumn.pack(vals),
             pool=pool,
         )
 
@@ -193,14 +199,17 @@ class PseudoGmond:
     # -- churn -------------------------------------------------------------
 
     def _write_rows(self, rows: List[int], texts: List[str], tns: List[float]) -> None:
-        """Store new raw VALs and TNs; numeric values are read back from
-        the text, as a parse of the served reply would read them."""
+        """Store new raw VALs (``rows`` ascending) and TNs; numeric values
+        are read back from the text, as a parse of the served reply
+        would read them."""
         cols = self._cols
-        for r, text in zip(rows, texts):
-            cols.vals_raw[r] = text
-        cols.metric_tn[rows] = tns
-        numeric = [r for r in rows if cols.numeric[r]]
-        cols.values[numeric] = [float(cols.vals_raw[r]) for r in numeric]
+        at = np.asarray(rows, dtype=np.int64)
+        cols.vals_raw = cols.vals_raw.with_rows(at, texts)
+        cols.metric_tn[at] = tns
+        numeric = cols.numeric[at]
+        cols.values[at[numeric]] = [
+            float(t) for t in compress(texts, numeric.tolist())
+        ]
         cols._up_cache = None
 
     def _redraw(self, indices: Iterable[int], now: float) -> None:
@@ -300,9 +309,12 @@ class PseudoGmond:
                     texts.append(str(int(value)))
                 else:
                     texts.append(format_value(float(value), mdef.mtype))
-        # every update checked: write them all
+        # every update checked: write them all, in row order
         cols = self._cols
-        self._write_rows(rows, texts, [0.0] * len(rows))
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        self._write_rows(
+            [rows[k] for k in order], [texts[k] for k in order], [0.0] * len(rows)
+        )
         cols.host_tn[list(updates)] = 0.0
         cols.host_reported[list(updates)] = at
         cols.localtime = at

@@ -103,9 +103,14 @@ class XdrDecoder:
         padding = (4 - length % 4) % 4
         self._take(padding)
         try:
-            return data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise XdrError(f"bad UTF-8 in string: {exc}") from None
+        if "\0" in text:
+            # XML 1.0 excludes the character: an agent that kept it
+            # would serve replies no gmetad can parse
+            raise XdrError("U+0000 in string")
+        return text
 
     @property
     def remaining(self) -> int:

@@ -242,7 +242,7 @@ class _SourceView:
         if self.body is not None:
             return self.body
         cols = self.cols
-        vals = cols.vals_raw
+        vals = cols.vals_raw.tolist()
         row_keys = self.row_keys
         starts = cols.host_row_start.tolist()
         up = cols.up_mask(heartbeat_window).tolist()
@@ -399,10 +399,20 @@ class DeltaEngine:
     def _diff_rows(self, view: _SourceView, cols, ops: List[DeltaOp]) -> None:
         """Ops between two generations of columns on one layout."""
         old = view.cols
-        vals = cols.vals_raw
-        row_keys = view.row_keys
-        for r in compress(count(), map(ne, vals, old.vals_raw)):
-            ops.append(DeltaOp("set", row_keys[r], vals[r]))
+        vals, was = cols.vals_raw, old.vals_raw
+        bounds = cols.host_row_start
+        # one slice comparison per host; only changed hosts are split
+        changed = np.flatnonzero(vals.host_changes(was, bounds)).tolist()
+        if changed:
+            row_keys = view.row_keys
+            first = bounds.tolist()
+            at, was_at = vals.starts[bounds].tolist(), was.starts[bounds].tolist()
+            for h in changed:
+                rows = vals.between(at[h], at[h + 1])
+                old_rows = was.between(was_at[h], was_at[h + 1])
+                lo = first[h]
+                for j in compress(count(), map(ne, rows, old_rows)):
+                    ops.append(DeltaOp("set", row_keys[lo + j], rows[j]))
         up = cols.up_mask(self.heartbeat_window)
         flipped = np.flatnonzero(up != old.up_mask(self.heartbeat_window))
         host_keys = view.host_keys

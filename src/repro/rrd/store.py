@@ -47,29 +47,47 @@ class MetricKey:
         return f"{self.source}/{self.cluster}/{self.host}/{self.metric}"
 
 
+def distinct_keys(
+    keys: Sequence[MetricKey],
+) -> Tuple[List[MetricKey], Optional["np.ndarray"]]:
+    """Each key once, in first-sight order, and where its value sits.
+
+    A poll layout can name one series twice (a summary metric ``x.num``
+    beside the NUM series of ``x``).  The key binds once and its last
+    occurrence's value lands; ``select`` picks those positions out of a
+    poll's values, and is ``None`` when no key repeats.
+    """
+    last = {key: j for j, key in enumerate(keys)}
+    if len(last) == len(keys):
+        return list(keys), None
+    return list(last), np.fromiter(last.values(), dtype=np.int64, count=len(last))
+
+
 class ColumnPlan:
-    """A bound scatter target: one bank series per key, in key order.
+    """A bound scatter target: one bank series per distinct key.
 
     Built once per stable poll layout by :meth:`RrdStore.column_plan`;
-    each poll then lands with a single :meth:`update` call.  Charges the
-    same update count the per-key loop would (accounting parity).
+    each poll then lands with a single :meth:`update` call, charging one
+    update per distinct key (accounting parity).
     """
 
-    __slots__ = ("store", "keys", "indices")
+    __slots__ = ("store", "keys", "indices", "select")
 
     def __init__(
         self, store: "RrdStore", keys: Sequence[MetricKey],
-        indices: Optional["np.ndarray"],
+        indices: Optional["np.ndarray"], select: Optional["np.ndarray"],
     ) -> None:
         self.store = store
         self.keys = list(keys)
         self.indices = indices  # None in accounting mode
+        self.select = select  # see distinct_keys
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def update(self, t: float, values: "np.ndarray") -> None:
-        """Apply one poll: ``values[j]`` is the sample for ``keys[j]``."""
+        """Apply one poll: ``values[j]`` is the sample for the ``j``-th
+        key the plan was bound over."""
         store = self.store
         n = len(self.keys)
         store.update_count += n
@@ -77,6 +95,8 @@ class ColumnPlan:
             store.on_update(n)
         if store.mode == "account":
             return
+        if self.select is not None:
+            values = values[self.select]
         store._bank.update_column(t, self.indices, values)
 
 
@@ -135,15 +155,16 @@ class RrdStore:
 
         In full mode each key gets (or keeps) its bank slot, so a series
         bound again by a later layout's plan continues with one history.
-        ``keys`` must not repeat a key.  In accounting mode the plan
-        only counts.
+        A repeated key binds once (:func:`distinct_keys`).  In
+        accounting mode the plan only counts.
         """
+        keys, select = distinct_keys(keys)
         if self.mode == "account":
-            return ColumnPlan(self, keys, None)
+            return ColumnPlan(self, keys, None, select)
         indices = np.fromiter(
             (self._slot(key) for key in keys), dtype=np.int64, count=len(keys)
         )
-        return ColumnPlan(self, keys, indices)
+        return ColumnPlan(self, keys, indices, select)
 
     def update_columns(self, plan: ColumnPlan, t: float, values: "np.ndarray") -> None:
         """Apply one poll through a previously bound :class:`ColumnPlan`."""

@@ -127,17 +127,15 @@ class FragmentArena:
             | (cols.metric_dmax != prev.metric_dmax)
             | (cols.source_ids != prev.source_ids)
         )
-        # NaN placeholders make `values` useless for equality; the raw
-        # VAL strings are what reach the wire anyway
-        row_changed |= np.fromiter(
-            map(operator.ne, cols.vals_raw, prev.vals_raw),
-            dtype=bool,
-            count=len(cols.vals_raw),
-        )
         host_changed = (
             np.bincount(
                 cols.row_host[row_changed], minlength=host_count
             ).astype(bool)
+        )
+        # NaN placeholders make `values` useless for equality; the raw
+        # VAL strings are what reach the wire anyway
+        host_changed |= cols.vals_raw.host_changes(
+            prev.vals_raw, cols.host_row_start
         )
         host_changed |= cols.host_reported != prev.host_reported
         host_changed |= cols.host_tn != prev.host_tn

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columnar.layout import SEP
 from repro.wire.escape import escape_attr
 from repro.wire.writer import _fmt_num
 
@@ -125,8 +126,11 @@ class HostRenderer:
         LOCATION is carried in the columns but never serialized -- same
         as :meth:`XmlWriter.host`.
         """
-        fmt, vals, tns = self._fmt, cols.vals_raw, cols.metric_tn
+        fmt, tns = self._fmt, cols.metric_tn
         starts = cols.host_row_start.tolist()
+        # host h's VALs are text[spans[h]:spans[h + 1]], each ending in SEP
+        text = cols.vals_raw.text
+        spans = cols.vals_raw.starts[cols.host_row_start].tolist()
         static = [getattr(cols, name) for name in _STATIC_COLUMNS]
         out = []
         for h in indices:
@@ -144,14 +148,15 @@ class HostRenderer:
             key = b"".join([column[start:end].tobytes() for column in static])
             order, pieces = self._template(cols, start, end, key)
             parts = pieces.copy()
-            host_vals, host_tns = vals[start:end], tns[start:end].tolist()
+            # escaping is per character: if the host's VAL text needs
+            # none, no VAL does (the common case skips a call per row)
+            host_text = text[spans[h] : spans[h + 1]]
+            escaped = escape_attr(host_text) != host_text
+            host_vals = host_text[:-1].split(SEP)
+            host_tns = tns[start:end].tolist()
             if order is not None:
                 host_vals = [host_vals[j] for j in order]
                 host_tns = map(host_tns.__getitem__, order)
-            # escaping is per character: if the host's VALs joined need
-            # none, no VAL does (the common case skips a call per row)
-            joined = "".join(host_vals)
-            escaped = escape_attr(joined) != joined
             parts[1::5] = map(escape_attr, host_vals) if escaped else host_vals
             parts[3::5] = map(_fmt_num, host_tns)
             out.append(f"{head}>\n{''.join(parts)}</HOST>\n")

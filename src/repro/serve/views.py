@@ -73,8 +73,8 @@ def host_metric_items(cols, h: int) -> Iterator[Tuple[str, str]]:
     strings = cols.pool.strings
     start = int(cols.host_row_start[h])
     end = int(cols.host_row_start[h + 1])
-    for r in range(start, end):
-        yield strings[cols.name_ids[r]], cols.vals_raw[r]
+    names = cols.name_ids[start:end].tolist()
+    yield from zip(map(strings.__getitem__, names), cols.host_vals(h))
 
 
 def busiest_from_columns(

@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.rrd.database import RraSpec, default_rra_specs
-from repro.rrd.store import MetricKey
+from repro.rrd.store import MetricKey, distinct_keys
 from repro.sim.engine import Engine, PeriodicTask
 from repro.storage.config import StorageTierConfig
 from repro.storage.node import StorageNode, make_node_names
@@ -92,14 +92,16 @@ class TierColumnPlan:
 
     def __init__(self, tier: "StorageTier", keys: Sequence[MetricKey]) -> None:
         self.tier = tier
-        self.keys = list(keys)
+        self.keys, select = distinct_keys(keys)
         by_shard: Dict[int, List[int]] = {}
         for j, key in enumerate(self.keys):
             by_shard.setdefault(tier._shard_of(key), []).append(j)
+        # each chunk gathers its values straight from the poll's array
         self._chunks = [
             (
                 s,
-                np.asarray(positions, dtype=np.int64),
+                np.asarray(positions, dtype=np.int64)
+                if select is None else select[positions],
                 [self.keys[j] for j in positions],
             )
             for s, positions in sorted(by_shard.items())

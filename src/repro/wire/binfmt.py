@@ -202,32 +202,60 @@ class _BodyWriter:
     def string_column(self, strings: List[str]) -> None:
         """A column of strings: joined text + per-entry *character* counts.
 
-        Character (not byte) lengths let the decoder slice one decoded
+        Character (not byte) lengths let the decoder cut one decoded
         ``str`` -- no per-entry ``bytes.decode`` calls on the hot path.
         """
         lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+        self._column(lengths, "".join(strings))
+
+    def text_column(self, column) -> None:
+        """A :class:`~repro.columnar.layout.TextColumn`, in the bytes
+        :meth:`string_column` writes for its rows."""
+        from repro.columnar.layout import SEP
+
+        self._column(np.diff(column.starts) - 1, column.text.replace(SEP, ""))
+
+    def _column(self, lengths: np.ndarray, joined: str) -> None:
         wide = bool(lengths.size) and int(lengths.max()) > 0xFFFF
         self.parts.append(b"\x01" if wide else b"\x00")
-        if wide:
-            self.parts.append(lengths.astype("<u4").tobytes())
-        else:
-            self.parts.append(lengths.astype("<u2").tobytes())
-        self.string("".join(strings))
+        self.parts.append(lengths.astype("<u4" if wide else "<u2").tobytes())
+        self.string(joined)
 
     def result(self) -> bytes:
         return b"".join(self.parts)
 
 
+def _utf8(raw) -> str:
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"bad UTF-8 in frame string: {exc}") from None
+
+
+def _check_chars(chars: int, ends: np.ndarray) -> None:
+    """A string column's text must hold exactly its rows' characters."""
+    total = int(ends[-1]) if ends.size else 0
+    if chars != total:
+        raise FrameError(
+            f"string column length mismatch: text has {chars} chars, "
+            f"lengths sum to {total}"
+        )
+
+
 class _BodyReader:
-    """Bounds-checked cursor over body bytes; every overrun is a FrameError."""
+    """Bounds-checked cursor over body bytes; every overrun is a FrameError.
+
+    Reads are views into the body: a column is copied once, by the
+    array or string built from it.
+    """
 
     __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes) -> None:
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int) -> memoryview:
         end = self.pos + n
         if n < 0 or end > len(self.data):
             raise FrameError(
@@ -263,11 +291,7 @@ class _BodyReader:
         return (raw >> 1) ^ -(raw & 1)
 
     def string(self) -> str:
-        n = self.uvarint()
-        try:
-            return self._take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FrameError(f"bad UTF-8 in frame string: {exc}") from None
+        return _utf8(self._take(self.uvarint()))
 
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
@@ -279,30 +303,57 @@ class _BodyReader:
     def i64_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self._take(count * 8), dtype="<i8").astype(np.int64)
 
-    def i32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(count * 4), dtype="<i4").astype(np.int32)
-
     def bool_array(self, count: int) -> np.ndarray:
         packed = np.frombuffer(self._take((count + 7) // 8), dtype=np.uint8)
         return np.unpackbits(packed, count=count).astype(bool)
 
     def string_column(self, count: int) -> List[str]:
+        ends, raw = self._column(count)
+        text = _utf8(raw)
+        _check_chars(len(text), ends)
+        starts = np.concatenate(([0], ends[:-1])) if count else ends
+        return [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+
+    def text_column(self, count: int):
+        """A string column as a :class:`~repro.columnar.layout.TextColumn`.
+
+        No per-row ``str``: the separators go into the decoded code
+        units in numpy -- the body bytes themselves when the text is
+        ASCII, its UTF-32 code points otherwise -- and the result is
+        decoded once.  A row holding U+0000 is a FrameError: XML 1.0
+        excludes the character, so no valid reply carries it.
+        """
+        from repro.columnar.layout import TextColumn
+
+        ends, raw = self._column(count)
+        raw = bytes(raw)
+        if b"\0" in raw:
+            raise FrameError("U+0000 in a text column row")
+        if raw.isascii():
+            _check_chars(len(raw), ends)
+            units, codec = np.frombuffer(raw, dtype=np.uint8), "ascii"
+        else:
+            text = _utf8(raw)
+            _check_chars(len(text), ends)
+            units, codec = np.frombuffer(text.encode("utf-32-le"), "<u4"), "utf-32-le"
+        starts = np.zeros(count + 1, dtype=np.int64)
+        starts[1:] = ends + np.arange(1, count + 1)
+        # every slot but each row's last takes the next code unit; the
+        # zeros left there are the separators
+        keep = np.ones(int(starts[-1]), dtype=bool)
+        keep[starts[1:] - 1] = False
+        out = np.zeros(keep.size, dtype=units.dtype)
+        out[keep] = units
+        return TextColumn._adopt(out.tobytes().decode(codec), starts)
+
+    def _column(self, count: int) -> Tuple[np.ndarray, memoryview]:
+        """A string column's cumulative character counts and raw text."""
         wide = self._take(1)[0]
         if wide not in (0, 1):
             raise FrameError(f"bad string-column width marker {wide}")
-        if wide:
-            lengths = np.frombuffer(self._take(count * 4), dtype="<u4")
-        else:
-            lengths = np.frombuffer(self._take(count * 2), dtype="<u2")
-        text = self.string()
-        ends = np.cumsum(lengths.astype(np.int64))
-        if len(text) != (int(ends[-1]) if count else 0):
-            raise FrameError(
-                f"string column length mismatch: text has {len(text)} chars, "
-                f"lengths sum to {int(ends[-1]) if count else 0}"
-            )
-        starts = np.concatenate(([0], ends[:-1])) if count else ends
-        return [text[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+        width = 4 if wide else 2
+        lengths = np.frombuffer(self._take(count * width), dtype=f"<u{width}")
+        return np.cumsum(lengths, dtype=np.int64), self._take(self.uvarint())
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):
@@ -454,7 +505,8 @@ def open_frame(data: bytes) -> Tuple[int, bytes]:
         raise FrameError(f"unknown frame flags 0x{flags:02x}")
     if reserved:
         raise FrameError(f"nonzero reserved byte 0x{reserved:02x}")
-    cursor = _BodyReader(data[_HEADER.size:])
+    cursor = _BodyReader(data)
+    cursor.pos = _HEADER.size
     length = cursor.uvarint()
     stored = cursor._take(length)
     cursor.expect_end()
@@ -464,7 +516,7 @@ def open_frame(data: bytes) -> Tuple[int, bytes]:
         except zlib.error as exc:
             raise FrameError(f"bad deflate stream: {exc}") from None
     else:
-        body = stored
+        body = bytes(stored)
     if _frame_crc(kind, body) != crc:
         raise FrameError("frame CRC mismatch (bit flip on the wire)")
     return kind, body
@@ -513,7 +565,7 @@ def _encode_cluster(w: _BodyWriter, cols) -> None:
     w.f64_array(canon_wire_floats(cols.metric_tn))
     w.f64_array(canon_wire_floats(cols.metric_tmax))
     w.f64_array(canon_wire_floats(cols.metric_dmax))
-    w.string_column(cols.vals_raw)
+    w.text_column(cols.vals_raw)
 
 
 def encode_cluster_document(cdoc, compress: bool = True) -> bytes:
@@ -525,6 +577,13 @@ def encode_cluster_document(cdoc, compress: bool = True) -> bytes:
     for cols in cdoc.clusters:
         _encode_cluster(w, cols)
     return _seal(CLUSTER_DOC, w.result(), compress)
+
+
+def _referenced(local: np.ndarray, table_size: int) -> List[int]:
+    """The frame-local table entries ``local`` uses, ascending."""
+    present = np.zeros(table_size, dtype=bool)
+    present[local] = True
+    return np.flatnonzero(present).tolist()
 
 
 def _decode_cluster(r: _BodyReader, pool):
@@ -554,44 +613,41 @@ def _decode_cluster(r: _BodyReader, pool):
     # TYPE/SLOPE table entries double as vocabulary validation exactly
     # like the parser's mtype_id/slope_id checks
     local_to_pool = np.fromiter(
-        (pool.intern(s) for s in table), dtype=np.int64, count=table_size
+        (pool.intern(s) for s in table), dtype=np.int32, count=table_size
     )
 
-    def remap(local: np.ndarray, what: str) -> np.ndarray:
-        if local.size and (
-            int(local.min()) < 0 or int(local.max()) >= table_size
-        ):
+    def remap(what: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(frame-local ids, pool ids) of one id column."""
+        # read unsigned: a negative id is past the table's end, too
+        local = np.frombuffer(r._take(N * 4), dtype="<u4")
+        if N and int(local.max()) >= table_size:
             raise FrameError(f"{what} id outside the frame string table")
-        return local_to_pool[local].astype(np.int32) if local.size else (
-            local.astype(np.int32)
-        )
+        return local, local_to_pool[local]
 
-    name_ids = remap(r.i32_array(N), "NAME")
-    type_local = r.i32_array(N)
-    type_ids = remap(type_local, "TYPE")
-    units_ids = remap(r.i32_array(N), "UNITS")
-    slope_local = r.i32_array(N)
-    slope_ids = remap(slope_local, "SLOPE")
-    source_ids = remap(r.i32_array(N), "SOURCE")
+    _, name_ids = remap("NAME")
+    type_local, type_ids = remap("TYPE")
+    _, units_ids = remap("UNITS")
+    slope_local, slope_ids = remap("SLOPE")
+    _, source_ids = remap("SOURCE")
     # validate the TYPE/SLOPE vocabulary actually referenced, and build
     # the numeric mask from the (tiny) frame-local type table
     numeric_by_local = np.zeros(table_size, dtype=bool)
-    for j in np.unique(type_local).tolist() if N else []:
+    for j in _referenced(type_local, table_size):
         raw = table[j]
         tid = pool.mtype_id(raw)
         if tid is None:
             raise FrameError(f"unknown metric TYPE {raw!r}")
         numeric_by_local[j] = pool.is_numeric_id(tid)
-    for j in np.unique(slope_local).tolist() if N else []:
+    for j in _referenced(slope_local, table_size):
         if pool.slope_id(table[j]) is None:
             raise FrameError(f"bad SLOPE {table[j]!r}")
-    numeric = numeric_by_local[type_local] if N else np.zeros(0, dtype=bool)
+    numeric = numeric_by_local[type_local]
     values = r.f64_array(N)
     valid = r.bool_array(N)
     metric_tn = r.f64_array(N)
     metric_tmax = r.f64_array(N)
     metric_dmax = r.f64_array(N)
-    vals_raw = r.string_column(N)
+    vals_raw = r.text_column(N)
     row_host = (
         np.repeat(
             np.arange(H, dtype=np.int32), np.diff(host_row_start)

@@ -89,7 +89,12 @@ class GangliaParser:
 
         A handler's ``KeyError`` -- a required attribute is absent --
         surfaces as a :class:`ParseError` like any other malformation.
+        So does U+0000 anywhere in ``text``: XML 1.0 (§2.2) excludes the
+        character, and the columns end each VAL in it.
         """
+        nul = text.find("\0")
+        if nul >= 0:
+            raise ParseError("U+0000 in the document", nul)
         validate = self.validate
         stack: List[str] = []
         events = 0
@@ -598,7 +603,7 @@ def _span_columns(span: _Span, pool: "InternPool") -> "ColumnarCluster":
     """Intern one cut span's shapes into ``pool`` and build its columns."""
     import numpy as np
 
-    from repro.columnar.layout import ColumnarCluster
+    from repro.columnar.layout import ColumnarCluster, TextColumn
 
     ids = []
     for name, attrs in span.shapes:
@@ -660,7 +665,7 @@ def _span_columns(span: _Span, pool: "InternPool") -> "ColumnarCluster":
         metric_tn=span.tn,
         metric_tmax=span.tmax,
         metric_dmax=span.dmax,
-        vals_raw=span.vals,
+        vals_raw=TextColumn.pack(span.vals),
         pool=pool,
     )
 
@@ -693,7 +698,8 @@ def parse_columnar(
     if pool is None:
         pool = InternPool()
     misses = 0
-    if not validate:
+    # U+0000 is the tree parser's error to raise
+    if not validate and "\0" not in text:
         cut, misses = _cut_document(text)
         if cut is not None:
             version, source, spans = cut

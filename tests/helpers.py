@@ -1,4 +1,5 @@
-"""Test-only views of datastore state, and a summary-archive writer."""
+"""Test-only views of datastore state, a summary-archive writer and a
+standalone pseudo-gmond."""
 
 from __future__ import annotations
 
@@ -52,3 +53,22 @@ def archive_summary(store, source: str, cluster: str, t: float, **metrics):
     """
     archiver = Archiver(store, charge=lambda work, category: 0.0, costs=CostModel())
     return archiver.archive_summary(source, cluster, summary_of(**metrics), t)
+
+
+def pseudo_gmond(num_hosts: int, seed: int = 7):
+    """A pseudo-gmond on a world of its own (15 s refresh, not yet drawn
+    past its build)."""
+    import random
+
+    from repro.gmond.pseudo import PseudoGmond
+    from repro.net.fabric import Fabric
+    from repro.net.tcp import TcpNetwork
+    from repro.sim.engine import Engine
+
+    engine = Engine()
+    fabric = Fabric()
+    tcp = TcpNetwork(engine, fabric)
+    return PseudoGmond(
+        engine, fabric, tcp, "c0", num_hosts, random.Random(seed),
+        refresh_interval=15.0,
+    )

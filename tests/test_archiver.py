@@ -447,3 +447,27 @@ def test_updates_lost_counts_keys():
     assert tier.updates_lost == len(keys)
     assert tier.stats()["updates_lost"] == len(keys)
     assert tier.update_count == 2 * len(keys)  # logical count still moves
+
+
+@pytest.mark.parametrize("kind", ["full", "account", "tier"])
+def test_summary_metric_named_like_a_num_series_binds_once(kind):
+    """A summary metric ``x.num`` beside metric ``x`` names the series
+    ``x``'s NUM lands in.  The plan binds it once: each poll charges one
+    update per distinct series, and the shared series takes the value of
+    the key's last occurrence (metric ``x.num``'s total)."""
+    store = make_store(kind)
+    charged = []
+    archiver = Archiver(store, lambda w, c: charged.append(w) or 0.0, COSTS)
+    summary = summary_of(**{"x": (10.0, 2), "x.num": (7.0, 3)})
+    updates = [
+        archiver.archive_summary("s", "c", summary, t) for t in (15.0, 30.0, 45.0)
+    ]
+    assert updates == [3, 3, 3]
+    assert store.update_count == archiver.summary_updates == 9
+    assert sum(charged) == pytest.approx(9 * COSTS.rrd_update)
+    assert archiver.replay("s", 60.0) == 3
+    if kind == "account":
+        return
+    assert [k.metric for k in store.keys()] == sorted(["x", "x.num", "x.num.num"])
+    shared = store.database(MetricKey("s", "c", SUMMARY_HOST, "x.num"))
+    assert shared.latest() == 7.0 and shared.updates == 4

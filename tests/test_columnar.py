@@ -170,7 +170,7 @@ class TestParserDifferential:
             assert cols.host_names == ["h", "g"]
             assert cols.host_tn.tolist() == [3.0, 1.0]
             assert cols.host_row_start.tolist() == [0, 1, 1]
-            assert cols.vals_raw == ["7"]
+            assert cols.vals_raw.tolist() == ["7"]
             tree = next(iter(parse_document(xml, validate).clusters.values()))
             assert cols.materialize_into(cols.shell_cluster()).hosts == tree.hosts
 

@@ -85,6 +85,13 @@ class TestGmetric:
         with pytest.raises(ValueError):
             publisher.publish("x", "not-a-number", MetricType.FLOAT)
 
+    def test_string_value_holding_nul_rejected(self, engine, cluster):
+        """XML 1.0 excludes U+0000: no reply could carry such a value."""
+        publisher = GmetricPublisher(engine, cluster.channel, "meteor-0-0")
+        with pytest.raises(ValueError, match="U\\+0000"):
+            publisher.publish("custom_kv", "bl\0ue", MetricType.STRING)
+        assert publisher.published == 0
+
 
 class TestHtmlRendering:
     @pytest.fixture

@@ -180,3 +180,35 @@ class TestJunkResilience:
         assert agent.decode_errors >= 2
         # and the cluster is still healthy
         assert agent.state.host_count() == 2
+
+    def test_agents_drop_a_string_holding_nul(self, engine, fabric, tcp, rngs):
+        """One datagram whose STRING value holds U+0000 would otherwise
+        sit in soft state until DMAX, and every reply meanwhile would
+        fail to parse (XML 1.0 excludes the character)."""
+        from repro.gmond.cluster import SimulatedCluster
+        from repro.net.address import Address
+        from repro.wire.parser import parse_document
+
+        cluster = SimulatedCluster.build(
+            engine, fabric, tcp, rngs, name="m", num_hosts=2
+        )
+        cluster.start()
+        engine.run_for(5.0)
+        data = xdr.encode_metric(
+            sample(name="kv", value="a\0b", mtype=MetricType.STRING)
+        )
+        with pytest.raises(xdr.XdrError, match="U\\+0000"):
+            xdr.decode_metric(data, received_at=5.0)
+        agent = cluster.agents[1]
+        errors = agent.decode_errors
+        cluster.channel.send("m-0-0", data, len(data))
+        engine.run_for(2.0)
+        assert agent.decode_errors == errors + 1
+        got = {}
+        tcp.request(
+            "m-0-0", Address.gmond("m-0-1"), "",
+            lambda payload, rtt: got.update(xml=payload),
+        )
+        engine.run_for(1.0)
+        host = parse_document(got["xml"]).clusters["m"].hosts["m-0-0"]
+        assert "kv" not in host.metrics

@@ -35,7 +35,7 @@ from repro.readtier.feed import (
 from repro.readtier.replica import FeedError, ReadReplica
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.wire import parser
+from repro.wire import binfmt, parser
 from repro.wire.binfmt import decode_document, encode_cluster_document
 from repro.wire.conditional import NotModified, TaggedXml, with_generation
 
@@ -379,8 +379,7 @@ def test_damaged_frame_installs_nothing(damage):
     """Any cut, any single bit flip, any trailing bytes: the frame check
     refuses the record whole, nothing installs, a full sync is asked."""
     replica = synced_replica()
-    mirror = replica.client.stream.mirror
-    frame = bytearray(base64.b64decode(mirror[detail_key("meteor")]))
+    frame = bytearray(meteor_frame(replica))
     op, arg = damage
     if op == "cut":
         frame = frame[: arg % len(frame)]
@@ -389,6 +388,28 @@ def test_damaged_frame_installs_nothing(damage):
         frame[bit // 8] ^= 1 << (bit % 8)
     else:
         frame += arg
+    assert_refused(replica, frame)
+
+
+def test_nul_in_a_val_installs_nothing():
+    """A frame whose VAL column holds U+0000 is sound on the wire (its
+    CRC matches) but refused at decode, by the same path as damage."""
+    replica = synced_replica()
+    kind, body = binfmt.open_frame(meteor_frame(replica))
+    assert kind == binfmt.CLUSTER_DOC and 0 < body[-1] < 0x80
+    # a one-cluster body ends in its last VAL's text
+    assert_refused(replica, binfmt._seal(kind, body[:-1] + b"\0"))
+
+
+def meteor_frame(replica) -> bytes:
+    """The GBF1 frame of meteor's detail record in the replica's mirror."""
+    return base64.b64decode(replica.client.stream.mirror[detail_key("meteor")])
+
+
+def assert_refused(replica, frame) -> None:
+    """Feed ``frame`` as a second source's detail record: the batch
+    aborts whole, nothing installs and one full sync is asked."""
+    mirror = replica.client.stream.mirror
     mirror[meta_key("zulu")] = FRAMED_META
     mirror[detail_key("zulu")] = reframe(frame)
     mirror[summary_key("zulu")] = mirror[summary_key("meteor")]

@@ -64,6 +64,7 @@ from repro.wire.model import (
 )
 from repro.wire.parser import parse_columnar, parse_document
 from repro.wire.writer import _fmt_num, write_document
+from tests.helpers import pseudo_gmond
 
 
 # -- primitives ------------------------------------------------------------
@@ -348,20 +349,7 @@ def test_binary_frame_size_accounts_generation_tag():
 
 def _emulator(num_hosts):
     """A pseudo-gmond past its first refresh."""
-    import random
-
-    from repro.gmond.pseudo import PseudoGmond
-    from repro.net.fabric import Fabric
-    from repro.net.tcp import TcpNetwork
-    from repro.sim.engine import Engine
-
-    engine = Engine()
-    fabric = Fabric()
-    tcp = TcpNetwork(engine, fabric)
-    pg = PseudoGmond(
-        engine, fabric, tcp, "c0", num_hosts, random.Random(7),
-        refresh_interval=15.0,
-    )
+    pg = pseudo_gmond(num_hosts)
     pg.current_xml(15.0)
     return pg
 
@@ -610,7 +598,7 @@ def test_attribute_reorder_trips_fast_lane_miss_counter():
     cdoc = parse_columnar(xml, InternPool(), validate=False)
     assert cdoc.fast_lane_misses == 1
     # and the slow lane still parsed it correctly
-    assert cdoc.clusters[0].vals_raw == ["0.5"]
+    assert cdoc.clusters[0].vals_raw.tolist() == ["0.5"]
     tree = parse_document(xml)
     assert write_document(tree) == write_document(
         binfmt.materialize_document(cdoc)
