@@ -81,8 +81,9 @@ class SourceSnapshot:
     #: or summary-form output may have changed since the stamped value
     detail_stamp: int = 0
     summary_stamp: int = 0
-    #: memoized XML fragments keyed by form name -> (stamp, xml)
-    frag_cache: Dict[str, Tuple[int, str]] = field(
+    #: memoized XML fragments keyed by form or reply shape ->
+    #: (stamp, Chunks); see repro.serve.fragments
+    frag_cache: Dict[str, Tuple[int, object]] = field(
         default_factory=dict, repr=False, compare=False
     )
     #: columnar-serve fragment arena (duck-typed FragmentArena); installed

@@ -21,14 +21,15 @@ Consequently this daemon:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.core.datastore import SourceSnapshot
 from repro.core.gmetad_base import GmetadBase
 from repro.core.query import FULL_DUMP_QUERY
 from repro.serve.fragments import DetailRenderer
 from repro.wire.model import GangliaDocument, SummaryInfo
-from repro.wire.writer import XmlWriter
+from repro.wire.reply import XmlReply
+from repro.wire.writer import XML_PROLOG, start_tag
 
 
 class OneLevelGmetad(GmetadBase):
@@ -126,14 +127,19 @@ class OneLevelGmetad(GmetadBase):
         """Never: every request gets the full tree."""
         return False
 
-    def serve_query(self, request: str) -> tuple[str, float]:
-        """Any request gets the full tree; there is no query engine."""
-        writer = XmlWriter()
-        writer.raw(
-            '<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n'
-        )
-        writer.open_tag(
-            "GANGLIA_XML", [("VERSION", self.version), ("SOURCE", "gmetad")]
+    def serve_reply(self, request: str) -> Tuple[XmlReply, float]:
+        """Any request gets the full tree; there is no query engine.
+
+        The dump is a chunk list of each cluster's full-form fragment,
+        spliced from ``frag_cache`` while its detail stamp holds (with
+        ``incremental`` on) and charged at the cached rate.
+        """
+        reply = XmlReply()
+        reply.add(XML_PROLOG)
+        reply.add(
+            start_tag(
+                "GANGLIA_XML", [("VERSION", self.version), ("SOURCE", "gmetad")]
+            )
         )
         cached_bytes = 0
         for name in self.datastore.source_names():
@@ -150,20 +156,19 @@ class OneLevelGmetad(GmetadBase):
             if self.config.incremental:
                 cached = snapshot.frag_cache.get("full")
                 if cached is not None and cached[0] == snapshot.detail_stamp:
-                    writer.raw(cached[1])
-                    cached_bytes += len(cached[1])
+                    reply.splice(cached[1])
+                    cached_bytes += cached[1].size
                     continue
             fragment, _ = self._detail.cluster(snapshot)
             if self.config.incremental:
                 snapshot.frag_cache["full"] = (snapshot.detail_stamp, fragment)
-            writer.raw(fragment)
-        writer.close_tag("GANGLIA_XML")
-        xml = writer.result()
+            reply.splice(fragment)
+        reply.add("</GANGLIA_XML>\n")
         seconds = self.charge(
-            self.costs.serve_byte * (len(xml) - cached_bytes), "serve"
+            self.costs.serve_byte * (reply.size_bytes - cached_bytes), "serve"
         )
         if cached_bytes:
             seconds += self.charge(
                 self.costs.serve_byte_cached * cached_bytes, "serve"
             )
-        return xml, seconds
+        return reply, seconds

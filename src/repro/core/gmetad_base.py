@@ -14,8 +14,9 @@ all land on the same tick), and the TCP listener.  Subclasses define:
 - :meth:`poll_request` -- what to ask children for (full dump vs
   summary query);
 - :meth:`ingest` -- what to keep, summarize and archive;
-- :meth:`serve_query` -- what a request gets back (the path query
-  engine unless overridden).
+- :meth:`serve_reply` -- what a request gets back, as a chunk list
+  (the path query engine unless overridden); :meth:`serve_query` is
+  the same answer joined.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from repro.wire.parser import (
     parse_document,
     salvage_document,
 )
+from repro.wire.reply import XmlReply
 
 #: root seed for the per-poller breaker-jitter streams; derived per
 #: (gmetad, source) name so chaos runs replay identically
@@ -105,9 +107,12 @@ class QueryServer:
     Conditional GET and NOT-MODIFIED, ``accept=bin1`` negotiation,
     oldest-first shedding, the path query engine's CPU charge pattern
     and the GBF1 ``/source`` detail frame live here once, so a read
-    replica serves through exactly the ingest daemon's code.
-    Subclasses provide ``engine``, ``costs``, ``cpu`` and ``datastore``,
-    plus a ``query_engine`` unless they override :meth:`serve_query`.
+    replica serves through exactly the ingest daemon's code.  An XML
+    answer leaves as the query's chunk list (:meth:`serve_reply`), never
+    joined here: the payload carries its size, and its text is built
+    only where a receiver reads it.  Subclasses provide ``engine``,
+    ``costs``, ``cpu`` and ``datastore``, plus a ``query_engine``
+    unless they override :meth:`serve_reply`.
     """
 
     #: GANGLIA_XML VERSION emitted; set by subclasses.
@@ -142,6 +147,11 @@ class QueryServer:
         #: reused-fragment bytes of the most recent serve (read by the
         #: serve instrumentation)
         self.last_serve_cached_bytes = 0
+        #: characters joined from the XML replies this server put on
+        #: the wire (a reply joins only when its receiver reads the
+        #: text); deliberately not a registry gauge, so it never
+        #: reaches served bytes
+        self.wire_chars_joined = 0
 
     def charge(self, work_units: float, category: str) -> float:
         """Charge CPU work to this server's account."""
@@ -204,15 +214,19 @@ class QueryServer:
                     service_seconds=seconds,
                 )
         self.last_serve_cached_bytes = 0
-        xml, serve_seconds = self.serve_query(base)
+        reply, serve_seconds = self.serve_reply(base)
+        reply.on_join = self._count_wire_join
         seconds += serve_seconds
         if obs is not None:
             obs.record_serve(
-                base, seconds, len(xml),
+                base, seconds, reply.size_bytes,
                 cached_bytes=self.last_serve_cached_bytes,
             )
-        payload = xml if current is None else TaggedXml(xml, current)
+        payload = reply if current is None else TaggedXml(reply, current)
         return Response(payload, service_seconds=seconds)
+
+    def _count_wire_join(self, size: int) -> None:
+        self.wire_chars_joined += size
 
     def serve_generation(self, request: str) -> str:
         """Opaque content-generation token for one request's answer.
@@ -234,18 +248,30 @@ class QueryServer:
             return False
 
     def serve_query(self, request: str) -> Tuple[str, float]:
-        """Serve one request through the path query engine.
+        """Serve one request; returns ``(xml, service_seconds_charged)``.
 
-        Returns ``(xml, service_seconds_charged)``: a fixed per-query
+        :meth:`serve_reply` joined: the text a direct caller (the CLI,
+        a test, a benchmark view) reads.
+        """
+        reply, seconds = self.serve_reply(request)
+        return reply.xml, seconds
+
+    def serve_reply(self, request: str) -> Tuple[XmlReply, float]:
+        """Serve one request through the path query engine, unjoined.
+
+        Returns ``(reply, service_seconds_charged)``: a fixed per-query
         charge, one hash insert per lookup, and fresh vs reused bytes
-        at their own rates.
+        at their own rates.  The reply is the chunk list the wire path
+        sends (:mod:`repro.wire.reply`).
         """
         try:
             query = GmetadQuery.parse(request)
         except QueryError:
             query = GmetadQuery()  # garbage in, full default dump out
         seconds = self.charge(self.costs.query_fixed, "query")
-        xml, stats = self.query_engine.execute(query, self.engine.now)
+        reply, stats = self.query_engine.execute(
+            query, self.engine.now, joined=False
+        )
         self.last_serve_cached_bytes = stats.bytes_from_cache
         seconds += self.charge(
             self.costs.hash_insert * stats.hash_lookups, "query"
@@ -256,7 +282,7 @@ class QueryServer:
             seconds += self.charge(
                 self.costs.serve_byte_cached * stats.bytes_from_cache, "serve"
             )
-        return xml, seconds
+        return reply, seconds
 
     def serve_binary(self, request: str):
         """Answer one request as binary frame bytes, if this server can.

@@ -18,11 +18,16 @@ summary, O(H·m) for a full cluster -- which the engine reports via
 ``bytes_serialized`` so the host gmetad can charge CPU and compute the
 service time viewers observe.
 
-A cluster's hosts are held as columns, so full-form cluster output is
+A reply is a chunk list (:class:`~repro.wire.reply.XmlReply`) of text
+the daemon already holds: envelope tags, per-source fragments, and a
+fragment arena's CLUSTER open tag and host fragments in name order.
+``execute`` joins it once; the wire path sends it unjoined.  A
+cluster's hosts are held as columns, so full-form cluster output is
 rendered from them (:mod:`repro.serve.render`), or spliced from the
 source's fragment arena when the daemon keeps one; summary forms and
 grid sources serialize their elements through
-:class:`~repro.wire.writer.XmlWriter`.
+:class:`~repro.wire.writer.XmlWriter` -- with ``memoize`` on, once per
+(source, reply shape, serialization stamp), kept on the snapshot.
 
 Whole-tree queries with ``filter=summary`` are how N-level parents poll
 their children: the reply contains every local cluster and every remote
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Tuple
+from typing import Callable, Deque, List, Tuple, Union
 
 from repro.core.datastore import Datastore
 from repro.serve.fragments import (
@@ -44,7 +49,8 @@ from repro.serve.fragments import (
 )
 from repro.serve.render import cluster_open_tag, metric_line
 from repro.wire.model import ClusterElement, GridElement
-from repro.wire.writer import XmlWriter
+from repro.wire.reply import Chunks, XmlReply
+from repro.wire.writer import XML_PROLOG, XmlWriter, start_tag
 
 #: Query string every N-level gmetad sends to its children when polling.
 SUMMARY_POLL_QUERY = "/?filter=summary"
@@ -121,16 +127,25 @@ class QueryStats:
 class QueryEngine:
     """Executes queries against a datastore; serializes the matched subtree.
 
+    A reply is built as an :class:`~repro.wire.reply.XmlReply` chunk
+    list: envelope tags, per-source fragments, an arena's open tag and
+    host fragments.  :meth:`execute` joins it; the wire path asks for
+    it unjoined.
+
     With ``memoize`` on, whole-tree dumps cache each source's serialized
     fragment on its snapshot, keyed by the datastore's serialization
     stamps: a dump after k of S sources changed re-serializes k
-    fragments and memcpys the rest.  The cache lives on the
+    fragments and splices the rest.  The cache lives on the
     :class:`SourceSnapshot` itself, so removing a source drops its
-    fragments with it.  A snapshot that carries a fragment arena
-    answers its full-form and path replies from the arena's
-    pre-rendered per-host fragments; replies are byte-identical either
-    way, and reused arena bytes are reported via
-    ``QueryStats.bytes_from_cache``.
+    fragments with it.  Summary-form and grid path replies keep the
+    text they render there too, under reply-shape keys of their own
+    (``path_renders`` counts the renders): a path reply never fills a
+    form a whole-tree dump reads, so a dump's hits and misses, and what
+    it charges, are the same whatever path replies came before.  A
+    snapshot that carries a fragment arena answers its full-form and
+    path replies from the arena's pre-rendered per-host fragments;
+    replies are byte-identical either way, and reused arena bytes are
+    reported via ``QueryStats.bytes_from_cache``.
     """
 
     def __init__(
@@ -147,33 +162,47 @@ class QueryEngine:
         self.version = version
         self.memoize = memoize
         #: the last whole-tree summary reply, ``((LOCALTIME, content
-        #: version), xml, spliced fragment bytes)``; a repeat of it would
-        #: only re-join cached fragments, so it is handed back whole
-        self._summary_reply: tuple = ((), "", 0)
+        #: version), reply, spliced fragment bytes)``; a repeat of it
+        #: would only re-join cached fragments, so it is handed back
+        #: whole
+        self._summary_reply: tuple = ((), None, 0)
         #: full-form cluster fragments for sources without an arena
         self._detail = DetailRenderer()
+        #: summary-form and grid path replies rendered (not spliced)
+        self.path_renders = 0
+        #: the XML declaration and GANGLIA_XML open tag every reply
+        #: starts with
+        self._open = XML_PROLOG + start_tag(
+            "GANGLIA_XML", [("VERSION", version), ("SOURCE", "gmetad")]
+        )
 
     # -- public API ---------------------------------------------------------
 
-    def execute(self, query: GmetadQuery, now: float) -> Tuple[str, QueryStats]:
+    def execute(
+        self, query: GmetadQuery, now: float, joined: bool = True
+    ) -> Tuple[Union[str, XmlReply], QueryStats]:
         """Run ``query``; returns (XML text, stats).
 
+        With ``joined`` False the text stays the reply's chunk list, an
+        :class:`~repro.wire.reply.XmlReply` (the wire path's form).
         Unknown paths produce an empty GANGLIA_XML report (stats.found
         False) rather than an exception -- remote viewers must receive
         *something* parseable.
         """
         stats = QueryStats()
         try:
-            xml = self._execute(query, now, stats)
+            reply = self._execute(query, now, stats)
         except QueryNotFound:
             stats.found = False
-            xml = self._empty_document(query)
-        stats.bytes_serialized = len(xml)
-        return xml, stats
+            reply = self._empty_document(query)
+        stats.bytes_serialized = reply.size_bytes
+        return (reply.xml if joined else reply), stats
 
     # -- serialization --------------------------------------------------------
 
-    def _execute(self, query: GmetadQuery, now: float, stats: QueryStats) -> str:
+    def _execute(
+        self, query: GmetadQuery, now: float, stats: QueryStats
+    ) -> XmlReply:
         key = None
         if self.memoize and query.summary and not query.path:
             key = (f"{now:.0f}", self.datastore.content_version)
@@ -181,23 +210,19 @@ class QueryEngine:
                 # the stats an all-cached re-join would report
                 stats.bytes_from_cache += self._summary_reply[2]
                 return self._summary_reply[1]
-        writer = XmlWriter()
-        writer.raw('<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n')
-        writer.open_tag(
-            "GANGLIA_XML", [("VERSION", self.version), ("SOURCE", "gmetad")]
-        )
+        reply = XmlReply()
+        reply.add(self._open)
         if not query.path:
-            spliced = self._write_tree(writer, query.summary, now, stats)
+            spliced = self._write_tree(reply, query.summary, now, stats)
         else:
-            self._write_path(writer, query, stats)
-        writer.close_tag("GANGLIA_XML")
-        xml = writer.result()
+            self._write_path(reply, query, stats)
+        reply.add("</GANGLIA_XML>\n")
         if key is not None:
-            self._summary_reply = (key, xml, spliced)
-        return xml
+            self._summary_reply = (key, reply, spliced)
+        return reply
 
     def _write_tree(
-        self, writer: XmlWriter, summary: bool, now: float, stats: QueryStats
+        self, reply: XmlReply, summary: bool, now: float, stats: QueryStats
     ) -> int:
         """The whole local grid: every source, full or summary form.
 
@@ -205,13 +230,15 @@ class QueryEngine:
         is always rebuilt; per-source bodies are memoized when enabled.
         Returns the bytes of the per-source bodies.
         """
-        writer.open_tag(
-            "GRID",
-            [
-                ("NAME", self.grid_name),
-                ("AUTHORITY", self.authority),
-                ("LOCALTIME", f"{now:.0f}"),
-            ],
+        reply.add(
+            start_tag(
+                "GRID",
+                [
+                    ("NAME", self.grid_name),
+                    ("AUTHORITY", self.authority),
+                    ("LOCALTIME", f"{now:.0f}"),
+                ],
+            )
         )
         form = "summary" if summary else "full"
         spliced = 0
@@ -222,15 +249,15 @@ class QueryEngine:
                     self, snapshot, form, stats
                 )
                 if from_cache:
-                    stats.bytes_from_cache += len(fragment)
+                    stats.bytes_from_cache += fragment.size
             else:
                 fragment = self._source_fragment(snapshot, summary, stats)
-            spliced += len(fragment)
-            writer.raw(fragment)
-        writer.close_tag("GRID")
+            spliced += fragment.size
+            reply.splice(fragment)
+        reply.add("</GRID>\n")
         return spliced
 
-    def _source_fragment(self, snapshot, summary: bool, stats=None) -> str:
+    def _source_fragment(self, snapshot, summary: bool, stats=None) -> Chunks:
         """Serialize one source's element(s) exactly as the tree dump does."""
         if snapshot.kind == "cluster" and not summary:
             return self._cluster_detail(snapshot, stats)
@@ -239,25 +266,42 @@ class QueryEngine:
             # the synthesized-shell case lives in the shared helper
             sub.cluster(summary_cluster_element(snapshot), summary_only=True)
         elif summary:
-            merged = GridElement(
-                name=snapshot.grid.name,
-                authority=snapshot.authority or snapshot.grid.authority,
-                summary=snapshot.summary,
-            )
-            sub.grid(merged, summary_only=True)
+            sub.grid(_summary_grid(snapshot), summary_only=True)
         else:
             sub.grid(snapshot.grid)
-        return sub.result()
+        return Chunks.of(sub.result())
 
-    def _cluster_detail(self, snapshot, stats=None) -> str:
+    def _cluster_detail(self, snapshot, stats=None) -> Chunks:
         """A cluster source's full-form fragment (arena or columns)."""
         fragment, reused = self._detail.cluster(snapshot)
         if stats is not None:
             stats.bytes_from_cache += reused
         return fragment
 
+    def _path_fragment(
+        self, snapshot, shape: str, stamp: int, write: Callable[[XmlWriter], None]
+    ) -> Chunks:
+        """A summary-form or grid path reply's body, rendered by
+        ``write`` once per (shape, stamp) when memoizing.
+
+        Kept in ``frag_cache`` under ``shape``, a key no whole-tree dump
+        reads, and counted as serialized like a fresh render: only what
+        the daemon does changes, not what it charges.
+        """
+        if self.memoize:
+            cached = snapshot.frag_cache.get(shape)
+            if cached is not None and cached[0] == stamp:
+                return cached[1]
+        sub = XmlWriter()
+        write(sub)
+        self.path_renders += 1
+        fragment = Chunks.of(sub.result())
+        if self.memoize:
+            snapshot.frag_cache[shape] = (stamp, fragment)
+        return fragment
+
     def _write_path(
-        self, writer: XmlWriter, query: GmetadQuery, stats: QueryStats
+        self, reply: XmlReply, query: GmetadQuery, stats: QueryStats
     ) -> None:
         """Serialize a path query result, keeping the output DTD-valid.
 
@@ -272,45 +316,60 @@ class QueryEngine:
         if snapshot is None:
             raise QueryNotFound(path)
         if snapshot.kind == "cluster":
-            self._write_cluster_path(writer, query, snapshot, stats)
+            self._write_cluster_path(reply, query, snapshot, stats)
             return
+        grid = snapshot.grid
         if len(path) == 1:
-            if query.summary or snapshot.grid.is_summary:
-                merged = GridElement(
-                    name=snapshot.grid.name,
-                    authority=snapshot.authority or snapshot.grid.authority,
-                    summary=snapshot.summary,
+            if query.summary or grid.is_summary:
+                reply.splice(
+                    self._path_fragment(
+                        snapshot, "path:summary", snapshot.summary_stamp,
+                        lambda w: w.grid(_summary_grid(snapshot), summary_only=True),
+                    )
                 )
-                writer.grid(merged, summary_only=True)
             else:
-                writer.grid(snapshot.grid)
+                reply.splice(
+                    self._path_fragment(
+                        snapshot, "path:full", snapshot.detail_stamp,
+                        lambda w: w.grid(grid),
+                    )
+                )
             return
         stats.hash_lookups += 1
         nested = self.datastore.find_nested(path[0], path[1])
         if nested is None or len(path) > 2:
             raise QueryNotFound(path)
-        writer.open_tag(
-            "GRID",
-            [
-                ("NAME", snapshot.grid.name),
-                ("AUTHORITY", snapshot.authority or snapshot.grid.authority),
-            ],
+
+        def write_nested(writer: XmlWriter) -> None:
+            writer.open_tag(
+                "GRID",
+                [
+                    ("NAME", grid.name),
+                    ("AUTHORITY", snapshot.authority or grid.authority),
+                ],
+            )
+            if isinstance(nested, ClusterElement):
+                writer.cluster(nested, summary_only=nested.is_summary)
+            else:
+                writer.grid(nested, summary_only=nested.is_summary)
+            writer.close_tag("GRID")
+
+        reply.splice(
+            self._path_fragment(
+                snapshot, f"path:/{path[1]}", snapshot.detail_stamp, write_nested
+            )
         )
-        if isinstance(nested, ClusterElement):
-            writer.cluster(nested, summary_only=nested.is_summary)
-        else:
-            writer.grid(nested, summary_only=nested.is_summary)
-        writer.close_tag("GRID")
 
     def _write_cluster_path(
-        self, writer: XmlWriter, query: GmetadQuery, snapshot, stats: QueryStats
+        self, reply: XmlReply, query: GmetadQuery, snapshot, stats: QueryStats
     ) -> None:
         """``/source``, ``/source/host`` and ``/source/host/metric``.
 
         A ``/source`` detail reply splices the memoized full-form
         fragment when its stamp is current (read-only: a path query
-        never fills the cache) and charges what the arena's join would
-        have, else it is the arena's join or rendered from the columns.
+        never fills the cache) and charges what the arena's chunks
+        would have, else it is the arena's chunks or rendered from the
+        columns.  The summary form is rendered once per summary stamp.
         The matched host comes from the arena's pre-rendered fragment
         when the source has one, else it is rendered from the columns;
         a metric reply is that fragment's HOST opening line plus the
@@ -320,14 +379,19 @@ class QueryEngine:
         path = query.path
         if len(path) == 1:
             if query.summary:
-                writer.cluster(snapshot.cluster, summary_only=True)
+                reply.splice(
+                    self._path_fragment(
+                        snapshot, "path:summary", snapshot.summary_stamp,
+                        lambda w: w.cluster(snapshot.cluster, summary_only=True),
+                    )
+                )
                 return
             cached = snapshot.frag_cache.get("full") if self.memoize else None
             if cached is not None and cached[0] == snapshot.detail_stamp:
-                writer.raw(cached[1])
+                reply.splice(cached[1])
                 stats.bytes_from_cache += self._detail.splice_reused(snapshot)
             else:
-                writer.raw(self._cluster_detail(snapshot, stats))
+                reply.splice(self._cluster_detail(snapshot, stats))
             return
         stats.hash_lookups += 1
         cols = snapshot.columns
@@ -342,9 +406,9 @@ class QueryEngine:
             host_fragment = arena.host_fragment(path[1])
             open_tag = arena.open_tag
         if len(path) == 2:
-            writer.raw(open_tag)
-            writer.raw(host_fragment)
-            writer.raw("</CLUSTER>\n")
+            reply.add(open_tag)
+            reply.add(host_fragment)
+            reply.add("</CLUSTER>\n")
             if arena is not None:
                 stats.bytes_from_cache += len(host_fragment)
             return
@@ -354,21 +418,29 @@ class QueryEngine:
             raise QueryNotFound(path)
         # a host owning a metric never self-closes, so its fragment's
         # first line is exactly the HOST opening tag the shell needs
-        writer.raw(open_tag)
-        writer.raw(host_fragment[: host_fragment.index("\n") + 1])
-        writer.raw(line)
-        writer.raw("</HOST>\n")
-        writer.raw("</CLUSTER>\n")
+        reply.add(open_tag)
+        reply.add(host_fragment[: host_fragment.index("\n") + 1])
+        reply.add(line)
+        reply.add("</HOST>\n")
+        reply.add("</CLUSTER>\n")
 
-    def _empty_document(self, query: GmetadQuery) -> str:
-        writer = XmlWriter()
-        writer.raw('<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n')
-        writer.raw(f"<!-- not found: {query.render()} -->\n")
-        writer.open_tag(
-            "GANGLIA_XML", [("VERSION", self.version), ("SOURCE", "gmetad")]
-        )
-        writer.close_tag("GANGLIA_XML")
-        return writer.result()
+    def _empty_document(self, query: GmetadQuery) -> XmlReply:
+        reply = XmlReply()
+        reply.add(XML_PROLOG)
+        reply.add(f"<!-- not found: {query.render()} -->\n")
+        reply.add(self._open[len(XML_PROLOG):])
+        reply.add("</GANGLIA_XML>\n")
+        return reply
+
+
+def _summary_grid(snapshot) -> GridElement:
+    """A grid source's summary-form element: its name, the authority
+    holding the next resolution level, and the source's rollup."""
+    return GridElement(
+        name=snapshot.grid.name,
+        authority=snapshot.authority or snapshot.grid.authority,
+        summary=snapshot.summary,
+    )
 
 
 # -- load shedding ----------------------------------------------------------

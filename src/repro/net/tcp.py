@@ -53,7 +53,9 @@ class TcpTimeout(Exception):
 class Response:
     """What a server handler returns.
 
-    ``payload`` is the response object (Ganglia XML text in practice);
+    ``payload`` is the response object (Ganglia XML text in practice:
+    a string, or an object with ``size_bytes`` and a lazily built
+    ``xml``, such as a gmetad's reply chunk list);
     ``service_seconds`` is how long the server took to produce it, which
     delays the response delivery (the paper's query-latency experiments
     measure exactly this path).
@@ -332,7 +334,12 @@ class TcpNetwork:
         Text payloads come back as a plain string: a mangled tagged
         payload loses its generation token (the token was part of the
         bytes), so a client can never present a stale token as if the
-        corrupt body were the content it names.  Binary payloads (raw
+        corrupt body were the content it names.  A payload carrying
+        its text as ``xml`` -- :class:`~repro.wire.conditional.TaggedXml`,
+        or a gmetad's :class:`~repro.wire.reply.XmlReply` chunk list,
+        bare or tagged -- is damaged through that text, so a chunk
+        reply takes exactly the draws and the damage its joined string
+        would.  Binary payloads (raw
         bytes, or frame objects carrying a bytes ``data`` attribute)
         get their bytes flipped or cut, again with any generation token
         stripped -- the frame CRC turns either into a clean decode

@@ -170,7 +170,11 @@ class ReplicationFeed:
         )
 
     def _fragment(self, snapshot, form: str) -> str:
-        """One source fragment, spliced from the serve cache when current."""
+        """One source fragment, spliced from the serve cache when current.
+
+        Only summary forms and hostless full forms come here, each one
+        rendered string, so the text costs no join.
+        """
         fragment, from_cache = memoized_source_fragment(
             self._query_engine, snapshot, form
         )
@@ -178,9 +182,9 @@ class ReplicationFeed:
         if from_cache:
             self.fragments_cached += 1
             gmetad.charge(
-                gmetad.costs.serve_byte_cached * len(fragment), "serve"
+                gmetad.costs.serve_byte_cached * fragment.size, "serve"
             )
         else:
             self.fragments_serialized += 1
-            gmetad.charge(gmetad.costs.serve_byte * len(fragment), "serve")
-        return fragment
+            gmetad.charge(gmetad.costs.serve_byte * fragment.size, "serve")
+        return fragment.text()

@@ -27,13 +27,17 @@ Byte identity
     intern pool (no XML parse) and installs as a hostless shell plus
     columns plus fragment arena, as a binary ingest poll does.  Once
     per install the arena adopts the shipped frame as its held frame
-    (a ``bin1`` read encodes nothing), and the arena's joined fragment
-    is primed into the snapshot's ``frag_cache`` under the install's
-    detail stamp -- a read that leaves the arena's fresh-byte counts
-    alone, so the first reply to splice it pays for the fresh hosts
-    exactly as the arena's join would.  Without ``columnar_serve``
-    there is no arena, and the fragment is rendered from the columns at
-    install instead.  Whole-tree dumps and ``/source`` replies splice
+    (a ``bin1`` read encodes nothing), and the arena's full-form
+    fragment, joined once, is primed into the snapshot's ``frag_cache``
+    under the install's detail stamp -- a read that leaves the arena's
+    fresh-byte counts alone, so the first reply to splice it pays for
+    the fresh hosts exactly as the arena's own answer would.  The copy
+    is joined, not held as the arena's chunk list, because replicas
+    answer the ``/source`` views: a view joins its reply from one string
+    instead of gathering every host fragment, which costs far more once
+    the fragments have gone cold.  Without ``columnar_serve`` there is
+    no arena, and the fragment is rendered from the columns at install
+    instead.  Whole-tree dumps and ``/source`` replies splice
     that fragment.  Summary records, grid sources and hostless shells
     ship as the ingest's XML fragments and are primed as shipped.  Path
     queries answer off the columns and arena exactly as on the ingest
@@ -84,8 +88,8 @@ from repro.sim.resources import DEFAULT_CAPACITY, CostModel, CpuAccount
 from repro.wire.binfmt import CLUSTER_DOC, decode_document
 from repro.wire.model import SummaryInfo
 from repro.wire.parser import ParseError, parse_document
-
-_PROLOG = '<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n'
+from repro.wire.reply import Chunks
+from repro.wire.writer import XML_PROLOG
 
 
 class FeedError(RuntimeError):
@@ -255,14 +259,18 @@ class ReadReplica(QueryServer):
             snapshot, up, frame, detail, summary = staged[source]
             self.datastore.install(snapshot, now)
             snapshot.up = up
-            snapshot.frag_cache["summary"] = (snapshot.summary_stamp, summary)
+            snapshot.frag_cache["summary"] = (
+                snapshot.summary_stamp, Chunks.of(summary)
+            )
             self.installs += 1
             self.feed_xml_bytes += len(summary)
             if frame is None:
                 # the shipped string IS the serve output: prime the memo
                 # cache under the install's fresh stamp so dumps splice
                 # the ingest daemon's exact bytes
-                snapshot.frag_cache["full"] = (snapshot.detail_stamp, detail)
+                snapshot.frag_cache["full"] = (
+                    snapshot.detail_stamp, Chunks.of(detail)
+                )
                 self.feed_xml_bytes += len(detail)
                 continue
             self.feed_frames += 1
@@ -276,7 +284,11 @@ class ReadReplica(QueryServer):
                 continue
             snapshot.arena = arena
             arena.hold_frame(frame)
-            snapshot.frag_cache["full"] = (snapshot.detail_stamp, arena.fragment())
+            # joined once per install: a /source view then copies one
+            # string, not every host fragment (see "Byte identity")
+            snapshot.frag_cache["full"] = (
+                snapshot.detail_stamp, Chunks.of(arena.chunks().text())
+            )
         for source in removals:
             if self.datastore.remove_source(source):
                 self._serve_arenas.pop(source, None)
@@ -365,7 +377,7 @@ class ReadReplica(QueryServer):
 
     def _wrap(self, fragment: str) -> str:
         return (
-            f"{_PROLOG}"
+            f"{XML_PROLOG}"
             f'<GANGLIA_XML VERSION="{self.version}" SOURCE="gmetad">\n'
             f"{fragment}</GANGLIA_XML>\n"
         )

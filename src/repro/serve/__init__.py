@@ -7,8 +7,9 @@ Ganglia XML directly from those arrays -- no
 ``GmetadConfig.columnar_serve`` (``ReadTierConfig.columnar_serve`` on a
 read replica) a daemon also keeps a per-source
 :class:`~repro.serve.arena.FragmentArena` of pre-rendered per-host byte
-fragments, invalidated per host on delta updates, so a detail reply is
-a join of mostly-reused strings; without it each reply renders from the
+fragments, invalidated per host on delta updates, so a detail reply
+splices mostly-reused strings into its chunk list
+(:mod:`repro.wire.reply`); without it each reply renders from the
 columns (:class:`~repro.serve.fragments.DetailRenderer`).  Both give
 the bytes :class:`~repro.wire.writer.XmlWriter` writes for the same
 cluster.  The ingest gmetad and the replicas fill their arenas through

@@ -3,8 +3,11 @@
 One :class:`FragmentArena` lives per cluster data source on a
 columnar-serve daemon.  At install time it renders (or incrementally
 re-renders) one byte fragment per host straight from the SoA columns;
-at serve time a detail reply is the CLUSTER open tag plus a join of the
-per-host strings -- no DOM, no re-serialization of unchanged hosts.
+at serve time a detail reply splices the CLUSTER open tag, the per-host
+strings in host-name order and the close tag as one chunk list
+(:class:`~repro.wire.reply.Chunks`, held until the next install) -- no
+DOM, no re-serialization of unchanged hosts, and no join: the text is
+built only where a reader asks for it.
 A :class:`~repro.serve.render.HostRenderer` renders them from one row
 template per host layout (``templates_built`` counts the layouts).
 
@@ -42,6 +45,9 @@ import numpy as np
 from repro.columnar.layout import ColumnarDocument
 from repro.serve.render import HostRenderer, cluster_open_tag
 from repro.wire.binfmt import encode_cluster_document
+from repro.wire.reply import Chunks
+
+_CLOSE = "</CLUSTER>\n"
 
 
 class FragmentArena:
@@ -56,6 +62,7 @@ class FragmentArena:
         "_fresh_bytes",
         "_fresh_hosts",
         "_total_bytes",
+        "_chunks",
         "_frame",
         "frag_hits",
         "frag_misses",
@@ -73,6 +80,9 @@ class FragmentArena:
         self._fresh_bytes = 0
         self._fresh_hosts = 0
         self._total_bytes = 0
+        #: the full CLUSTER fragment's chunks, or None until the first
+        #: read after an install
+        self._chunks: Optional[Chunks] = None
         #: GBF1 CLUSTER_DOC frame of the current columns, or None until
         #: the first binary read after an install
         self._frame: Optional[bytes] = None
@@ -93,6 +103,7 @@ class FragmentArena:
         """Adopt one poll's columns, re-rendering only what changed."""
         prev = self.cols
         self._frame = None
+        self._chunks = None
         if self._renderer is None or self._renderer.pool is not cols.pool:
             self._renderer = HostRenderer(cols.pool)
         if prev is not None and cols.same_layout(prev):
@@ -162,8 +173,9 @@ class FragmentArena:
         """The CLUSTER opening tag for the current columns."""
         return self._open_tag
 
-    def detail_fragment(self) -> Tuple[str, int]:
-        """(full CLUSTER fragment, bytes spliced from reused fragments).
+    def detail_fragment(self) -> Tuple[Chunks, int]:
+        """(full CLUSTER fragment's chunks, bytes spliced from reused
+        fragments).
 
         The reused-byte count feeds ``QueryStats.bytes_from_cache`` so
         the host daemon charges unchanged hosts at the memcpy rate
@@ -171,20 +183,26 @@ class FragmentArena:
         path.  Fragments rendered since the last read count as fresh
         exactly once.
         """
-        return self.fragment(), self.take_reused_bytes()
+        return self.chunks(), self.take_reused_bytes()
 
-    def fragment(self) -> str:
-        """The full CLUSTER fragment, joined; a read that counts nothing."""
-        frags = self._frags
-        parts = [self._open_tag]
-        parts.extend(frags[h] for h in self._order)
-        parts.append("</CLUSTER>\n")
-        return "".join(parts)
+    def chunks(self) -> Chunks:
+        """The full CLUSTER fragment as chunks: the open tag, the host
+        fragments in name order, the close tag.  Built on the first
+        read after an install and held until the next; a read that
+        counts nothing."""
+        held = self._chunks
+        if held is None:
+            parts = [self._open_tag]
+            parts.extend(map(self._frags.__getitem__, self._order))
+            parts.append(_CLOSE)
+            size = len(self._open_tag) + self._total_bytes + len(_CLOSE)
+            held = self._chunks = Chunks(tuple(parts), size)
+        return held
 
     def take_reused_bytes(self) -> int:
         """The accounting half of :meth:`detail_fragment`: bytes a reply
         splicing the current fragment reuses.  Fresh bytes count once,
-        so a reply that splices a held copy of :meth:`fragment` pays
+        so a reply that splices a held copy of :meth:`chunks` pays
         what the join would have."""
         fresh_bytes = min(self._fresh_bytes, self._total_bytes)
         fresh_hosts = min(self._fresh_hosts, len(self._frags))

@@ -2,7 +2,13 @@
 summary answer, the replication feed and the 1-level dump: the element
 a cluster's summary form serializes from, a cluster's full form from
 its arena or columns, and the stamp-keyed ``frag_cache`` splice.
-Callers keep their own CPU charging and stats accounting.
+
+A fragment is a :class:`~repro.wire.reply.Chunks`: a rendered string
+is a one-part fragment, an arena's full form is its open tag, host
+fragments and close tag, never joined here.  ``frag_cache`` holds
+``(stamp, Chunks)`` per form, so a held full-form fragment is the
+arena's chunk tuple, not a joined copy.  Callers keep their own CPU
+charging and stats accounting.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.serve.render import HostRenderer, render_cluster
 from repro.wire.model import ClusterElement
+from repro.wire.reply import Chunks
 from repro.wire.writer import XmlWriter
 
 
@@ -34,7 +41,7 @@ class DetailRenderer:
             renderer = self._hosts[cols.pool] = HostRenderer(cols.pool)
         return renderer
 
-    def cluster(self, snapshot) -> Tuple[str, int]:
+    def cluster(self, snapshot) -> Tuple[Chunks, int]:
         """``(CLUSTER fragment, bytes reused from the arena)``.
 
         Spliced from the arena when the source has one, else rendered
@@ -47,10 +54,10 @@ class DetailRenderer:
         if cols is None or cols.host_count == 0:
             sub = XmlWriter()
             sub.cluster(snapshot.cluster)
-            return sub.result(), 0
+            return Chunks.of(sub.result()), 0
         if snapshot.arena is not None:
             return snapshot.arena.detail_fragment()
-        return render_cluster(cols, self.host_renderer(cols)), 0
+        return Chunks.of(render_cluster(cols, self.host_renderer(cols))), 0
 
     def splice_reused(self, snapshot) -> int:
         """The reused-byte count :meth:`cluster` would report, for a
@@ -83,7 +90,7 @@ def summary_cluster_element(snapshot) -> ClusterElement:
 
 def memoized_source_fragment(
     query_engine, snapshot, form: str, stats=None
-) -> Tuple[str, bool]:
+) -> Tuple[Chunks, bool]:
     """Splice one source's fragment from its cache, or serialize it.
 
     ``form`` is ``"full"`` or ``"summary"``.  Returns
@@ -95,7 +102,7 @@ def memoized_source_fragment(
     """
     summary = form == "summary"
     stamp = snapshot.summary_stamp if summary else snapshot.detail_stamp
-    cached: Optional[Tuple[int, str]] = snapshot.frag_cache.get(form)
+    cached: Optional[Tuple[int, Chunks]] = snapshot.frag_cache.get(form)
     if cached is not None and cached[0] == stamp:
         return cached[1], True
     fragment = query_engine._source_fragment(snapshot, summary, stats)

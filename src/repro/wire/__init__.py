@@ -23,7 +23,8 @@ in **summary form** -- a ``HOSTS UP/DOWN`` element plus one ``METRICS``
 additive reduction per metric -- which is the N-level design's key trick.
 
 This package contains the element model (:mod:`repro.wire.model`), a
-writer (:mod:`repro.wire.writer`), and a hand-rolled streaming SAX-style
+writer (:mod:`repro.wire.writer`), the chunk-list form a daemon's reply
+leaves in (:mod:`repro.wire.reply`), and a hand-rolled streaming SAX-style
 parser (:mod:`repro.wire.parser`).  XPath engines "proved to be too
 heavyweight and inefficient" for Ganglia (§2.3); in the same spirit the
 parser here is specialized to the Ganglia DTD: elements and attributes

@@ -14,6 +14,8 @@ on top of the existing "XML over TCP" exchange:
   ingest entirely;
 - a changed server answers with a :class:`TaggedXml` payload -- the
   ordinary XML plus the fresh token the poller should present next time.
+  A gmetad's XML rides in it as the reply's chunk list
+  (:mod:`repro.wire.reply`), joined only when the poller reads it.
 
 Tokens are **opaque and per-server-instance**: each server embeds a
 unique epoch (``next_epoch``) so that a poller failing over to a
@@ -32,7 +34,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
+
+from repro.wire.reply import XmlReply
 
 #: Query-string parameter carrying the poller's last-seen generation.
 GENERATION_PARAM = "ifgen"
@@ -121,14 +125,27 @@ class NotModified:
 
 @dataclass(frozen=True)
 class TaggedXml:
-    """A full XML response plus the generation token it corresponds to."""
+    """A full XML response plus the generation token it corresponds to.
 
-    xml: str
+    ``body`` is the XML text, or a daemon's
+    :class:`~repro.wire.reply.XmlReply` chunk list: its size is known
+    without a join, and :attr:`xml` joins it only when read.
+    """
+
+    body: Union[str, XmlReply]
     generation: str
+
+    @property
+    def xml(self) -> str:
+        """The XML text (a chunk-list body joins on first read)."""
+        body = self.body
+        return body if isinstance(body, str) else body.xml
 
     def __str__(self) -> str:
         return self.xml
 
     @property
     def size_bytes(self) -> int:
-        return len(self.xml) + GENERATION_TAG_BYTES
+        body = self.body
+        size = len(body) if isinstance(body, str) else body.size_bytes
+        return size + GENERATION_TAG_BYTES

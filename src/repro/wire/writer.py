@@ -39,6 +39,19 @@ def _fmt_num(value: float) -> str:
     return "0" if text == "-0" else text
 
 
+#: The XML declaration every Ganglia document starts with.
+XML_PROLOG = '<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n'
+
+
+def start_tag(name: str, attrs: List[tuple], close: bool = False) -> str:
+    """One opening (or self-closing) tag with escaped attributes."""
+    pieces = [f"<{name}"]
+    for key, value in attrs:
+        pieces.append(f' {key}="{escape_attr(str(value))}"')
+    pieces.append("/>\n" if close else ">\n")
+    return "".join(pieces)
+
+
 class XmlWriter:
     """Accumulates XML text; one instance per serialization."""
 
@@ -51,11 +64,7 @@ class XmlWriter:
 
     def open_tag(self, name: str, attrs: List[tuple], close: bool = False) -> None:
         """Append an opening (or self-closing) tag with attributes."""
-        pieces = [f"<{name}"]
-        for key, value in attrs:
-            pieces.append(f' {key}="{escape_attr(str(value))}"')
-        pieces.append("/>\n" if close else ">\n")
-        self._parts.append("".join(pieces))
+        self._parts.append(start_tag(name, attrs, close))
 
     def close_tag(self, name: str) -> None:
         """Append a closing tag."""
@@ -165,7 +174,7 @@ class XmlWriter:
 
     def document(self, doc: GangliaDocument) -> None:
         """Write a complete GANGLIA_XML document."""
-        self.raw('<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n')
+        self.raw(XML_PROLOG)
         self.open_tag("GANGLIA_XML", [("VERSION", doc.version), ("SOURCE", doc.source)])
         for name in sorted(doc.clusters):
             self.cluster(doc.clusters[name])

@@ -27,6 +27,7 @@ from repro.net.tcp import Response, TcpNetwork
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.wire.conditional import TaggedXml
+from repro.wire.reply import XmlReply
 
 
 RESILIENCE = ResilienceConfig()
@@ -243,6 +244,50 @@ class TestGrayTransport:
         got = self.exchange(world, tagged)
         assert isinstance(got[0][0], str)
         assert "e1:7" not in got[0][0]
+
+    @pytest.mark.parametrize(
+        "fault", ["corrupt_probability", "truncate_probability"]
+    )
+    @pytest.mark.parametrize("tagged", [False, True], ids=["bare", "tagged"])
+    def test_chunk_reply_takes_its_joined_texts_damage(self, fault, tagged):
+        """A gmetad's reply leaves as a chunk list; a gray link must damage
+        it exactly as it damages the joined string: the same bytes out,
+        the same rng draws consumed, the same arrival time."""
+        parts = [
+            '<?xml version="1.0" encoding="ISO-8859-1" standalone="yes"?>\n',
+            '<GANGLIA_XML VERSION="2.5.4" SOURCE="gmetad">\n',
+            '<CLUSTER NAME="c" LOCALTIME="30">\n',
+        ]
+        parts += [f'<HOST NAME="h{i}" REPORTED="30" TN="0"/>\n' for i in range(40)]
+        parts += ["</CLUSTER>\n", "</GANGLIA_XML>\n"]
+        text = "".join(parts)
+
+        def run(payload):
+            engine, fabric = Engine(), Fabric()
+            fabric.add_host("client")
+            fabric.add_host("server")
+            tcp = TcpNetwork(engine, fabric)
+            tcp.listen(Address.gmond("server"), lambda c, r: Response(payload))
+            fabric.set_gray("client", "server", **{fault: 1.0})
+            got = []
+            tcp.request(
+                "client", Address.gmond("server"), "/",
+                on_response=lambda p, rtt: got.append((p, rtt)), timeout=5.0,
+            )
+            engine.run_for(10.0)
+            return got, tcp._rng.getstate()
+
+        reply = XmlReply()
+        for part in parts:
+            reply.add(part)
+        chunked = TaggedXml(reply, "e1:7") if tagged else reply
+        joined = TaggedXml(text, "e1:7") if tagged else text
+        got, state = run(chunked)
+        want, want_state = run(joined)
+        assert len(got) == len(want) == 1
+        assert isinstance(got[0][0], str) and got[0][0] != text
+        assert got == want
+        assert state == want_state
 
     def test_gray_conditions_validate(self):
         with pytest.raises(ValueError):
@@ -616,7 +661,7 @@ class TestLoadShedding:
         world.engine.run_for(10.0)
         assert len(got) == 6
         shed = [p for p in got if isinstance(p, Overloaded)]
-        served = [p for p in got if isinstance(p, str)]
+        served = [p for p in got if isinstance(p, XmlReply)]
         assert len(shed) == 4  # oldest four shed by the storm
         assert len(served) == 2
         assert world.gmetad.queries_shed == 4
@@ -640,7 +685,7 @@ class TestLoadShedding:
                 ),
             )
         world.engine.run_for(20.0)
-        assert all(isinstance(p, str) for p in got)
+        assert all(isinstance(p, XmlReply) for p in got)
         assert world.gmetad.queries_shed == 0
 
 

@@ -540,7 +540,7 @@ def test_source_splice_charges_what_the_arena_join_would(
     expected, _ = daemon.serve_query("/meteor")
     charged = []
     for read in ("first", "again"):
-        held = splicer.datastore.source("meteor").frag_cache["full"][1]
+        held = splicer.datastore.source("meteor").frag_cache["full"][1].text()
         assert held.startswith('<CLUSTER NAME="meteor"') and held in expected
         joiner.datastore.source("meteor").frag_cache.pop("full", None)
         spliced, spliced_seconds = splicer.serve_query("/meteor")
@@ -578,7 +578,7 @@ def test_arena_never_serves_stale_fragments(engine, fabric, tcp, rngs):
         if cycle > 0:
             delta = arena.frag_invalidations - before
             assert 1 <= delta <= 2, "invalidation strayed from the churn"
-        served, _ = arena.detail_fragment()
+        served = arena.detail_fragment()[0].text()
         writer = XmlWriter()
         writer.cluster(cols.materialize_into(cols.shell_cluster()))
         assert served == writer.result(), f"stale bytes at cycle {cycle}"
@@ -703,7 +703,7 @@ def test_arena_fragments_match_writer_after_install(cluster):
     cols = columns_from_cluster(cluster, InternPool())
     arena = FragmentArena()
     arena.install(cols)
-    served, _ = arena.detail_fragment()
+    served = arena.detail_fragment()[0].text()
     writer = XmlWriter()
     writer.cluster(cluster)
     assert served == writer.result()
