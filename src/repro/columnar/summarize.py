@@ -13,11 +13,11 @@
   from ``0.0`` yields ``+0.0``).  The drift auditor re-folds held
   columns with it, so auditing never builds an element tree.
 - :class:`ColumnarSummaryTracker` is the daemon's one incremental
-  summarizer: it remembers each host's last contribution and, per poll,
-  subtracts the stale contribution of changed/removed hosts and adds
-  the new one, so work scales with the k hosts that changed, not the H
-  hosts in the cluster.  Tree-parsed polls reach it through
-  :func:`repro.columnar.columns_from_cluster`.
+  summarizer: it remembers each host's last contribution (as columns)
+  and, per poll, subtracts the stale contribution of changed/removed
+  hosts and adds the new one, so work scales with the k hosts that
+  changed, not the H hosts in the cluster.  Tree-parsed polls reach it
+  through :func:`repro.columnar.columns_from_cluster`.
 
 The additive (SUM, NUM) reduction of §2.2 makes the tracker sound: NUM
 is exact integer arithmetic, but naive ``total += / -=`` on SUM
@@ -29,8 +29,13 @@ to an eager re-fold:
 
 - every accumulator uses **Neumaier-compensated** addition (a running
   compensation term recovers the low-order bits each naive add drops),
-  held as parallel slot arrays; each host's add/subtract is one
-  vectorized update, since a host's metrics touch distinct slots;
+  held as parallel slot arrays.  A same-layout poll folds all its
+  changed hosts in one batched pass: per slot, the hosts' subtracts and
+  adds form one operation sequence, whose running sums are one
+  ``np.add.accumulate`` (sequential, so bit-identical to adding them one
+  by one) and whose compensation is a second accumulate over the
+  per-step terms.  Polls that change layout or liveness, drain a
+  metric's last reporter or backfill UNITS fold host by host;
 - when a metric's reporter count drains to zero its slot is freed (an
   eager re-fold would not produce the metric at all), and when the
   source's host count drains to zero every accumulator is rebuilt from
@@ -39,7 +44,6 @@ to an eager re-fold:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -119,44 +123,30 @@ def summarize_columns(
     return info, int(rows.size)
 
 
-@dataclass(slots=True)
-class _HostState:
-    """One host's live share of the running summary (columnar form)."""
-
-    up: bool
-    #: accumulator slot per contributing metric, document order
-    slots: np.ndarray
-    values: np.ndarray
-    name_ids: np.ndarray
-    type_ids: np.ndarray
-    units_ids: np.ndarray
-    slope_ids: np.ndarray
-
-    def count(self) -> int:
-        # name_ids, not slots: a fresh state's slots are only resolved
-        # once _add_host runs, but its contribution size is known
-        return len(self.name_ids)
-
-
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
-def _empty_host_state(up: bool) -> _HostState:
-    return _HostState(
-        up=up,
-        slots=_EMPTY_I64,
-        values=_EMPTY_F64,
-        name_ids=_EMPTY_I32,
-        type_ids=_EMPTY_I32,
-        units_ids=_EMPTY_I32,
-        slope_ids=_EMPTY_I32,
+def _contributing(cols: ColumnarCluster, up: np.ndarray, h: int) -> np.ndarray:
+    """The rows host ``h`` folds into the summary: its valid rows, if up."""
+    if not up[h]:
+        return _EMPTY_I64
+    r0 = int(cols.host_row_start[h])
+    r1 = int(cols.host_row_start[h + 1])
+    return np.flatnonzero(cols.valid[r0:r1]) + r0
+
+
+def _compensations(before: np.ndarray, after: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Neumaier's term for each step ``after = before + v``: the low-order
+    bits the rounded add dropped."""
+    return np.where(
+        np.abs(before) >= np.abs(v), (before - after) + v, (v - after) + before
     )
 
 
 class ColumnarSummaryTracker:
-    """Running summary for one cluster source, updated host-by-host.
+    """Running summary for one cluster source, updated by changed hosts.
 
     Accumulator state is a set of parallel *slot* arrays (Neumaier sum
     and compensation, exposed total, NUM, metadata ids); a slot is
@@ -166,17 +156,27 @@ class ColumnarSummaryTracker:
     stable -- a sole-reporter metric that drains and is immediately
     re-added moves to the end.
 
+    Host contributions are a column record, not per-host objects: the
+    last installed poll, its liveness, and per row the value the sums
+    hold for it (``_held``).  ``_held`` is rewritten only at changed
+    hosts, so a ``0.0 -> -0.0`` flip that ``!=`` calls unchanged keeps
+    the bits that were added.
+
     When consecutive polls share a layout (same hosts, same metric rows,
-    same liveness -- the overwhelmingly common case), changed hosts are
-    found with one vectorized value comparison; otherwise a per-host
-    slow path compares each host's contribution as a key *set*
-    (order-insensitive).
+    same liveness -- the overwhelmingly common case), changed hosts fall
+    out of one vectorized value comparison and are folded in one batched
+    pass (:meth:`_fold_batch`).  Other polls, and the batch's two inexact
+    cases (a metric losing its last reporter, a UNITS backfill), fold
+    hosts one at a time; that path compares each host's contribution as
+    a key *set* (order-insensitive).
     """
 
     def __init__(self, heartbeat_window: float = 80.0) -> None:
         self.heartbeat_window = heartbeat_window
         self._pool: Optional[InternPool] = None
-        self._hosts: Dict[str, _HostState] = {}
+        #: tracked host names in first-added order, the order removed
+        #: hosts are subtracted in
+        self._hosts: Dict[str, None] = {}
         self._hosts_up = 0
         self._hosts_down = 0
         # slot arrays (capacity-doubled)
@@ -196,8 +196,14 @@ class ColumnarSummaryTracker:
         self._order: Dict[int, None] = {}
         self._prev: Optional[ColumnarCluster] = None
         self._prev_up: Optional[np.ndarray] = None
+        #: per row of ``_prev``: the value the sums hold for it
+        self._held = _EMPTY_F64
         #: diagnostic: how many times the drain-to-zero rebuild fired
         self.rebuilds = 0
+        #: polls whose changed hosts were folded in one batched pass
+        self.batched_polls = 0
+        #: hosts folded one at a time (added, removed or replaced)
+        self.host_passes = 0
 
     # -- slot management ---------------------------------------------------
 
@@ -244,134 +250,111 @@ class ColumnarSummaryTracker:
             table[: len(self._slot_of_nid)] = self._slot_of_nid
             self._slot_of_nid = table
 
-    # -- per-host add/subtract ----------------------------------------------
+    # -- one host's add/subtract --------------------------------------------
 
-    def _subtract_host(self, st: _HostState) -> int:
-        if st.up:
-            self._hosts_up -= 1
-        else:
-            self._hosts_down -= 1
-        slots = st.slots
-        if slots.size == 0:
-            return 0
+    def _step(self, slots: np.ndarray, v: np.ndarray) -> None:
+        """One compensated add of ``v`` into distinct ``slots``."""
+        s = self._sum[slots]
+        t = s + v
+        self._comp[slots] += _compensations(s, t, v)
+        self._sum[slots] = t
+        self._tot[slots] = t + self._comp[slots]
+
+    def _subtract(self, nids: np.ndarray, values: np.ndarray) -> None:
+        """Take one host's held contribution out (its metrics, one each)."""
+        if nids.size == 0:
+            return
+        slots = self._slot_of_nid[nids]
         self._num[slots] -= 1
         drained = self._num[slots] == 0
-        live = slots[~drained]
-        if live.size:
-            v = -st.values[~drained]
-            s = self._sum[live]
-            t = s + v
-            self._comp[live] += np.where(
-                np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s
-            )
-            self._sum[live] = t
-            self._tot[live] = t + self._comp[live]
+        live = ~drained
+        if live.any():
+            self._step(slots[live], -values[live])
         if drained.any():
             # last reporter left: drop the reduction and free its slot
             # (an eager re-fold would simply not produce the metric)
-            dn = st.name_ids[drained]
+            dn = nids[drained]
             order = self._order
             for nid in dn:
                 del order[int(nid)]
             self._slot_of_nid[dn] = -1
             self._free.extend(int(s) for s in slots[drained])
-        return int(slots.size)
 
-    def _add_host(self, st: _HostState) -> int:
-        if st.up:
-            self._hosts_up += 1
-        else:
-            self._hosts_down += 1
-        nids = st.name_ids
-        if nids.size == 0:
-            return 0
+    def _add(self, cols: ColumnarCluster, rows: np.ndarray) -> None:
+        """Fold one host's contributing ``rows`` of ``cols`` in."""
+        if rows.size == 0:
+            return
+        nids = cols.name_ids[rows]
         slots = self._slot_of_nid[nids]
         missing = slots < 0
         if missing.any():
             new_nids = nids[missing]
+            new_rows = rows[missing]
             new_slots = self._alloc(int(missing.sum()))
-            slots[missing] = new_slots
             self._slot_of_nid[new_nids] = new_slots
-            v = st.values[missing]
+            v = cols.values[new_rows]
             self._sum[new_slots] = v
             self._comp[new_slots] = 0.0
             self._tot[new_slots] = v  # first value verbatim
             self._num[new_slots] = 1
-            self._tid[new_slots] = st.type_ids[missing]
-            self._uid[new_slots] = st.units_ids[missing]
-            self._sid[new_slots] = st.slope_ids[missing]
+            self._tid[new_slots] = cols.type_ids[new_rows]
+            self._uid[new_slots] = cols.units_ids[new_rows]
+            self._sid[new_slots] = cols.slope_ids[new_rows]
             order = self._order
             for nid in new_nids:  # document order == insertion order
                 order[int(nid)] = None
         existing = ~missing
         if existing.any():
             ls = slots[existing]
-            v = st.values[existing]
-            s = self._sum[ls]
-            t = s + v
-            self._comp[ls] += np.where(
-                np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s
-            )
-            self._sum[ls] = t
-            self._tot[ls] = t + self._comp[ls]
+            rows = rows[existing]
+            self._step(ls, cols.values[rows])
             self._num[ls] += 1
             u = self._uid[ls]
             backfill = u == self._pool.empty_id
             if backfill.any():
-                u[backfill] = st.units_ids[existing][backfill]
+                u[backfill] = cols.units_ids[rows][backfill]
                 self._uid[ls] = u
-        st.slots = slots
-        return int(nids.size)
 
-    # -- contribution extraction and comparison ----------------------------
+    # -- the batched pass --------------------------------------------------
 
-    def _fresh_state(self, cols: ColumnarCluster, h: int, up: bool) -> _HostState:
-        if not up:
-            return _empty_host_state(False)
-        r0 = int(cols.host_row_start[h])
-        r1 = int(cols.host_row_start[h + 1])
-        sel = np.flatnonzero(cols.valid[r0:r1]) + r0
-        if sel.size == 0:
-            return _empty_host_state(True)
-        return _HostState(
-            up=True,
-            slots=_EMPTY_I64,  # resolved by _add_host
-            values=cols.values[sel].copy(),
-            name_ids=cols.name_ids[sel].copy(),
-            type_ids=cols.type_ids[sel].copy(),
-            units_ids=cols.units_ids[sel].copy(),
-            slope_ids=cols.slope_ids[sel].copy(),
-        )
+    def _fold_batch(
+        self, slots: np.ndarray, old: np.ndarray, new: np.ndarray
+    ) -> None:
+        """Apply every changed host's subtract-then-add in one pass.
 
-    @staticmethod
-    def _states_equal(a: _HostState, b: _HostState) -> bool:
-        """Whether two contributions match (key sets, then tuples)."""
-        if a.up != b.up:
-            return False
-        if a.count() != b.count():
-            return False
-        if np.array_equal(a.name_ids, b.name_ids):
-            # common case: same metrics in the same order
-            return (
-                np.array_equal(a.values, b.values)  # NaN -> not equal
-                and np.array_equal(a.type_ids, b.type_ids)
-                and np.array_equal(a.units_ids, b.units_ids)
-                and np.array_equal(a.slope_ids, b.slope_ids)
-            )
-        # permuted order: the comparison is key-SET based
-        index = {int(n): i for i, n in enumerate(a.name_ids)}
-        for j, nid in enumerate(b.name_ids):
-            i = index.pop(int(nid), None)
-            if i is None:
-                return False
-            if (
-                a.values[i] != b.values[j]  # NaN compares unequal: changed
-                or a.type_ids[i] != b.type_ids[j]
-                or a.units_ids[i] != b.units_ids[j]
-                or a.slope_ids[i] != b.slope_ids[j]
-            ):
-                return False
-        return not index
+        Row ``i`` takes ``old[i]`` out of ``slots[i]`` and puts ``new[i]``
+        in; rows come in ascending host order and no slot drains.  Per
+        slot that is the per-host loop's operation sequence, and each of
+        its steps is exact to batch: Neumaier's running sum is plain
+        sequential float addition, which ``np.add.accumulate`` computes
+        bit for bit along an axis (``reduce`` is pairwise, accumulate is
+        not); each compensation term depends only on two consecutive
+        partial sums and the operand; and the compensation is a second
+        accumulate seeded with the slot's current one.  Slots are
+        bucketed by run length, so the scratch stays O(rows).
+        """
+        order = np.argsort(slots, kind="stable")
+        slots = slots[order]
+        starts = np.flatnonzero(np.diff(slots, prepend=-1))
+        runs = np.diff(starts, append=slots.size)
+        for run in np.unique(runs).tolist():
+            first = starts[runs == run]
+            pick = order[(first[:, None] + np.arange(run)).ravel()]
+            s = slots[first]
+            m = first.size
+            seq = np.empty((m, 2 * run + 1), dtype=np.float64)
+            seq[:, 0] = self._sum[s]
+            seq[:, 1::2] = -old[pick].reshape(m, run)
+            seq[:, 2::2] = new[pick].reshape(m, run)
+            part = np.add.accumulate(seq, axis=1)
+            terms = _compensations(part[:, :-1], part[:, 1:], seq[:, 1:])
+            seq[:, 0] = self._comp[s]
+            seq[:, 1:] = terms
+            comp = np.add.accumulate(seq, axis=1)[:, -1]
+            total = part[:, -1]
+            self._sum[s] = total
+            self._comp[s] = comp
+            self._tot[s] = total + comp
 
     # -- the public update -------------------------------------------------
 
@@ -386,56 +369,128 @@ class ColumnarSummaryTracker:
         """
         self._sync_pool(cols.pool)
         up = cols.up_mask(self.heartbeat_window)
-        ops = 0
         had = bool(self._hosts)
 
         prev = self._prev
         if (
             prev is not None
             and cols.same_layout(prev)
-            and self._prev_up is not None
             and np.array_equal(up, self._prev_up)
         ):
-            # fast path: identical structure and liveness -- changed
-            # hosts fall out of one vectorized value comparison
-            mask = cols.valid & up[cols.row_host]
-            diff = mask & (cols.values != prev.values)  # NaN: changed
-            if diff.any():
-                changed = np.unique(cols.row_host[diff])
-                for h in changed:  # ascending == document order
-                    name = cols.host_names[h]
-                    st = self._hosts[name]
-                    ops += self._subtract_host(st)
-                    fresh = self._fresh_state(cols, int(h), True)
-                    ops += self._add_host(fresh) + 1
-                    self._hosts[name] = fresh
+            ops = self._fold_same_layout(cols, up)
         else:
-            # removed hosts: subtract their stale contributions
-            index = cols.host_index
-            for name in list(self._hosts):
-                if name not in index:
-                    ops += self._subtract_host(self._hosts.pop(name)) + 1
-            # changed or new hosts, in document order
-            for h, name in enumerate(cols.host_names):
-                fresh = self._fresh_state(cols, h, bool(up[h]))
-                previous = self._hosts.get(name)
-                if previous is not None and self._states_equal(
-                    previous, fresh
-                ):
-                    continue  # untouched host: zero summarization work
-                if previous is not None:
-                    ops += self._subtract_host(previous)
-                ops += self._add_host(fresh) + 1
-                self._hosts[name] = fresh
+            ops = self._fold_per_host(cols, up)
 
         if had and not self._hosts:
             # contribution count drained to zero: rebuild exactly
             self._reset_accumulators()
             self.rebuilds += 1
 
+        self._hosts_up = int(np.count_nonzero(up))
+        self._hosts_down = cols.host_count - self._hosts_up
         self._prev = cols
         self._prev_up = up
         return self._snapshot(), ops
+
+    def _fold_same_layout(self, cols: ColumnarCluster, up: np.ndarray) -> int:
+        """A poll with the previous one's layout and liveness."""
+        mask = cols.valid & up[cols.row_host]
+        diff = mask & (cols.values != self._held)  # NaN: changed
+        if not diff.any():
+            return 0
+        changed = np.zeros(cols.host_count, dtype=bool)
+        changed[cols.row_host[diff]] = True
+        rows = np.flatnonzero(mask & changed[cols.row_host])
+        slots = self._slot_of_nid[cols.name_ids[rows]]
+        empty = self._pool.empty_id
+        if (self._num[slots] == 1).any() or (
+            (self._uid[slots] == empty) & (cols.units_ids[rows] != empty)
+        ).any():
+            # a drain or a backfill is inexact to batch: fold host by host
+            hosts = np.flatnonzero(changed).tolist()
+            for h in hosts:  # ascending == document order
+                host_rows = _contributing(cols, up, h)
+                self._subtract(cols.name_ids[host_rows], self._held[host_rows])
+                self._add(cols, host_rows)
+            self.host_passes += len(hosts)
+        else:
+            self._fold_batch(slots, self._held[rows], cols.values[rows])
+            self.batched_polls += 1
+        self._held[rows] = cols.values[rows]
+        return 2 * int(rows.size) + int(np.count_nonzero(changed))
+
+    def _fold_per_host(self, cols: ColumnarCluster, up: np.ndarray) -> int:
+        """Any other poll: compare and fold each host on its own."""
+        prev = self._prev
+        prev_up = self._prev_up
+        prev_index = prev.host_index if prev is not None else {}
+        index = cols.host_index
+        ops = 0
+        passes = 0
+        # removed hosts: subtract their held contributions
+        for name in list(self._hosts):
+            if name not in index:
+                rows = _contributing(prev, prev_up, prev_index[name])
+                self._subtract(prev.name_ids[rows], self._held[rows])
+                del self._hosts[name]
+                ops += int(rows.size) + 1
+                passes += 1
+        # changed or new hosts, in document order
+        held = cols.values.copy()
+        for h, name in enumerate(cols.host_names):
+            rows = _contributing(cols, up, h)
+            p = prev_index.get(name)
+            if p is None:
+                self._hosts[name] = None
+            else:
+                old_rows = _contributing(prev, prev_up, p)
+                if self._keep(old_rows, bool(prev_up[p]), cols, rows, bool(up[h]), held):
+                    continue  # untouched host: zero summarization work
+                self._subtract(prev.name_ids[old_rows], self._held[old_rows])
+                ops += int(old_rows.size)
+            self._add(cols, rows)
+            ops += int(rows.size) + 1
+            passes += 1
+        self._held = held
+        self.host_passes += passes
+        return ops
+
+    def _keep(
+        self,
+        old_rows: np.ndarray,
+        old_up: bool,
+        cols: ColumnarCluster,
+        rows: np.ndarray,
+        up: bool,
+        held: np.ndarray,
+    ) -> bool:
+        """Whether a host's contribution is unchanged (key sets, then
+        values and metadata); if so its held values move to ``rows`` of
+        ``held``, bit for bit."""
+        if old_up != up or old_rows.size != rows.size:
+            return False
+        prev = self._prev
+        a = prev.name_ids[old_rows]
+        b = cols.name_ids[rows]
+        if not np.array_equal(a, b):
+            # permuted order: the comparison is key-SET based (a host's
+            # metric names are unique)
+            ia = np.argsort(a, kind="stable")
+            ib = np.argsort(b, kind="stable")
+            if not np.array_equal(a[ia], b[ib]):
+                return False
+            old_rows = old_rows[ia]
+            rows = rows[ib]
+        values = self._held[old_rows]
+        if not (
+            np.array_equal(values, cols.values[rows])  # NaN -> not equal
+            and np.array_equal(prev.type_ids[old_rows], cols.type_ids[rows])
+            and np.array_equal(prev.units_ids[old_rows], cols.units_ids[rows])
+            and np.array_equal(prev.slope_ids[old_rows], cols.slope_ids[rows])
+        ):
+            return False
+        held[rows] = values
+        return True
 
     def _snapshot(self) -> SummaryInfo:
         pool = self._pool
@@ -474,3 +529,4 @@ class ColumnarSummaryTracker:
         self._reset_accumulators()
         self._prev = None
         self._prev_up = None
+        self._held = _EMPTY_F64

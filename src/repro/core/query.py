@@ -382,7 +382,9 @@ class QueryEngine:
                 reply.splice(
                     self._path_fragment(
                         snapshot, "path:summary", snapshot.summary_stamp,
-                        lambda w: w.cluster(snapshot.cluster, summary_only=True),
+                        lambda w: w.cluster(
+                            summary_cluster_element(snapshot), summary_only=True
+                        ),
                     )
                 )
                 return

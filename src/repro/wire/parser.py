@@ -474,7 +474,9 @@ def _cut(cluster: tuple, text: str, start: int, end: int) -> Optional[_Span]:
     import numpy as np
 
     hosts = []
-    rows = names, vals, heads, tns, tails = [], [], [], [], []
+    vals, tns = [], []
+    # per host, its rows' (NAME, TYPE.., TMAX..) texts as three tuples
+    layouts = []
     counts = []
     closes = 0
     after = start
@@ -494,15 +496,16 @@ def _cut(cluster: tuple, text: str, start: int, end: int) -> Optional[_Span]:
             return None
         host_rows = _ROW_RE.findall(text, after, close)
         if host_rows:
-            host_columns = list(zip(*host_rows))
-            if len(set(host_columns[0])) != len(host_rows):
+            names, host_vals, heads, host_tns, tails = zip(*host_rows)
+            if len(set(names)) != len(host_rows):
                 return None  # a duplicate NAME overwrites in place
-            for column, values in zip(rows, host_columns):
-                column.extend(values)
+            vals.extend(host_vals)
+            tns.extend(host_tns)
+            layouts.append((names, heads, tails))
         counts.append(len(host_rows))
         closes += 1
         after = close + len("</HOST>")
-    tags = len(names) + len(hosts) + closes
+    tags = len(vals) + len(hosts) + closes
     if (
         text.count("<", start, end) != tags
         or text.count(">", start, end) != tags
@@ -512,8 +515,19 @@ def _cut(cluster: tuple, text: str, start: int, end: int) -> Optional[_Span]:
     ):
         return None
     # distinct (NAME, TYPE.., TMAX..) texts in first-sight order:
-    # interning along them allocates ids as the tree route does
-    distinct = {t: i for i, t in enumerate(dict.fromkeys(zip(names, heads, tails)))}
+    # interning along them allocates ids as the tree route does.  A
+    # host laid out like the one before it reuses that host's codes.
+    distinct: Dict[tuple, int] = {}
+    codes = []
+    last = None
+    for layout in layouts:
+        if layout != last:
+            code = np.fromiter(
+                (distinct.setdefault(t, len(distinct)) for t in zip(*layout)),
+                np.intp, len(layout[0]),
+            )
+            last = layout
+        codes.append(code)
     shapes = []
     for name, head, tail in distinct:
         attrs = dict(_ATTR_RE.findall(f"{head} {tail}"))
@@ -528,9 +542,7 @@ def _cut(cluster: tuple, text: str, start: int, end: int) -> Optional[_Span]:
         dmax = _bulk_float([a["DMAX"] for _, a in shapes], "DMAX", "0")
     except ParseError:
         return None
-    code = np.fromiter(
-        map(distinct.__getitem__, zip(names, heads, tails)), np.intp, len(names)
-    )
+    code = np.concatenate(codes) if codes else np.empty(0, np.intp)
     return _Span(cluster, hosts, counts, shapes, code, vals, tn, tmax[code], dmax[code])
 
 

@@ -95,12 +95,49 @@ def hosts(draw, name, plain=False):
 
 
 @st.composite
-def clusters(draw):
-    """A cluster; half are free of anything the writer escapes."""
+def like(draw, previous, name, plain=False):
+    """A host laid out like ``previous`` (same metrics, same static
+    attributes, fresh VALs), or differing from it in exactly one static
+    attribute: one metric's UNITS, TMAX or SLOPE, or the metric order."""
+    host = draw(hosts(name, plain))
+    host.metrics = {}
+    for metric in previous.metrics.values():
+        fresh = draw(metrics(metric.name, plain))
+        host.add_metric(dataclasses.replace(metric, val=fresh.val, tn=fresh.tn))
+    change = draw(st.sampled_from(["none", "units", "tmax", "slope", "order"]))
+    if not host.metrics or change == "none":
+        return host
+    if change == "order":
+        order = draw(st.permutations(list(host.metrics)))
+        host.metrics = {name: host.metrics[name] for name in order}
+        return host
+    metric = host.metrics[draw(st.sampled_from(list(host.metrics)))]
+    if change == "units":
+        metric.units = draw(st.sampled_from(["", "%", "KB", "B"]).filter(
+            lambda u: u != metric.units))
+    elif change == "tmax":
+        metric.tmax = draw(numbers.filter(lambda t: t != metric.tmax))
+    else:
+        metric.slope = draw(st.sampled_from(list(Slope)).filter(
+            lambda s: s is not metric.slope))
+    return host
+
+
+@st.composite
+def clusters(draw, plain=None):
+    """A cluster; half are free of anything the writer escapes.  Hosts
+    often take the layout of the host before them (:func:`like`)."""
     cluster = ClusterElement(name=draw(names), localtime=draw(numbers))
-    plain = draw(st.booleans())
+    if plain is None:
+        plain = draw(st.booleans())
+    previous = None
     for host_name in draw(st.lists(names, max_size=5, unique=True)):
-        cluster.add_host(draw(hosts(host_name, plain)))
+        if previous is not None and draw(st.booleans()):
+            host = draw(like(previous, host_name, plain))
+        else:
+            host = draw(hosts(host_name, plain))
+        cluster.add_host(host)
+        previous = host
     return cluster
 
 
@@ -256,6 +293,17 @@ def test_parse_matches_tree_oracle_on_writer_output(text, validate):
     taken = not validate and "&" not in text
     assert document.fast_lane_hits == (rows if taken else 0)
     assert document.fast_lane_misses == 0
+
+
+@settings(deadline=None)
+@given(clusters(plain=True))
+def test_hosts_sharing_a_layout_take_the_bulk_lane(cluster):
+    """Hosts that repeat, or differ by one static attribute from, the
+    layout before them are coded right and never leave the bulk lane."""
+    document = GangliaDocument(version="2.5.4", source="gmond")
+    document.add_cluster(cluster)
+    parsed = check_against_oracle(write_document(document))
+    assert parsed.fast_lane_hits == parsed.clusters[0].row_count
 
 
 @settings(deadline=None)

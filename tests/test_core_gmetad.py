@@ -8,6 +8,7 @@ from repro.core.gmetad_1level import OneLevelGmetad
 from repro.core.gmetad_base import document_element_count
 from repro.core.tree import GmetadConfig
 from repro.gmond.pseudo import PseudoGmond
+from repro.net.address import Address
 from repro.rrd.store import SUMMARY_HOST
 from repro.wire.parser import parse_document
 from tests.helpers import host_tree
@@ -230,6 +231,37 @@ class TestNLevelServing:
         engine.run_for(40.0)
         xml, _ = daemon.serve_query("/meteor/meteor-0-2")
         assert list(parse_document(xml).clusters["meteor"].hosts) == ["meteor-0-2"]
+
+
+    @pytest.mark.parametrize("accept", ["", "&accept=bin1"])
+    def test_summary_of_a_source_that_never_answered(
+        self, engine, fabric, tcp, accept
+    ):
+        """A viewer asks over TCP for the summary of a cluster whose only
+        gmond never answered: the reply is the empty-summary shell the
+        whole-tree dump serves for it, and the simulation runs on."""
+        config = GmetadConfig(
+            name="sdsc", host="gmeta-sdsc", columnar_serve=True, binary_wire=True
+        )
+        config.add_source("meteor", [Address("gone", 8649)])
+        daemon = Gmetad(engine, fabric, tcp, config)
+        daemon.start()
+        fabric.add_host("viewer")
+        engine.run_for(40.0)
+        assert daemon.datastore.source("meteor").columns is None
+        replies = []
+        tcp.request(
+            "viewer", daemon.address, "/meteor?filter=summary" + accept,
+            lambda payload, rtt: replies.append(str(payload)),
+        )
+        engine.run_for(20.0)
+        assert engine.now == 60.0 and len(replies) == 1
+        cluster = parse_document(replies[0], validate=True).clusters["meteor"]
+        dump = parse_document(daemon.serve_query("/?filter=summary")[0])
+        shell = dump.grids[config.gridname].clusters["meteor"]
+        assert cluster.summary == shell.summary
+        assert (cluster.summary.hosts_up, cluster.summary.hosts_down) == (0, 0)
+        assert not cluster.summary.metrics and not cluster.hosts
 
 
 class TestOneLevel:

@@ -213,11 +213,7 @@ def path_text(datastore, query: GmetadQuery) -> str:
         raise _NotFound
     if snapshot.kind == "cluster":
         if len(path) == 1:
-            if query.summary:
-                return _text(
-                    lambda w: w.cluster(snapshot.cluster, summary_only=True)
-                )
-            return full_cluster_text(snapshot)
+            return source_text(snapshot, query.summary)
         cols = snapshot.columns
         h = None if cols is None else cols.host_index.get(path[1])
         if h is None:
@@ -340,7 +336,7 @@ def consume(expected: dict, snapshot) -> int:
 
 def predict(server, model: Model, query: GmetadQuery, now: float):
     """(text, stats dict, expected arena counters) the old engine would
-    give; a ValueError the old writer raised is returned as the text."""
+    give."""
     datastore = server.datastore
     arenas = arena_state(server)
     engine = server.query_engine
@@ -389,8 +385,6 @@ def predict(server, model: Model, query: GmetadQuery, now: float):
     else:
         try:
             body = path_text(datastore, query)
-        except ValueError as exc:
-            return exc, None, arenas
         except _NotFound:
             body = None
         snapshot = datastore.source(query.path[0])
@@ -646,10 +640,6 @@ class ReplyMachine(RuleBasedStateMachine):
         # on the wire
         text, stats, arenas = predict(server, model, query, self.engine.now)
         wire = with_generation(request) if conditional else request
-        if isinstance(text, ValueError):
-            self._assert_raises(server._serve_response, "viewer", wire)
-            self._assert_raises(server.serve_query, request)
-            return
         joined = server.wire_chars_joined
         payload = server._serve_response("viewer", wire).payload
         if conditional:
@@ -710,14 +700,6 @@ class ReplyMachine(RuleBasedStateMachine):
         } == stats
         assert arena_state(server) == arenas
         assert server.query_engine.path_renders == self.models[id(server)].renders
-
-    @staticmethod
-    def _assert_raises(call, *args) -> None:
-        try:
-            call(*args)
-        except ValueError:
-            return
-        raise AssertionError("the old writer raised here; the reply did not")
 
     @rule(conditional=st.booleans())
     def query_one_level(self, conditional):
